@@ -42,7 +42,7 @@ from .errors import (
     TooLarge,
     TreeGibbsError,
 )
-from .kernels import BACKEND, available_backends
+from .kernels import BACKEND
 from .ldp import (
     CouplingSample,
     RateTableRow,

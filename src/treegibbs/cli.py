@@ -12,8 +12,8 @@ Configuration may also come from a plain-text file (``--config PATH``) with
 one ``key = value`` per line; energy tables are written ``c = [v1, v2, ...]``
 and lists like ``n-list`` the same way.  Flags win over file values.  All
 randomized output is reproducible from (config, seed): sampling is sharded
-into fixed-size blocks with one RNG stream per block index, so results do
-not depend on the worker count.
+into fixed-size blocks with one RNG stream per block index, so the trees of
+a shorter run are a prefix of those of a longer one.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
 request, 4 verification failure.
@@ -24,12 +24,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import NEG_INF
 from .ensembles import EnsembleSpec, Kind, validate_spec
 from .errors import (
     BadEnergyTable,
@@ -51,6 +49,8 @@ from .partition import (
 )
 from .rate import j_values, manifold_grid, solve_pstar
 from .treegen import (
+    MAX_ENUM_LABELED,
+    MAX_ENUM_PLANE,
     chi_of,
     energy_of,
     enumerate_labeled_trees,
@@ -86,7 +86,6 @@ class RunConfig:
     delta: float = 0.1
     samples: int = 1
     seed: int = 0
-    workers: int = 1
     resolution: int = 1000
     out: str | None = None
 
@@ -95,8 +94,8 @@ class RunConfig:
             raise ConfigError("kind must be 'labeled' or 'plane'")
         if self.bound is None:
             raise ConfigError("missing degree bound (--bound)")
-        kind = Kind.LABELED if self.kind == "labeled" else Kind.PLANE
-        n_classes = self.bound if kind is Kind.LABELED else self.bound + 1
+        kind = Kind(self.kind)
+        n_classes = self.bound - kind.k_min + 1
         c = tuple(self.c) if self.c is not None else (0.0,) * n_classes
         return validate_spec(EnsembleSpec(kind, self.bound, self.beta, c))
 
@@ -115,7 +114,7 @@ class RunConfig:
 
 def _parse_scalar(key: str, raw: str):
     raw = raw.strip()
-    if key in ("bound", "n", "samples", "seed", "workers", "resolution"):
+    if key in ("bound", "n", "samples", "seed", "resolution"):
         return int(raw)
     if key in ("beta", "eps", "delta"):
         return float(raw)
@@ -141,7 +140,6 @@ _CONFIG_KEYS = {
     "delta": "delta",
     "samples": "samples",
     "seed": "seed",
-    "workers": "workers",
     "resolution": "resolution",
     "out": "out",
 }
@@ -186,7 +184,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         "delta": args.delta,
         "samples": args.samples,
         "seed": args.seed,
-        "workers": args.workers,
         "out": args.out,
     }
     for key, value in overrides.items():
@@ -198,8 +195,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("n-list must be strictly increasing")
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must be a 64-bit unsigned integer")
     return cfg
@@ -228,7 +223,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--delta", type=float, help="l1 tail radius")
     common.add_argument("--samples", type=int, help="number of sampled trees")
     common.add_argument("--seed", type=int, help="64-bit RNG seed")
-    common.add_argument("--workers", type=int, help="worker threads for sampling")
     common.add_argument("--out", help="output path (default stdout)")
 
     parser = argparse.ArgumentParser(
@@ -265,58 +259,31 @@ def cmd_pstar(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _sample_blocks(total: int) -> list[tuple[int, int]]:
-    blocks = []
-    index = 0
-    done = 0
-    while done < total:
-        count = min(SAMPLE_BLOCK, total - done)
-        blocks.append((index, count))
-        done += count
-        index += 1
-    return blocks
-
-
 def cmd_sample(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     N = cfg.require_n()
     dp = build_dp(spec, N)
     ctx = solve_pstar(spec)
-    blocks = _sample_blocks(cfg.samples)
     class_totals = np.zeros(spec.n_classes, dtype=np.int64)
-
-    def run_block(block: tuple[int, int]) -> tuple[str, np.ndarray]:
-        index, count = block
+    for index, start in enumerate(range(0, cfg.samples, SAMPLE_BLOCK)):
+        count = min(SAMPLE_BLOCK, cfg.samples - start)
         rng = rng_stream(cfg.seed, index)
         pieces = []
-        totals = np.zeros(spec.n_classes, dtype=np.int64)
         if spec.kind is Kind.LABELED:
             codes = sample_prufer_codes(dp, count, rng)
             for row in codes:
                 tree = prufer_decode(row)
                 pieces.append(tree.to_text())
                 pieces.append("\n")
-                totals += np.bincount(
+                class_totals += np.bincount(
                     tree.degrees() - 1, minlength=spec.n_classes
                 )
         else:
             rows = sample_plane_child_counts(dp, count, rng)
             for row in rows:
                 pieces.append(" ".join(str(int(v)) for v in row) + "\n")
-            totals += np.bincount(
-                rows.ravel(), minlength=spec.n_classes
-            ).astype(np.int64)
-        return "".join(pieces), totals
-
-    if cfg.workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
-
-    for text, totals in results:
-        out.write(text)
-        class_totals += totals
+            class_totals += np.bincount(rows.ravel(), minlength=spec.n_classes)
+        out.write("".join(pieces))
 
     freq = class_totals / float(cfg.samples * N)
     out.write("# summary\n")
@@ -369,7 +336,7 @@ def cmd_lln(cfg: RunConfig, out) -> int:
 def cmd_oracle_check(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     N = cfg.require_n()
-    limit = 8 if spec.kind is Kind.LABELED else 10
+    limit = MAX_ENUM_LABELED if spec.kind is Kind.LABELED else MAX_ENUM_PLANE
     if N > limit:
         raise TooLarge(f"oracle-check supports N <= {limit} for {spec.kind.value}")
 

@@ -98,12 +98,6 @@ def log_multinomial(N: int, n) -> LogReal:
     return float(log_factorial(N) - log_factorials(counts).sum())
 
 
-def log_multinomial_rows(N: int, rows: np.ndarray) -> np.ndarray:
-    """Row-wise ln multinomial(N; row) for an (M, K) matrix of parts."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return log_factorial(N) - log_factorials(rows).sum(axis=1)
-
-
 def log_labeled_count_by_degrees(degrees) -> LogReal:
     """ln of the number of labeled trees with the given degree sequence.
 

@@ -28,8 +28,34 @@ MANIFOLD_TOL = 1e-12
 
 
 class Kind(Enum):
+    """Tree family, and the constants that follow from it.
+
+    Classes start at ``k_min`` (degree 1 for labeled trees, 0 children for
+    plane trees) and the manifold mean class is ``mean = k_min + 1``.  A tree
+    on N vertices has class sum ``mean * (N - 1)`` (its N - 1 edges counted
+    at both ends or at the parent only), while the manifold lattice at
+    denominator N has class sum ``mean * N``.  The mean is reachable only
+    when the bound D is at least ``mean``.
+    """
+
     LABELED = "labeled"
     PLANE = "plane"
+
+    @property
+    def k_min(self) -> int:
+        return 1 if self is Kind.LABELED else 0
+
+    @property
+    def mean(self) -> int:
+        return self.k_min + 1
+
+    def class_sum(self, N: int) -> int:
+        """Class sum of every tree on N vertices."""
+        return self.mean * (N - 1)
+
+    def manifold_total(self, N: int) -> int:
+        """Class sum of the manifold lattice points with denominator N."""
+        return self.mean * N
 
 
 @dataclass(frozen=True)
@@ -52,7 +78,7 @@ class EnsembleSpec:
 
     @property
     def k_min(self) -> int:
-        return 1 if self.kind is Kind.LABELED else 0
+        return self.kind.k_min
 
     @property
     def n_classes(self) -> int:
@@ -61,7 +87,7 @@ class EnsembleSpec:
     @property
     def mean_target(self) -> float:
         """Manifold mean-class constraint: 2 for labeled, 1 for plane."""
-        return 2.0 if self.kind is Kind.LABELED else 1.0
+        return float(self.kind.mean)
 
     def classes(self) -> np.ndarray:
         return np.arange(self.k_min, self.D + 1)
@@ -92,7 +118,7 @@ def validate_spec(spec: EnsembleSpec) -> EnsembleSpec:
     """
     if not isinstance(spec.kind, Kind):
         raise KindMismatch(f"unknown ensemble kind: {spec.kind!r}")
-    d_min = 2 if spec.kind is Kind.LABELED else 1
+    d_min = spec.kind.mean
     if spec.D < d_min:
         raise BoundTooSmall(
             f"{spec.kind.value} ensembles need D >= {d_min}, got D={spec.D}"
@@ -128,7 +154,7 @@ class CountVector:
 
     @property
     def k_min(self) -> int:
-        return 1 if self.kind is Kind.LABELED else 0
+        return self.kind.k_min
 
     def classes(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_min + len(self.counts))
@@ -156,9 +182,7 @@ def is_feasible(n: CountVector, spec: EnsembleSpec) -> bool:
         raise ValueError(
             f"count vector has {len(n.counts)} classes, spec needs {spec.n_classes}"
         )
-    N = n.N
-    target = 2 * N - 2 if spec.kind is Kind.LABELED else N - 1
-    return n.weighted_sum() == target
+    return n.weighted_sum() == spec.kind.class_sum(n.N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +207,7 @@ class FrequencyVector:
 
     @property
     def k_min(self) -> int:
-        return 1 if self.kind is Kind.LABELED else 0
+        return self.kind.k_min
 
     @property
     def D(self) -> int:
@@ -202,15 +226,16 @@ class FrequencyVector:
         return float(np.abs(self.p - other.p).sum())
 
     def on_manifold(self, tol: float = MANIFOLD_TOL) -> bool:
-        target = 2.0 if self.kind is Kind.LABELED else 1.0
-        return abs(self.mass() - 1.0) <= tol and abs(self.mean_class() - target) <= tol
+        return (
+            abs(self.mass() - 1.0) <= tol
+            and abs(self.mean_class() - self.kind.mean) <= tol
+        )
 
     def require_on_manifold(self, tol: float = MANIFOLD_TOL) -> "FrequencyVector":
         if not self.on_manifold(tol):
-            target = 2.0 if self.kind is Kind.LABELED else 1.0
             raise OffManifold(
                 f"frequency vector off manifold: mass={self.mass()!r}, "
-                f"mean={self.mean_class()!r} (target {target})"
+                f"mean={self.mean_class()!r} (target {float(self.kind.mean)})"
             )
         return self
 

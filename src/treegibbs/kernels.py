@@ -1,21 +1,7 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
-Two interchangeable backends are provided for each kernel:
-
-* ``numba``: loop implementations compiled with ``@njit(cache=True)``,
-  the default whenever numba imports cleanly;
-* ``numpy``: vectorized fallbacks with identical semantics.
-
-Selection is controlled by the ``TREEGIBBS_BACKEND`` environment variable
-read at import time: ``numpy`` forces the fallback (numba is then never
-imported), ``numba`` requires numba and fails loudly if it is missing,
-anything else (including unset) means "numba if available".  Both
-implementations stay importable through ``IMPLEMENTATIONS`` so tests and
-``benchmarks/bench_kernels.py`` can compare them in one process.
-
-Both backends consume pre-drawn uniforms rather than generating randomness
-internally, so a sampling run is reproducible from the seed alone no matter
-which backend executes it.
+The kernels consume pre-drawn uniforms rather than generating randomness
+internally, so a sampling run is reproducible from the seed alone.
 
 Kernel conventions: class values are already shifted to ``0..K`` (degree
 minus one for labeled trees, raw child count for plane trees) and ``budget``
@@ -24,33 +10,16 @@ is the shifted class sum (``N - 2`` labeled, ``N - 1`` plane).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "TREEGIBBS_BACKEND"
-
-_requested = os.environ.get(ENV_FLAG, "").strip().lower()
-
-HAVE_NUMBA = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        HAVE_NUMBA = False
+#: Name of the kernel implementation; ``perfbench/run.py:probe`` reads it for
+#: the provenance record.
+BACKEND = "numpy"
 
 _NEG_INF = -np.inf
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _dp_forward_numpy(logw: np.ndarray, n_vertices: int, budget: int) -> np.ndarray:
+def dp_forward(logw: np.ndarray, n_vertices: int, budget: int) -> np.ndarray:
     """Forward DP table W[i, s] = ln sum over class words of length i with
     shifted class sum s of the product of per-class weights."""
     K = logw.size - 1
@@ -70,7 +39,7 @@ def _dp_forward_numpy(logw: np.ndarray, n_vertices: int, budget: int) -> np.ndar
     return W
 
 
-def _backward_sample_numpy(
+def backward_sample(
     W: np.ndarray, logw: np.ndarray, budget: int, uniforms: np.ndarray
 ) -> np.ndarray:
     """Sample shifted class sequences from the DP factorization.
@@ -101,7 +70,7 @@ def _backward_sample_numpy(
     return out
 
 
-def _fisher_yates_rows_numpy(rows: np.ndarray, uniforms: np.ndarray) -> None:
+def fisher_yates_rows(rows: np.ndarray, uniforms: np.ndarray) -> None:
     """In-place Fisher-Yates shuffle of each row; uniforms has L-1 columns."""
     n_samples, length = rows.shape
     if length < 2:
@@ -114,7 +83,7 @@ def _fisher_yates_rows_numpy(rows: np.ndarray, uniforms: np.ndarray) -> None:
         rows[ridx, r] = tmp
 
 
-def _lukasiewicz_starts_numpy(steps: np.ndarray) -> np.ndarray:
+def lukasiewicz_starts(steps: np.ndarray) -> np.ndarray:
     """Rotation start index per row making the row a Lukasiewicz path.
 
     For a step word summing to -1 the unique valid rotation starts right
@@ -125,137 +94,8 @@ def _lukasiewicz_starts_numpy(steps: np.ndarray) -> np.ndarray:
     return (first_min + 1) % steps.shape[1]
 
 
-def _rotate_rows_numpy(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def rotate_rows(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Row m of the result is ``rows[m]`` rotated left by ``starts[m]``."""
     n_samples, length = rows.shape
     cols = (starts[:, None] + np.arange(length)[None, :]) % length
     return rows[np.arange(n_samples)[:, None], cols]
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop bodies compiled with njit)
-
-
-def _dp_forward_loops(logw, n_vertices, budget):  # pragma: no cover - compiled
-    K = logw.size - 1
-    W = np.full((n_vertices + 1, budget + 1), -np.inf)
-    W[0, 0] = 0.0
-    for i in range(1, n_vertices + 1):
-        for s in range(budget + 1):
-            kmax = min(K, s)
-            mx = -np.inf
-            for k in range(kmax + 1):
-                v = W[i - 1, s - k] + logw[k]
-                if v > mx:
-                    mx = v
-            if mx == -np.inf:
-                continue
-            acc = 0.0
-            for k in range(kmax + 1):
-                acc += np.exp(W[i - 1, s - k] + logw[k] - mx)
-            W[i, s] = mx + np.log(acc)
-    return W
-
-
-def _backward_sample_loops(W, logw, budget, uniforms):  # pragma: no cover
-    n_samples, n_vertices = uniforms.shape
-    K = logw.size - 1
-    out = np.empty((n_samples, n_vertices), dtype=np.int64)
-    for m in range(n_samples):
-        s = budget
-        for step in range(n_vertices):
-            i = n_vertices - step
-            kmax = min(K, s)
-            mx = -np.inf
-            for k in range(kmax + 1):
-                v = W[i - 1, s - k] + logw[k]
-                if v > mx:
-                    mx = v
-            total = 0.0
-            for k in range(kmax + 1):
-                total += np.exp(W[i - 1, s - k] + logw[k] - mx)
-            r = uniforms[m, step] * total
-            acc = 0.0
-            chosen = kmax
-            for k in range(kmax + 1):
-                acc += np.exp(W[i - 1, s - k] + logw[k] - mx)
-                if acc >= r:
-                    chosen = k
-                    break
-            out[m, step] = chosen
-            s -= chosen
-    return out
-
-
-def _fisher_yates_rows_loops(rows, uniforms):  # pragma: no cover - compiled
-    n_samples, length = rows.shape
-    if length < 2:
-        return
-    for m in range(n_samples):
-        col = 0
-        for j in range(length - 1, 0, -1):
-            r = int(uniforms[m, col] * (j + 1))
-            tmp = rows[m, j]
-            rows[m, j] = rows[m, r]
-            rows[m, r] = tmp
-            col += 1
-
-
-def _lukasiewicz_starts_loops(steps):  # pragma: no cover - compiled
-    n_samples, length = steps.shape
-    out = np.empty(n_samples, dtype=np.int64)
-    for m in range(n_samples):
-        acc = 0
-        best = np.iinfo(np.int64).max
-        best_j = 0
-        for j in range(length):
-            acc += steps[m, j]
-            if acc < best:
-                best = acc
-                best_j = j
-        out[m] = (best_j + 1) % length
-    return out
-
-
-def _rotate_rows_loops(rows, starts):  # pragma: no cover - compiled
-    n_samples, length = rows.shape
-    out = np.empty_like(rows)
-    for m in range(n_samples):
-        s = starts[m]
-        for j in range(length):
-            out[m, j] = rows[m, (s + j) % length]
-    return out
-
-
-_NUMPY_IMPL = {
-    "dp_forward": _dp_forward_numpy,
-    "backward_sample": _backward_sample_numpy,
-    "fisher_yates_rows": _fisher_yates_rows_numpy,
-    "lukasiewicz_starts": _lukasiewicz_starts_numpy,
-    "rotate_rows": _rotate_rows_numpy,
-}
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPL}
-
-if HAVE_NUMBA:
-    _jit = njit(cache=True, nogil=True)
-    IMPLEMENTATIONS["numba"] = {
-        "dp_forward": _jit(_dp_forward_loops),
-        "backward_sample": _jit(_backward_sample_loops),
-        "fisher_yates_rows": _jit(_fisher_yates_rows_loops),
-        "lukasiewicz_starts": _jit(_lukasiewicz_starts_loops),
-        "rotate_rows": _jit(_rotate_rows_loops),
-    }
-
-BACKEND = "numba" if (HAVE_NUMBA and _requested != "numpy") else "numpy"
-
-_active = IMPLEMENTATIONS[BACKEND]
-
-dp_forward = _active["dp_forward"]
-backward_sample = _active["backward_sample"]
-fisher_yates_rows = _active["fisher_yates_rows"]
-lukasiewicz_starts = _active["lukasiewicz_starts"]
-rotate_rows = _active["rotate_rows"]
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(IMPLEMENTATIONS))

@@ -19,7 +19,6 @@ distance 4/N.  The set size always satisfies 1 <= |R(x)| <= D^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,40 +27,22 @@ from .ensembles import (
     CountVector,
     EnsembleSpec,
     FrequencyVector,
-    Kind,
     as_frequency,
     freq_from_counts,
     is_feasible,
     validate_spec,
 )
-from .errors import LatticeTooLarge, NoFeasibleTree
+from .errors import NoFeasibleTree
 from .partition import (
     DEFAULT_MAX_PROFILES,
     DpTable,
     build_dp,
-    enumerate_profiles,
+    exact_chi_law,
     integer_lattice,
-    log_partition_value,
-    profile_log_weights,
     profile_of_classes,
     sample_class_sequences,
 )
 from .rate import RateContext, rate_value, solve_pstar
-
-
-@lru_cache(maxsize=16)
-def _cached_profiles(spec: EnsembleSpec, N: int, cap: int) -> np.ndarray:
-    profiles = enumerate_profiles(spec, N, max_profiles=cap)
-    profiles.setflags(write=False)
-    return profiles
-
-
-@lru_cache(maxsize=16)
-def _cached_logprobs(spec: EnsembleSpec, N: int, cap: int) -> np.ndarray:
-    profiles = _cached_profiles(spec, N, cap)
-    logp = profile_log_weights(spec, N, profiles) - log_partition_value(spec, N)
-    logp.setflags(write=False)
-    return logp
 
 
 def log_prob_ball(
@@ -81,15 +62,12 @@ def log_prob_ball(
     if eps <= 0:
         raise ValueError("eps must be positive")
     center_arr = as_frequency(spec, center).p
-    profiles = _cached_profiles(spec, N, max_profiles)
-    if profiles.shape[0] == 0:
-        raise NoFeasibleTree(f"no feasible profile at N={N}")
-    logp = _cached_logprobs(spec, N, max_profiles)
-    dist = np.abs(profiles / N - center_arr[None, :]).sum(axis=1)
+    law = exact_chi_law(spec, N, max_profiles=max_profiles)
+    dist = np.abs(law.profiles / N - center_arr[None, :]).sum(axis=1)
     inside = dist <= eps
     if not inside.any():
         return NEG_INF
-    return log_sum(logp[inside])
+    return log_sum(law.logp[inside])
 
 
 def finite_rate(spec: EnsembleSpec, N: int, p, eps: float, **kwargs) -> float:
@@ -152,10 +130,6 @@ def convergence_table(
 # coupling
 
 
-def _manifold_weighted_total(spec: EnsembleSpec, N: int) -> int:
-    return 2 * N if spec.kind is Kind.LABELED else N
-
-
 def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
     """Integer numerators m of the minimal-distance manifold lattice set R(n/N).
 
@@ -170,7 +144,8 @@ def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
         raise ValueError("r_set needs a feasible profile")
     N = n.N
     counts = n.as_array()
-    gap = 2 if spec.kind is Kind.LABELED else 1
+    manifold_total = spec.kind.manifold_total(N)
+    gap = manifold_total - spec.kind.class_sum(N)
     moves = []
     n_classes = spec.n_classes
     for b in range(n_classes - gap):
@@ -181,9 +156,7 @@ def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
             moves.append(m)
     if moves:
         return moves
-    lattice = integer_lattice(
-        spec.k_min, spec.D, N, _manifold_weighted_total(spec, N)
-    )
+    lattice = integer_lattice(spec.k_min, spec.D, N, manifold_total)
     if lattice.shape[0] == 0:
         raise NoFeasibleTree("manifold lattice is empty")
     dist = np.abs(lattice - counts[None, :]).sum(axis=1)
@@ -305,12 +278,9 @@ def lln_tail(
         raise ValueError("delta must be positive")
     if ctx is None:
         ctx = solve_pstar(spec)
-    profiles = _cached_profiles(spec, N, max_profiles)
-    if profiles.shape[0] == 0:
-        raise NoFeasibleTree(f"no feasible profile at N={N}")
-    logp = _cached_logprobs(spec, N, max_profiles)
-    dist = np.abs(profiles / N - ctx.pstar.p[None, :]).sum(axis=1)
+    law = exact_chi_law(spec, N, max_profiles=max_profiles)
+    dist = np.abs(law.profiles / N - ctx.pstar.p[None, :]).sum(axis=1)
     outside = dist > delta
     if not outside.any():
         return 0.0
-    return float(np.exp(log_sum(logp[outside])))
+    return float(np.exp(log_sum(law.logp[outside])))

@@ -62,22 +62,28 @@ def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
 
 def shifted_budget(spec: EnsembleSpec, N: int) -> int:
     """Shifted class-sum budget: N-2 for labeled trees, N-1 for plane trees."""
+    budget = spec.kind.class_sum(N) - spec.k_min * N
+    if budget < 0:
+        raise ValueError(f"{spec.kind.value} ensembles need N >= {spec.k_min + 1}")
+    return budget
+
+
+def word_log_weights(spec: EnsembleSpec) -> np.ndarray:
+    """ln (k-1)! per class for labeled trees, zero for plane trees.
+
+    A labeled vertex of degree k fills k - 1 places of the Prufer code, and
+    the code's word count divides by (k-1)! per vertex; plane trees carry no
+    such factor.  Indexed by shifted class.
+    """
     if spec.kind is Kind.LABELED:
-        if N < 2:
-            raise ValueError("labeled ensembles need N >= 2")
-        return N - 2
-    if N < 1:
-        raise ValueError("plane ensembles need N >= 1")
-    return N - 1
+        return log_factorials(spec.classes() - 1)
+    return np.zeros(spec.n_classes)
 
 
 def class_log_weights(spec: EnsembleSpec) -> np.ndarray:
-    """Per-class log Gibbs weights ln w_k, indexed by shifted class."""
-    ks = spec.classes()
-    logw = -spec.beta * spec.energies()
-    if spec.kind is Kind.LABELED:
-        logw = logw - log_factorials(ks - 1)
-    return logw
+    """Per-class log Gibbs weights ln w_k = -beta c(k) - ln (k-1)! (the
+    factorial for labeled trees only), indexed by shifted class."""
+    return -spec.beta * spec.energies() - word_log_weights(spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +152,10 @@ def profile_log_weights(spec: EnsembleSpec, N: int, profiles: np.ndarray) -> np.
     are assumed feasible.  Subtracting ln Z_N yields exact log-probabilities.
     """
     profiles = np.asarray(profiles, dtype=np.int64)
-    ks = spec.classes()
     lnc = log_factorial(N) - log_factorials(profiles).sum(axis=1)
     gibbs = -spec.beta * (profiles @ spec.energies())
     if spec.kind is Kind.LABELED:
-        word = log_factorial(N - 2) - profiles @ log_factorials(ks - 1)
+        word = log_factorial(N - 2) - profiles @ word_log_weights(spec)
         return lnc + word + gibbs
     return lnc - np.log(N) + gibbs
 
@@ -166,9 +171,7 @@ def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector) -> float:
         raise ValueError("profile length does not match spec")
     if counts.sum() != N:
         raise SumMismatch(f"profile sums to {counts.sum()}, expected {N}")
-    ks = spec.classes()
-    target = 2 * N - 2 if spec.kind is Kind.LABELED else N - 1
-    if int((ks * counts).sum()) != target:
+    if int((spec.classes() * counts).sum()) != spec.kind.class_sum(N):
         return NEG_INF
     lw = profile_log_weights(spec, N, counts[None, :])[0]
     return float(lw - log_partition_value(spec, N))
@@ -251,9 +254,8 @@ def enumerate_profiles(
 ) -> np.ndarray:
     """All feasible class profiles for (spec, N) as an (M, n_classes) matrix."""
     validate_spec(spec)
-    target = 2 * N - 2 if spec.kind is Kind.LABELED else N - 1
     return integer_lattice(
-        spec.k_min, spec.D, N, target, max_points=max_profiles
+        spec.k_min, spec.D, N, spec.kind.class_sum(N), max_points=max_profiles
     )
 
 
@@ -285,22 +287,19 @@ class ChiLaw:
             for row, lp in zip(self.profiles, self.logp)
         }
 
-    def log_prob_of(self, n: CountVector) -> float:
-        key = n.as_array()
-        match = np.all(self.profiles == key[None, :], axis=1)
-        idx = np.flatnonzero(match)
-        if idx.size == 0:
-            return NEG_INF
-        return float(self.logp[idx[0]])
-
     def total_log_mass(self) -> float:
         return log_sum(self.logp)
 
 
+@lru_cache(maxsize=16)
 def exact_chi_law(
     spec: EnsembleSpec, N: int, *, max_profiles: int = DEFAULT_MAX_PROFILES
 ) -> ChiLaw:
-    """Exact finite-N law of chi: every feasible profile with its log-probability."""
+    """Exact finite-N law of chi: every feasible profile with its log-probability.
+
+    Cached per (spec, N, max_profiles) as the call spells them; the law is
+    immutable and its arrays are read-only, so callers share it.
+    """
     profiles = enumerate_profiles(spec, N, max_profiles=max_profiles)
     if profiles.shape[0] == 0:
         raise NoFeasibleTree(

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .combinatorics import log_factorials
 from .ensembles import (
@@ -41,7 +40,7 @@ from .ensembles import (
     validate_spec,
 )
 from .errors import KindMismatch
-from .partition import integer_lattice
+from .partition import class_log_weights, integer_lattice, word_log_weights
 
 #: Default ceiling on the points of M enumerated by the lattice oracle
 #: (the lattice on M itself, not the free-coordinate box around it).
@@ -53,7 +52,12 @@ _BRACKET = 60.0
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
-    return np.where(v > 0.0, v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
+    """v ln v elementwise, 0 where v <= 0; one temporary of v's size."""
+    mask = v > 0.0
+    out = np.zeros_like(v)
+    np.log(v, out=out, where=mask)
+    np.multiply(out, v, out=out, where=mask)
+    return out
 
 
 def entropy(p) -> float:
@@ -83,12 +87,6 @@ def g_term(p: FrequencyVector) -> float:
     return float(p.p @ log_factorials(p.classes() - 1))
 
 
-def _g_weights(spec: EnsembleSpec) -> np.ndarray:
-    if spec.kind is Kind.LABELED:
-        return log_factorials(spec.classes() - 1)
-    return np.zeros(spec.n_classes)
-
-
 def j_values(spec: EnsembleSpec, pmat: np.ndarray) -> np.ndarray:
     """Vectorized J over rows of ``pmat`` (no manifold checks)."""
     pmat = np.asarray(pmat, dtype=np.float64)
@@ -98,7 +96,7 @@ def j_values(spec: EnsembleSpec, pmat: np.ndarray) -> np.ndarray:
     vals = (
         _xlogx(pmat).sum(axis=1)
         + spec.beta * (pmat @ spec.energies())
-        + pmat @ _g_weights(spec)
+        + pmat @ word_log_weights(spec)
     )
     return vals[0] if single else vals
 
@@ -111,16 +109,8 @@ def J_value(p, spec: EnsembleSpec) -> float:
     return float(j_values(spec, fv.p))
 
 
-def _tilt_base(spec: EnsembleSpec) -> np.ndarray:
-    """ln w_k for the tilt family."""
-    base = -spec.beta * spec.energies()
-    if spec.kind is Kind.LABELED:
-        base = base - gammaln(spec.classes().astype(np.float64))
-    return base
-
-
 def _tilt_probs(spec: EnsembleSpec, log_x: float) -> np.ndarray:
-    lp = _tilt_base(spec) + spec.classes() * log_x
+    lp = class_log_weights(spec) + spec.classes() * log_x
     lp -= lp.max()
     p = np.exp(lp)
     return p / p.sum()
@@ -157,7 +147,7 @@ class RateContext:
 def _stationarity_residual(spec: EnsembleSpec, p: np.ndarray) -> float:
     """Max deviation of ln p_k + beta c(k) + ln (k-1)! from an affine law in k."""
     ks = spec.classes().astype(np.float64)
-    y = np.log(p) + spec.beta * spec.energies() + _g_weights(spec)
+    y = np.log(p) + spec.beta * spec.energies() + word_log_weights(spec)
     coef = np.polyfit(ks, y, 1)
     return float(np.abs(y - np.polyval(coef, ks)).max())
 
@@ -234,12 +224,17 @@ def rate_value(p, ctx: RateContext) -> float:
 
 # M is parameterized by the free coordinates p_k for k >= k_min + 2; the two
 # lowest classes follow from the constraints:
-#   labeled (k_min = 1):  p_1 = sum (k-2) u_k,   p_2 = 1 - sum (k-1) u_k
-#   plane   (k_min = 0):  p_0 = sum (k-1) u_k,   p_1 = 1 - sum k u_k
+#   p_{k_min} = sum (k - k_min - 1) u_k,   p_{k_min+1} = 1 - sum (k - k_min) u_k
 
 
 def free_classes(spec: EnsembleSpec) -> np.ndarray:
     return np.arange(spec.k_min + 2, spec.D + 1)
+
+
+def _pinned_coefficients(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """d p_{k_min} / d u_k and d p_{k_min+1} / d u_k over the free classes."""
+    shifted = (free_classes(spec) - spec.k_min).astype(np.float64)
+    return shifted - 1.0, -shifted
 
 
 def from_free_coordinates(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
@@ -249,23 +244,12 @@ def from_free_coordinates(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
     single = u.ndim == 1
     if single:
         u = u[None, :]
-    ks = free_classes(spec).astype(np.float64)
-    if spec.kind is Kind.LABELED:
-        p_low = u @ (ks - 2.0)
-        p_next = 1.0 - u @ (ks - 1.0)
-    else:
-        p_low = u @ (ks - 1.0)
-        p_next = 1.0 - u @ ks
+    a_low, a_next = _pinned_coefficients(spec)
     out = np.empty((u.shape[0], spec.n_classes))
-    out[:, 0] = p_low
-    out[:, 1] = p_next
+    out[:, 0] = u @ a_low
+    out[:, 1] = 1.0 + u @ a_next
     out[:, 2:] = u
     return out[0] if single else out
-
-
-def to_free_coordinates(spec: EnsembleSpec, p) -> np.ndarray:
-    arr = p.p if isinstance(p, FrequencyVector) else np.asarray(p, dtype=np.float64)
-    return arr[2:].copy()
 
 
 def j_free_gradient(spec: EnsembleSpec, p) -> np.ndarray:
@@ -280,12 +264,8 @@ def j_free_gradient(spec: EnsembleSpec, p) -> np.ndarray:
     arr = fv.p
     if np.any(arr <= 0.0):
         raise ValueError("gradient needs an interior point (all p_k > 0)")
-    dJdp = np.log(arr) + 1.0 + spec.beta * spec.energies() + _g_weights(spec)
-    ks = free_classes(spec).astype(np.float64)
-    if spec.kind is Kind.LABELED:
-        a_low, a_next = ks - 2.0, -(ks - 1.0)
-    else:
-        a_low, a_next = ks - 1.0, -ks
+    dJdp = np.log(arr) + 1.0 + spec.beta * spec.energies() + word_log_weights(spec)
+    a_low, a_next = _pinned_coefficients(spec)
     return a_low * dJdp[0] + a_next * dJdp[1] + dJdp[2:]
 
 

@@ -98,6 +98,15 @@ def test_oracle_check_size_limit(capsys):
         capsys, "oracle-check", "--kind", "labeled", "--bound", "3", "--n", "9"
     )
     assert code == 3
+    # plane trees are enumerated up to treegen.MAX_ENUM_PLANE = 12
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--kind", "plane", "--bound", "3", "--n", "12"
+    )
+    assert code == 0 and out.strip().endswith("oracle-check OK")
+    code, _, _ = run_cli(
+        capsys, "oracle-check", "--kind", "plane", "--bound", "3", "--n", "13"
+    )
+    assert code == 3
 
 
 def test_sample_deterministic(tmp_path, capsys):
@@ -125,25 +134,18 @@ def test_sample_deterministic(tmp_path, capsys):
     assert "# l1_distance_to_pstar = " in text
 
 
-def test_sample_worker_count_invariance(tmp_path):
-    base = [
-        "sample",
-        "--kind",
-        "labeled",
-        "--bound",
-        "3",
-        "--n",
-        "6",
-        "--samples",
-        "200000",
-        "--seed",
-        "5",
-    ]
-    out1 = tmp_path / "w1.txt"
-    out4 = tmp_path / "w4.txt"
-    assert main(base + ["--workers", "1", "--out", str(out1)]) == 0
-    assert main(base + ["--workers", "4", "--out", str(out4)]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
+def test_sample_block_sharding(tmp_path):
+    # one RNG stream per block of SAMPLE_BLOCK = 65536 trees: a one-block run
+    # is a prefix of a two-block run at the same seed
+    base = ["sample", "--kind", "labeled", "--bound", "3", "--n", "6", "--seed", "5"]
+    one = tmp_path / "one.txt"
+    two = tmp_path / "two.txt"
+    assert main(base + ["--samples", "65536", "--out", str(one)]) == 0
+    assert main(base + ["--samples", "65537", "--out", str(two)]) == 0
+    trees_one = one.read_text().split("# summary")[0].split("\n\n")[:-1]
+    trees_two = two.read_text().split("# summary")[0].split("\n\n")[:-1]
+    assert len(trees_one) == 65536 and len(trees_two) == 65537
+    assert trees_two[:65536] == trees_one
 
 
 def test_sample_labeled_d2_paths(tmp_path):

@@ -1,16 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 
 from treegibbs import kernels
-from treegibbs.kernels import IMPLEMENTATIONS
-
-HAS_BOTH = len(IMPLEMENTATIONS) == 2
-
-needs_both = pytest.mark.skipif(
-    not HAS_BOTH, reason="numba backend not importable in this run"
-)
 
 
 def _reference_dp(logw, n, budget):
@@ -39,39 +31,20 @@ def test_dp_forward_matches_reference():
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
-@needs_both
-def test_dp_forward_backends_agree():
-    rng = np.random.default_rng(1)
-    logw = rng.normal(size=5)
-    a = IMPLEMENTATIONS["numpy"]["dp_forward"](logw, 40, 39)
-    b = IMPLEMENTATIONS["numba"]["dp_forward"](logw, 40, 39)
-    mask = np.isfinite(a) | np.isfinite(b)
-    np.testing.assert_allclose(a[mask], b[mask], atol=1e-10)
-
-
-@needs_both
-def test_backward_sample_backends_identical():
+def test_backward_sample_rows_sum_to_budget():
     rng = np.random.default_rng(2)
     logw = rng.normal(size=4)
     W = kernels.dp_forward(logw, 15, 14)
     uniforms = np.random.default_rng(3).random((200, 15))
-    a = IMPLEMENTATIONS["numpy"]["backward_sample"](W, logw, 14, uniforms)
-    b = IMPLEMENTATIONS["numba"]["backward_sample"](W, logw, 14, uniforms)
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a.sum(axis=1), np.full(200, 14))
+    rows = kernels.backward_sample(W, logw, 14, uniforms)
+    np.testing.assert_array_equal(rows.sum(axis=1), np.full(200, 14))
 
 
-@needs_both
-def test_fisher_yates_backends_identical():
+def test_fisher_yates_rows_are_permutations():
     rng = np.random.default_rng(4)
-    rows_a = np.tile(np.arange(9, dtype=np.int64), (50, 1))
-    rows_b = rows_a.copy()
-    uniforms = rng.random((50, 8))
-    IMPLEMENTATIONS["numpy"]["fisher_yates_rows"](rows_a, uniforms)
-    IMPLEMENTATIONS["numba"]["fisher_yates_rows"](rows_b, uniforms)
-    np.testing.assert_array_equal(rows_a, rows_b)
-    # every row is a permutation
-    np.testing.assert_array_equal(np.sort(rows_a, axis=1), np.tile(np.arange(9), (50, 1)))
+    rows = np.tile(np.arange(9, dtype=np.int64), (50, 1))
+    kernels.fisher_yates_rows(rows, rng.random((50, 8)))
+    np.testing.assert_array_equal(np.sort(rows, axis=1), np.tile(np.arange(9), (50, 1)))
 
 
 def test_fisher_yates_is_uniform():
@@ -85,8 +58,7 @@ def test_fisher_yates_is_uniform():
     assert stat < 20.5  # chi2.ppf(0.999, 5)
 
 
-@needs_both
-def test_rotation_backends_identical():
+def test_rotation_gives_lukasiewicz_paths():
     rng = np.random.default_rng(6)
     counts = rng.integers(0, 3, size=(300, 9))
     counts[:, -1] = 0
@@ -95,14 +67,12 @@ def test_rotation_backends_identical():
     counts[:, 0] = np.maximum(counts[:, 0] - deficit, 0)
     keep = counts.sum(axis=1) == counts.shape[1] - 1
     counts = np.ascontiguousarray(counts[keep], dtype=np.int64)
-    steps = counts - 1
-    a = IMPLEMENTATIONS["numpy"]["lukasiewicz_starts"](steps)
-    b = IMPLEMENTATIONS["numba"]["lukasiewicz_starts"](steps)
-    np.testing.assert_array_equal(a, b)
-    ra = IMPLEMENTATIONS["numpy"]["rotate_rows"](counts, a)
-    rb = IMPLEMENTATIONS["numba"]["rotate_rows"](counts, a)
-    np.testing.assert_array_equal(ra, rb)
+    assert counts.shape[0] > 0
+    starts = kernels.lukasiewicz_starts(counts - 1)
+    walks = np.cumsum(kernels.rotate_rows(counts, starts) - 1, axis=1)
+    assert (walks[:, :-1] >= 0).all()
+    np.testing.assert_array_equal(walks[:, -1], -1)
 
 
 def test_backend_selection_reported():
-    assert kernels.BACKEND in kernels.available_backends()
+    assert kernels.BACKEND == "numpy"
