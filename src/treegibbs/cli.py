@@ -55,9 +55,9 @@ from .treegen import (
     energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
-    prufer_decode,
     sample_plane_child_counts,
     sample_prufer_codes,
+    write_sample,
 )
 
 SAMPLE_BLOCK = 65536
@@ -268,22 +268,11 @@ def cmd_sample(cfg: RunConfig, out) -> int:
     for index, start in enumerate(range(0, cfg.samples, SAMPLE_BLOCK)):
         count = min(SAMPLE_BLOCK, cfg.samples - start)
         rng = rng_stream(cfg.seed, index)
-        pieces = []
         if spec.kind is Kind.LABELED:
-            codes = sample_prufer_codes(dp, count, rng)
-            for row in codes:
-                tree = prufer_decode(row)
-                pieces.append(tree.to_text())
-                pieces.append("\n")
-                class_totals += np.bincount(
-                    tree.degrees() - 1, minlength=spec.n_classes
-                )
+            rows = sample_prufer_codes(dp, count, rng)
         else:
             rows = sample_plane_child_counts(dp, count, rng)
-            for row in rows:
-                pieces.append(" ".join(str(int(v)) for v in row) + "\n")
-            class_totals += np.bincount(rows.ravel(), minlength=spec.n_classes)
-        out.write("".join(pieces))
+        class_totals += write_sample(spec, rows, out)
 
     freq = class_totals / float(cfg.samples * N)
     out.write("# summary\n")

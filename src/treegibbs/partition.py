@@ -9,15 +9,18 @@ of class k,
 * plane:    ``w_k = exp(-beta c(k))``,
 
 the sum of ``prod_i w_{k_i}`` over all class sequences with the feasible
-class sum factors through ``W[i][s]`` and yields
+class sum factors through ``W[i][s]``.  Classes are stored shifted by their
+minimum (degree-1 for labeled), so ``s`` is the shifted class sum, whose
+feasible value (the budget) is ``N-2`` for labeled trees (degree sum 2N-2)
+and ``N-1`` for plane trees; the stored budget axis is ``0..budget``, which
+halves the labeled table.  Reading the final cell ``W[N][budget]``
+(``DpTable.log_final``) gives
 
-* labeled:  ``ln Z_N = W[N][2N-2] + ln (N-2)!``
+* labeled:  ``ln Z_N = W[N][N-2] + ln (N-2)!``
 * plane:    ``ln Z_N = W[N][N-1] - ln N``.
 
-Internally classes are shifted by their minimum (degree-1 for labeled), so
-the stored budget axis is ``0..N-2`` (labeled) or ``0..N-1`` (plane), which
-halves the labeled table.  The same table supports exact backward sampling
-of class sequences, which is the entry point of both tree samplers.
+The same table supports exact backward sampling of class sequences, which
+is the entry point of both tree samplers.
 
 Randomness contract: every sampler takes a ``numpy.random.Generator``.
 ``rng_stream(seed, worker)`` derives independent, reproducible streams from
@@ -234,16 +237,19 @@ def integer_lattice(
             )
         blocks.append(block)
 
-    def descend(j: int, rem_total: int, rem_r: int, suffix: list[int]) -> None:
-        # j is the shifted class index, walked from the top down to 3.
+    # Depth-first over the free classes, walked from the top down to 3 (j is
+    # the shifted class index); children are pushed in reverse so that they
+    # pop in increasing order.  A loop rather than a recursive closure, which
+    # would reference itself and keep ``blocks`` alive until the cyclic GC.
+    stack = [(ncls - 1, total, R, [])]
+    while stack:
+        j, rem_total, rem_r, suffix = stack.pop()
         if j == 2:
             emit(rem_total, rem_r, suffix)
-            return
+            continue
         top = min(rem_total, rem_r // j)
-        for m in range(top + 1):
-            descend(j - 1, rem_total - m, rem_r - j * m, suffix + [m])
-
-    descend(ncls - 1, total, R, [])
+        for m in range(top, -1, -1):
+            stack.append((j - 1, rem_total - m, rem_r - j * m, suffix + [m]))
     if not blocks:
         return np.empty((0, ncls), dtype=np.int64)
     return np.vstack(blocks)

@@ -18,9 +18,15 @@ Exact sampling pipelines (both reduce tree sampling to the partition DP):
   exactly N distinct rotations, so conditional uniformity is preserved and
   the composite law is again exactly Gibbs.
 
-Text serialization (test fixtures): a labeled tree is its sorted edge list,
-one ``u v`` line per edge; a plane tree is one line of space-separated child
-counts.  Both are newline-terminated ASCII.
+Text serialization: a labeled tree is its sorted edge list, one ``u v`` line
+per edge; a plane tree is one line of space-separated child counts.  Both are
+newline-terminated ASCII.  ``write_sample`` writes sampled batches without
+tree objects: it takes ``WRITE_BLOCK`` rows at a time, decodes labeled rows
+to canonical edge arrays with the one Prufer decoder (``prufer_edges``),
+formats each tree with a single ``%``-format of a per-N template (the
+labeled template ends in a blank line that separates trees) and writes the
+sub-block's text before the next one is made.  ``to_text`` is the
+single-tree form of the same text.
 """
 
 from __future__ import annotations
@@ -63,11 +69,8 @@ class LabeledTree:
         object.__setattr__(self, "edges", norm)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u - 1] += 1
-            deg[v - 1] += 1
-        return deg
+        ends = np.asarray(self.edges, dtype=np.int64).reshape(-1)
+        return np.bincount(ends - 1, minlength=self.n_vertices)
 
     def to_text(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.edges)
@@ -120,37 +123,73 @@ class PlaneTree:
 # Prufer codec
 
 
+def code_occurrences(codes: np.ndarray) -> np.ndarray:
+    """Occurrences of each label in each row of a (B, N-2) code matrix.
+
+    Column v of the (B, N+1) result counts label v (column 0 is zero), so
+    for 1 <= v <= N it is deg(v) - 1, the shifted class of vertex v.
+    """
+    B, N = codes.shape[0], codes.shape[1] + 2
+    base = np.arange(B, dtype=np.int64)[:, None] * (N + 1)
+    flat = np.bincount((codes + base).ravel(), minlength=B * (N + 1))
+    return flat.reshape(B, N + 1)
+
+
+def _prufer_parents(codes: np.ndarray) -> np.ndarray:
+    """Parent of each vertex in the tree of each code row, rooted at N.
+
+    ``codes`` is a (B, N-2) matrix of labels in 1..N.  Column u of the
+    (B, N+1) result is the parent of vertex u for 1 <= u < N; columns 0
+    and N are 0.  Each row runs the linear-time decoder: ``ptr`` scans
+    upward for the next leaf, and a vertex that becomes a leaf below
+    ``ptr`` is removed at once.
+    """
+    B, N = codes.shape[0], codes.shape[1] + 2
+    parent = np.zeros((B, N + 1), dtype=np.int64)
+    degrees = code_occurrences(codes) + 1
+    for r in range(B):
+        deg = degrees[r].tolist()
+        par = [0] * (N + 1)
+        ptr = leaf = deg.index(1, 1)
+        for v in codes[r].tolist():
+            par[leaf] = v
+            deg[v] -= 1
+            if deg[v] == 1 and v < ptr:
+                leaf = v
+            else:
+                ptr = leaf = deg.index(1, ptr + 1)
+        par[leaf] = N
+        parent[r] = par
+    return parent
+
+
+def prufer_edges(codes: np.ndarray) -> np.ndarray:
+    """Canonical edge arrays of the trees of a (B, N-2) code matrix.
+
+    Row r of the (B, N-1, 2) result lists the edges of row r's tree as
+    (min, max) pairs in increasing order, as ``LabeledTree`` stores them.
+    """
+    B, N = codes.shape[0], codes.shape[1] + 2
+    child = np.arange(1, N, dtype=np.int64)
+    parent = _prufer_parents(codes)[:, 1:N]
+    key = np.minimum(child, parent) * (N + 1) + np.maximum(child, parent)
+    key.sort(axis=1)
+    return np.stack((key // (N + 1), key % (N + 1)), axis=2)
+
+
 def prufer_decode(seq) -> LabeledTree:
     """Decode a Prufer code of length N-2 into its labeled tree.
 
     The empty code decodes to the single edge {1, 2}.  Vertex v ends up
     with degree 1 + (occurrences of v in the code).
     """
-    code = [int(v) for v in seq]
-    N = len(code) + 2
-    for v in code:
-        if not 1 <= v <= N:
-            raise BadLabel(f"code entry {v} outside 1..{N}")
-    deg = [1] * (N + 1)
-    for v in code:
-        deg[v] += 1
-    ptr = 1
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    edges = []
-    for v in code:
-        edges.append((leaf, v))
-        deg[v] -= 1
-        if deg[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, N))
-    return LabeledTree(N, tuple(edges))
+    code = np.asarray([int(v) for v in seq], dtype=np.int64)
+    N = code.size + 2
+    bad = code[(code < 1) | (code > N)]
+    if bad.size:
+        raise BadLabel(f"code entry {int(bad[0])} outside 1..{N}")
+    edges = prufer_edges(code[None, :])[0]
+    return LabeledTree(N, tuple(map(tuple, edges.tolist())))
 
 
 def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
@@ -292,6 +331,42 @@ def sample_plane_tree(
 
 
 # ---------------------------------------------------------------------------
+# batch text writer
+
+#: Trees decoded and formatted per ``write`` by ``write_sample``: enough to
+#: amortize the per-call cost of the array steps, few enough that a
+#: sub-block's arrays and text stay a few MB at N = 1000 (whole 2000-tree
+#: blocks raised the peak RSS of ``sample`` by about 60 MB there).
+WRITE_BLOCK = 256
+
+
+def write_sample(spec: EnsembleSpec, rows: np.ndarray, out) -> np.ndarray:
+    """Write sampled trees to ``out`` as text; return their summed chi.
+
+    ``rows`` are Prufer codes (labeled) or preorder child-count rows
+    (plane), as the samplers return them.  The text of tree r equals
+    ``prufer_decode(rows[r]).to_text() + "\n"`` (labeled) or
+    ``PlaneTree(rows[r]).to_text()`` (plane).  The result counts vertices
+    per shifted class over all rows; every class must be within the bound.
+    """
+    if spec.kind is Kind.LABELED:
+        template = "%d %d\n" * (rows.shape[1] + 1) + "\n"  # N - 1 edges
+    else:
+        template = "%d " * (rows.shape[1] - 1) + "%d\n"
+    totals = np.zeros(spec.n_classes, dtype=np.int64)
+    for start in range(0, rows.shape[0], WRITE_BLOCK):
+        part = rows[start : start + WRITE_BLOCK]
+        if spec.kind is Kind.LABELED:
+            classes = code_occurrences(part)[:, 1:]
+            flat = prufer_edges(part).reshape(part.shape[0], -1)
+        else:
+            classes = flat = part
+        out.write("".join([template % tuple(row.tolist()) for row in flat]))
+        totals += np.bincount(classes.ravel(), minlength=spec.n_classes)
+    return totals
+
+
+# ---------------------------------------------------------------------------
 # exhaustive enumerators (oracles for small N)
 
 
@@ -299,19 +374,11 @@ def enumerate_labeled_trees(N: int) -> Iterator[LabeledTree]:
     """Every labeled tree on N vertices exactly once, via all N^{N-2} codes."""
     if not 2 <= N <= MAX_ENUM_LABELED:
         raise TooLarge(f"labeled enumeration supports 2 <= N <= {MAX_ENUM_LABELED}")
-    if N == 2:
-        yield prufer_decode(())
-        return
-    code = [1] * (N - 2)
-    while True:
-        yield prufer_decode(code)
-        pos = N - 3
-        while pos >= 0 and code[pos] == N:
-            code[pos] = 1
-            pos -= 1
-        if pos < 0:
-            return
-        code[pos] += 1
+    # Every code in lexicographic order: digit j of row i in base N.
+    place = N ** np.arange(N - 3, -1, -1, dtype=np.int64)
+    codes = np.arange(N ** (N - 2), dtype=np.int64)[:, None] // place % N + 1
+    for edges in prufer_edges(codes):
+        yield LabeledTree(N, tuple(map(tuple, edges.tolist())))
 
 
 def enumerate_plane_trees(N: int, D: int) -> Iterator[PlaneTree]:

@@ -96,6 +96,18 @@ def iter_feasible_profiles(spec: EnsembleSpec, N: int):
     return iter_profiles(spec.k_min, spec.D, N, target)
 
 
+def assert_same_text(got: str, expected: str) -> None:
+    """Equality of two long texts, reporting the first differing line
+    (pytest's own diff of multi-megabyte strings takes minutes)."""
+    if got == expected:
+        return
+    got_lines, exp_lines = got.splitlines(True), expected.splitlines(True)
+    for i, (a, b) in enumerate(zip(got_lines, exp_lines)):
+        if a != b:
+            raise AssertionError(f"line {i + 1} differs: {a!r} != {b!r}")
+    raise AssertionError(f"{len(got_lines)} lines != {len(exp_lines)} expected lines")
+
+
 def chi_square_check(
     observed: dict, expected_probs: dict, total: int, significance: float = 0.001
 ) -> tuple[float, float]:

@@ -5,7 +5,18 @@ import sys
 import numpy as np
 import pytest
 
-from treegibbs.cli import main
+from conftest import assert_same_text
+from treegibbs import (
+    EnsembleSpec,
+    PlaneTree,
+    build_dp,
+    prufer_decode,
+    rng_stream,
+    sample_plane_child_counts,
+    sample_prufer_codes,
+)
+from treegibbs.cli import fmt, main
+from treegibbs.treegen import WRITE_BLOCK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -146,6 +157,37 @@ def test_sample_block_sharding(tmp_path):
     trees_two = two.read_text().split("# summary")[0].split("\n\n")[:-1]
     assert len(trees_one) == 65536 and len(trees_two) == 65537
     assert trees_two[:65536] == trees_one
+
+
+@pytest.mark.parametrize("kind", ["labeled", "plane"])
+def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind):
+    # The batch writer against the single-tree API, over several sub-blocks:
+    # the same draws decoded and printed one tree at a time, and a summary
+    # recounted from the printed trees.
+    N, samples, seed = 12, 2 * WRITE_BLOCK + 7, 21
+    out = tmp_path / "sample.txt"
+    argv = ["sample", "--kind", kind, "--bound", "3", "--n", str(N),
+            "--samples", str(samples), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    body, summary = out.read_text().split("# summary\n")
+    spec = EnsembleSpec.labeled(3) if kind == "labeled" else EnsembleSpec.plane(3)
+    dp = build_dp(spec, N)
+    if kind == "labeled":
+        trees = [prufer_decode(c) for c in sample_prufer_codes(dp, samples, rng_stream(seed, 0))]
+        assert_same_text(body, "".join(tree.to_text() + "\n" for tree in trees))
+        classes = np.concatenate(
+            [np.bincount(np.array(block.split(), dtype=np.int64), minlength=N + 1)[1:] - 1
+             for block in body.split("\n\n")[:-1]]
+        )
+    else:
+        rows = sample_plane_child_counts(dp, samples, rng_stream(seed, 0))
+        assert_same_text(body, "".join(PlaneTree(tuple(row)).to_text() for row in rows))
+        classes = np.array(body.split(), dtype=np.int64)
+    freq = np.bincount(classes, minlength=spec.n_classes) / (samples * N)
+    lines = summary.splitlines()
+    assert lines[0] == "class,frequency,pstar"
+    for k, line in zip(range(spec.n_classes), lines[1:]):
+        assert line.split(",")[:2] == [str(k + spec.k_min), fmt(freq[k])]
 
 
 def test_sample_labeled_d2_paths(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -190,6 +191,18 @@ def test_integer_lattice_matches_brute_force():
                 continue
             expected.add(combo)
         assert got == expected
+
+
+def test_integer_lattice_leaves_no_reference_cycle():
+    # Everything the enumeration builds is freed by reference counting alone,
+    # so no block list outlives the call waiting for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        integer_lattice(0, 4, 200, 200)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

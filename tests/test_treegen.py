@@ -1,10 +1,13 @@
+import io
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import chi_square_check, gibbs_tree_law, tree_key
+from conftest import assert_same_text, chi_square_check, gibbs_tree_law, tree_key
 from treegibbs import (
     BadLabel,
     BadStepSum,
@@ -30,6 +33,7 @@ from treegibbs import (
     sample_plane_tree,
     sample_prufer_codes,
 )
+from treegibbs.treegen import WRITE_BLOCK, write_sample
 
 
 def test_prufer_decode_examples():
@@ -71,6 +75,57 @@ def test_prufer_round_trip_exhaustive(N):
             assert degrees[v - 1] == 1 + code.count(v)
         count += 1
     assert count == N ** max(N - 2, 0)
+
+
+prufer_codes = st.integers(2, 60).flatmap(
+    lambda n: st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prufer_codes)
+def test_prufer_round_trip_property(code):
+    tree = prufer_decode(code)
+    assert prufer_encode(tree) == tuple(code)
+    assert len(tree.edges) == len(code) + 1
+
+
+def test_enumerate_labeled_matches_per_code_decode():
+    N = 5
+    codes = itertools.product(range(1, N + 1), repeat=N - 2)
+    assert list(enumerate_labeled_trees(N)) == [prufer_decode(c) for c in codes]
+
+
+# (N, number of trees): every count crosses at least one sub-block boundary
+BATCH_CASES = [(2, 2 * WRITE_BLOCK + 5), (3, 2 * WRITE_BLOCK + 5), (4, 2 * WRITE_BLOCK + 5),
+               (10, 2 * WRITE_BLOCK + 5), (257, WRITE_BLOCK + 3)]
+
+
+@pytest.mark.parametrize("N, count", BATCH_CASES)
+def test_write_sample_labeled_matches_per_tree(N, count):
+    rng = rng_stream(41, N)
+    codes = rng.integers(1, N + 1, size=(count, N - 2))
+    spec = EnsembleSpec.labeled(max(N - 1, 2))  # every code's degrees fit
+    out = io.StringIO()
+    totals = write_sample(spec, codes, out)
+    trees = [prufer_decode(row) for row in codes]
+    assert [prufer_encode(tree) for tree in trees] == [tuple(row) for row in codes.tolist()]
+    assert_same_text(out.getvalue(), "".join(tree.to_text() + "\n" for tree in trees))
+    recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
+    assert totals.tolist() == recount.tolist()
+
+
+@pytest.mark.parametrize("N, count", [(1, 2 * WRITE_BLOCK + 5), (2, 2 * WRITE_BLOCK + 5),
+                                      (9, 2 * WRITE_BLOCK + 5), (300, WRITE_BLOCK + 3)])
+def test_write_sample_plane_matches_per_tree(N, count):
+    spec = EnsembleSpec.plane(3)
+    rows = sample_plane_child_counts(build_dp(spec, N), count, rng_stream(43, N))
+    out = io.StringIO()
+    totals = write_sample(spec, rows, out)
+    trees = [PlaneTree(tuple(row)) for row in rows]
+    assert_same_text(out.getvalue(), "".join(tree.to_text() for tree in trees))
+    recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
+    assert totals.tolist() == recount.tolist()
 
 
 def test_cycle_lemma_examples():
