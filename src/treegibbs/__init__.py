@@ -1,10 +1,11 @@
 """Gibbs ensembles of degree-bounded random trees.
 
 Exact partition functions and profile laws via log-domain dynamic
-programming, exact tree samplers (Prufer codes for labeled trees, the cycle
-lemma for plane trees), the explicit large-deviation rate function with its
-minimizer p*, and exact finite-N verification of the LDP and the law of
-large numbers.
+programming, exact tree samplers (profiles from the tilted multinomial
+conditioned on the class sum, then Prufer codes for labeled trees and the
+cycle lemma for plane trees), the explicit large-deviation rate function
+with its minimizer p*, and exact finite-N verification of the LDP and the
+law of large numbers.
 """
 
 from .combinatorics import (
@@ -47,7 +48,6 @@ from .ldp import (
     CouplingSample,
     RateTableRow,
     convergence_table,
-    couple_sample,
     couple_samples,
     finite_rate,
     lln_tail,
@@ -64,7 +64,7 @@ from .partition import (
     log_prob_profile,
     rng_stream,
     sample_class_sequences,
-    sample_degree_sequence,
+    sample_profiles,
 )
 from .rate import (
     RateContext,

@@ -12,8 +12,10 @@ Configuration may also come from a plain-text file (``--config PATH``) with
 one ``key = value`` per line; energy tables are written ``c = [v1, v2, ...]``
 and lists like ``n-list`` the same way.  Flags win over file values.  All
 randomized output is reproducible from (config, seed): sampling is sharded
-into fixed-size blocks with one RNG stream per block index, so the trees of
-a shorter run are a prefix of those of a longer one.
+into blocks of ``SAMPLE_CELLS // N`` trees (at least one) with one RNG
+stream per block index, so the trees of a shorter run are a prefix of those
+of a longer one.  Each (trees, N) int64 array of a block holds at most
+32 MB, or one tree once N passes ``SAMPLE_CELLS``.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
 request, 4 verification failure.
@@ -41,12 +43,7 @@ from .errors import (
     TreeGibbsError,
 )
 from .ldp import convergence_table, lln_tail
-from .partition import (
-    build_dp,
-    exact_chi_law,
-    log_partition,
-    rng_stream,
-)
+from .partition import exact_chi_law, log_partition_value, rng_stream
 from .rate import j_values, manifold_grid, solve_pstar
 from .treegen import (
     MAX_ENUM_LABELED,
@@ -60,7 +57,8 @@ from .treegen import (
     write_sample,
 )
 
-SAMPLE_BLOCK = 65536
+#: Cells (trees times N) drawn per RNG block by ``sample``.
+SAMPLE_CELLS = 2**22
 
 ORACLE_TOL = 1e-9
 
@@ -262,16 +260,16 @@ def cmd_pstar(cfg: RunConfig, out) -> int:
 def cmd_sample(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     N = cfg.require_n()
-    dp = build_dp(spec, N)
     ctx = solve_pstar(spec)
+    block = max(1, SAMPLE_CELLS // max(N, 1))  # the sampler rejects a bad N
     class_totals = np.zeros(spec.n_classes, dtype=np.int64)
-    for index, start in enumerate(range(0, cfg.samples, SAMPLE_BLOCK)):
-        count = min(SAMPLE_BLOCK, cfg.samples - start)
+    for index, start in enumerate(range(0, cfg.samples, block)):
+        count = min(block, cfg.samples - start)
         rng = rng_stream(cfg.seed, index)
         if spec.kind is Kind.LABELED:
-            rows = sample_prufer_codes(dp, count, rng)
+            rows = sample_prufer_codes(spec, N, count, rng)
         else:
-            rows = sample_plane_child_counts(dp, count, rng)
+            rows = sample_plane_child_counts(spec, N, count, rng)
         class_totals += write_sample(spec, rows, out)
 
     freq = class_totals / float(cfg.samples * N)
@@ -358,7 +356,7 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     suites = [("profile-counts", dev_counts)]
 
     z_enum = sum(weights.values())
-    z_dp = log_partition(build_dp(spec, N))
+    z_dp = log_partition_value(spec, N)
     suites.append(("partition", abs(z_dp - math.log(z_enum))))
 
     dev_law = 0.0

@@ -35,12 +35,9 @@ from .ensembles import (
 from .errors import NoFeasibleTree
 from .partition import (
     DEFAULT_MAX_PROFILES,
-    DpTable,
-    build_dp,
     exact_chi_law,
     integer_lattice,
-    profile_of_classes,
-    sample_class_sequences,
+    sample_profiles,
 )
 from .rate import RateContext, rate_value, solve_pstar
 
@@ -205,41 +202,17 @@ class CouplingSample:
         )
 
 
-def couple_sample(
-    spec: EnsembleSpec, N: int, rng: np.random.Generator, dp: DpTable | None = None
-) -> CouplingSample:
-    """Draw chi/N from the Gibbs measure and y uniformly from R(chi/N)."""
-    validate_spec(spec)
-    if dp is None:
-        dp = build_dp(spec, N)
-    classes = sample_class_sequences(dp, 1, rng)[0]
-    n = profile_of_classes(spec, classes)
-    members = r_set_counts(n, spec)
-    members.sort(key=lambda m: tuple(m))
-    pick = members[int(rng.integers(len(members)))]
-    dist = int(np.abs(pick - n.as_array()).sum())
-    return CouplingSample(
-        spec=spec,
-        N=N,
-        x_counts=n,
-        y_counts=tuple(int(v) for v in pick),
-        distance=dist / N,
-        r_size=len(members),
-    )
-
-
 def couple_samples(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
 ) -> list[CouplingSample]:
-    """Batch coupling draws sharing one DP table and R(x) cache."""
-    validate_spec(spec)
-    dp = build_dp(spec, N)
-    rows = sample_class_sequences(dp, size, rng)
+    """Draw ``size`` coupled pairs: chi/N from the Gibbs measure, y uniformly
+    from R(chi/N); R(x) is computed once per distinct profile."""
+    profiles = sample_profiles(spec, N, size, rng)
     picks = rng.random(size)
     cache: dict[tuple[int, ...], list[np.ndarray]] = {}
     out = []
-    for row, u in zip(rows, picks):
-        n = profile_of_classes(spec, row)
+    for counts, u in zip(profiles, picks):
+        n = CountVector(spec.kind, tuple(int(v) for v in counts))
         members = cache.get(n.counts)
         if members is None:
             members = r_set_counts(n, spec)

@@ -19,17 +19,26 @@ halves the labeled table.  Reading the final cell ``W[N][budget]``
 * labeled:  ``ln Z_N = W[N][N-2] + ln (N-2)!``
 * plane:    ``ln Z_N = W[N][N-1] - ln N``.
 
-The same table supports exact backward sampling of class sequences, which
-is the entry point of both tree samplers.
+Sampling needs no table.  The tilt ``q_k ~ w_k x^k`` (``tilt``) turns the
+per-vertex weights into a probability vector; under Multinomial(N, q) the
+weight of a profile n is its Gibbs weight times ``x^S``, with S the class
+sum, so conditioning on S = budget leaves exactly the Gibbs law of chi at
+any x.  ``sample_profiles`` draws at the x whose mean class is budget/N and
+keeps the proposals that hit the budget; ``sample_class_sequences`` lays
+each kept profile out as a class row and permutes it uniformly, which is
+the entry point of both tree samplers.  This is Devroye's reduction
+("Simulating size-constrained Galton-Watson trees", SIAM J. Comput. 41(1),
+2012).
 
 Randomness contract: every sampler takes a ``numpy.random.Generator``.
-``rng_stream(seed, worker)`` derives independent, reproducible streams from
-a 64-bit seed and a worker/block index; all draws are then determined by
-``(seed, worker, draw index)``.
+``rng_stream(seed, block)`` derives independent, reproducible streams from
+a 64-bit seed and a block index; all draws are then determined by
+``(seed, block, draw index)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,9 +60,17 @@ DEFAULT_MAX_CELLS = 20_001 * 20_000
 #: Default ceiling on enumerated feasible profiles.
 DEFAULT_MAX_PROFILES = 10_000_000
 
+#: Ceiling on the cells of one proposal matrix in ``sample_profiles``
+#: (rows times classes, int64): 32 MB whatever the size of the request.
+PROPOSAL_CELLS = 2**22
+
+_TILT_TOL = 1e-13
+_TILT_MAX_ITER = 200
+_BRACKET = 60.0
+
 
 def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
-    """Deterministic 64-bit seeded stream, split by worker index.
+    """Deterministic 64-bit seeded stream, split by block index ``worker``.
 
     Streams for distinct ``worker`` values are statistically independent;
     the pair ``(seed, worker)`` fully determines the stream.
@@ -89,6 +106,54 @@ def class_log_weights(spec: EnsembleSpec) -> np.ndarray:
     return -spec.beta * spec.energies() - word_log_weights(spec)
 
 
+def tilt_probs(spec: EnsembleSpec, log_x: float) -> np.ndarray:
+    """The tilt member q_k ~ w_k x^k at ln x = ``log_x``, normalized."""
+    lp = class_log_weights(spec) + spec.classes() * log_x
+    lp -= lp.max()
+    p = np.exp(lp)
+    return p / p.sum()
+
+
+def tilt(spec: EnsembleSpec, mean: float) -> tuple[np.ndarray, float | None]:
+    """The tilt member whose mean class is ``mean``, and its ln x.
+
+    The mean class is strictly increasing in x, so ln x is found by
+    bisection on [-60, 60] (expanded geometrically when needed) until the
+    mean residual drops below 1e-13.  At the ends of the class range
+    (``mean`` at k_min or at D) the member is the point mass there, a limit
+    of the family rather than a member, and ln x is None.
+    """
+    if mean <= spec.k_min or mean >= spec.D:
+        q = np.zeros(spec.n_classes)
+        q[0 if mean <= spec.k_min else -1] = 1.0
+        return q, None
+
+    def mean_at(t: float) -> float:
+        return float(spec.classes() @ tilt_probs(spec, t))
+
+    lo, hi = -_BRACKET, _BRACKET
+    for _ in range(60):
+        if mean_at(lo) < mean:
+            break
+        lo *= 2.0
+    for _ in range(60):
+        if mean_at(hi) > mean:
+            break
+        hi *= 2.0
+
+    t = 0.5 * (lo + hi)
+    for _ in range(_TILT_MAX_ITER):
+        t = 0.5 * (lo + hi)
+        mu = mean_at(t)
+        if abs(mu - mean) <= _TILT_TOL:
+            break
+        if mu < mean:
+            lo = t
+        else:
+            hi = t
+    return tilt_probs(spec, t), t
+
+
 @dataclass(frozen=True, eq=False)
 class DpTable:
     """Immutable forward DP table over (vertices processed, budget consumed).
@@ -100,7 +165,6 @@ class DpTable:
     spec: EnsembleSpec
     n_vertices: int
     budget: int
-    logw: np.ndarray
     W: np.ndarray
 
     @property
@@ -124,11 +188,9 @@ def build_dp(spec: EnsembleSpec, N: int, *, max_cells: int = DEFAULT_MAX_CELLS) 
         raise SizeOverflow(
             f"DP table needs {cells} cells, exceeding the budget of {max_cells}"
         )
-    logw = np.ascontiguousarray(class_log_weights(spec))
-    W = kernels.dp_forward(logw, N, budget)
+    W = kernels.dp_forward(class_log_weights(spec), N, budget)
     W.setflags(write=False)
-    logw.setflags(write=False)
-    return DpTable(spec=spec, n_vertices=N, budget=budget, logw=logw, W=W)
+    return DpTable(spec=spec, n_vertices=N, budget=budget, W=W)
 
 
 def log_partition(dp: DpTable) -> float:
@@ -317,37 +379,54 @@ def exact_chi_law(
     return ChiLaw(spec=spec, N=N, profiles=profiles, logp=logp)
 
 
-def sample_class_sequences(
-    dp: DpTable, size: int, rng: np.random.Generator
+def sample_profiles(
+    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``size`` class sequences (unshifted classes) from the DP.
+    """Draw ``size`` class profiles exactly from the Gibbs law of chi.
 
-    Entry (m, i) is the class of vertex i in draw m; each row is distributed
-    proportionally to the product of per-class Gibbs weights conditioned on
-    the feasible class sum, hence exchangeably in i.
+    Row m of the (size, n_classes) result counts the vertices per shifted
+    class in draw m.  Proposals are Multinomial(N, q) at the tilt q whose
+    mean shifted class is budget/N, and a proposal is kept when its shifted
+    class sum is the budget.  By the local CLT about 1/(sigma sqrt(2 pi N)) of
+    them are kept (sigma^2 the class variance under q), which sizes each
+    batch of proposals.
     """
+    validate_spec(spec)
     if size < 1:
         raise ValueError("size must be >= 1")
-    if not dp.feasible:
-        raise NoFeasibleTree(
-            f"no {dp.spec.kind.value} tree on {dp.n_vertices} vertices fits D={dp.spec.D}"
-        )
-    uniforms = rng.random((size, dp.n_vertices))
-    shifted = kernels.backward_sample(dp.W, dp.logw, dp.budget, uniforms)
-    if dp.spec.k_min:
-        shifted += dp.spec.k_min
-    return shifted
+    budget = shifted_budget(spec, N)
+    q, _ = tilt(spec, spec.kind.class_sum(N) / N)
+    shifted = np.arange(spec.n_classes)
+    # A class whose tilt weight underflows to 0 is never proposed; refuse,
+    # rather than loop for ever, when the other classes cannot hit the budget.
+    support = shifted[q > 0]
+    reach, span = budget - N * support[0], support - support[0]
+    if not 0 <= reach <= N * span[-1] or reach % max(np.gcd.reduce(span), 1):
+        raise ValueError("the tilt underflows classes the class sum needs; beta is too large")
+    var = float(q @ (shifted - q @ shifted) ** 2)
+    accept = min(1.0, 1.0 / math.sqrt(2.0 * math.pi * N * var)) if var > 0 else 1.0
+    max_rows = max(1, PROPOSAL_CELLS // spec.n_classes)
+    kept, need = [], size
+    while need:
+        rows = min(max_rows, math.ceil(1.2 * need / accept) + 16)
+        proposals = rng.multinomial(N, q, size=rows)
+        hits = proposals[proposals @ shifted == budget][:need]
+        kept.append(hits)
+        need -= hits.shape[0]
+    return np.concatenate(kept)
 
 
-def sample_degree_sequence(dp: DpTable, rng: np.random.Generator) -> np.ndarray:
-    """Single exact draw of the per-vertex class sequence (degrees for
-    labeled specs, child counts for plane specs)."""
-    return sample_class_sequences(dp, 1, rng)[0]
+def sample_class_sequences(
+    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``size`` class sequences (unshifted classes) exactly.
 
+    Entry (m, i) is the class of vertex i in draw m.  Each row is the
+    profile of ``sample_profiles`` laid out in class order and then permuted
+    uniformly, so it is distributed proportionally to the product of
+    per-class Gibbs weights conditioned on the feasible class sum.
+    """
+    profiles = sample_profiles(spec, N, size, rng)
+    rows = np.repeat(np.tile(spec.classes(), size), profiles.ravel()).reshape(size, N)
+    return rng.permuted(rows, axis=1, out=rows)
 
-def profile_of_classes(spec: EnsembleSpec, classes: np.ndarray) -> CountVector:
-    """Class counts of one sampled sequence."""
-    counts = np.bincount(
-        np.asarray(classes, dtype=np.int64) - spec.k_min, minlength=spec.n_classes
-    )
-    return CountVector(spec.kind, tuple(int(v) for v in counts))

@@ -40,15 +40,11 @@ from .ensembles import (
     validate_spec,
 )
 from .errors import KindMismatch
-from .partition import class_log_weights, integer_lattice, word_log_weights
+from .partition import integer_lattice, tilt, tilt_probs, word_log_weights
 
 #: Default ceiling on the points of M enumerated by the lattice oracle
 #: (the lattice on M itself, not the free-coordinate box around it).
 DEFAULT_MAX_GRID = 20_000_000
-
-_TILT_TOL = 1e-13
-_TILT_MAX_ITER = 200
-_BRACKET = 60.0
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
@@ -109,19 +105,12 @@ def J_value(p, spec: EnsembleSpec) -> float:
     return float(j_values(spec, fv.p))
 
 
-def _tilt_probs(spec: EnsembleSpec, log_x: float) -> np.ndarray:
-    lp = class_log_weights(spec) + spec.classes() * log_x
-    lp -= lp.max()
-    p = np.exp(lp)
-    return p / p.sum()
-
-
 def tilt_frequencies(x: float, spec: EnsembleSpec) -> FrequencyVector:
     """Normalized tilt member p_k(x) ~ w_k x^k; generally off-manifold."""
     if x <= 0:
         raise ValueError("tilt parameter must be positive")
     validate_spec(spec)
-    return FrequencyVector(spec.kind, _tilt_probs(spec, float(np.log(x))))
+    return FrequencyVector(spec.kind, tilt_probs(spec, float(np.log(x))))
 
 
 def tilt_mean(x: float, spec: EnsembleSpec) -> float:
@@ -129,7 +118,7 @@ def tilt_mean(x: float, spec: EnsembleSpec) -> float:
     if x <= 0:
         raise ValueError("tilt parameter must be positive")
     validate_spec(spec)
-    return float(spec.classes() @ _tilt_probs(spec, float(np.log(x))))
+    return float(spec.classes() @ tilt_probs(spec, float(np.log(x))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,62 +144,21 @@ def _stationarity_residual(spec: EnsembleSpec, p: np.ndarray) -> float:
 def solve_pstar(spec: EnsembleSpec) -> RateContext:
     """Minimize J over M via the tilt family.
 
-    Interior targets are solved by bisection over ln x on [-60, 60]
-    (expanded geometrically when needed) until the mean-class residual
-    drops below 1e-13.  When the target mean coincides with the achievable
-    supremum (labeled D = 2, plane D = 1) the minimizer is the boundary
-    point mass at class D and the boundary flag is set.
+    p* is the tilt member at the manifold mean (``partition.tilt``: ln x by
+    bisection to a mean-class residual of 1e-13).  When the target mean is
+    the bound itself (labeled D = 2, plane D = 1) the minimizer is the
+    boundary point mass at class D and the boundary flag is set.
     """
     validate_spec(spec)
-    target = spec.mean_target
-    k_min, k_max = spec.k_min, spec.D
-
-    if target >= k_max - 1e-9 or target <= k_min + 1e-9:
-        p = np.zeros(spec.n_classes)
-        p[-1 if target >= k_max - 1e-9 else 0] = 1.0
-        fv = FrequencyVector(spec.kind, p)
-        return RateContext(
-            spec=spec,
-            pstar=fv,
-            Jstar=float(j_values(spec, p)),
-            tilt_x=None,
-            boundary=True,
-            stationarity_residual=float("nan"),
-        )
-
-    def mean_at(t: float) -> float:
-        return float(spec.classes() @ _tilt_probs(spec, t))
-
-    lo, hi = -_BRACKET, _BRACKET
-    for _ in range(60):
-        if mean_at(lo) < target:
-            break
-        lo *= 2.0
-    for _ in range(60):
-        if mean_at(hi) > target:
-            break
-        hi *= 2.0
-
-    t = 0.5 * (lo + hi)
-    for _ in range(_TILT_MAX_ITER):
-        t = 0.5 * (lo + hi)
-        mu = mean_at(t)
-        if abs(mu - target) <= _TILT_TOL:
-            break
-        if mu < target:
-            lo = t
-        else:
-            hi = t
-
-    p = _tilt_probs(spec, t)
-    fv = FrequencyVector(spec.kind, p)
+    p, t = tilt(spec, spec.mean_target)
+    boundary = t is None
     return RateContext(
         spec=spec,
-        pstar=fv,
+        pstar=FrequencyVector(spec.kind, p),
         Jstar=float(j_values(spec, p)),
-        tilt_x=float(np.exp(t)),
-        boundary=False,
-        stationarity_residual=_stationarity_residual(spec, p),
+        tilt_x=None if boundary else float(np.exp(t)),
+        boundary=boundary,
+        stationarity_residual=float("nan") if boundary else _stationarity_residual(spec, p),
     )
 
 

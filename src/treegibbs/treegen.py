@@ -6,15 +6,17 @@ code).  Plane trees are stored as preorder child-count sequences: a sequence
 c_1..c_N is valid exactly when the partial sums of (c_i - 1) stay >= 0
 before the last position and end at -1 (a Lukasiewicz path).
 
-Exact sampling pipelines (both reduce tree sampling to the partition DP):
+Exact sampling pipelines (both start from an exact class sequence,
+``partition.sample_class_sequences``: a profile drawn from the tilted
+multinomial, laid out and uniformly permuted):
 
-* labeled: draw a degree sequence from the DP, lay out the multiset word
-  with vertex i repeated deg(i) - 1 times, shuffle it uniformly, read the
-  result as a Prufer code.  Trees sharing a degree sequence are equally
-  likely, which is exactly the multinomial tree count, so the composite law
-  is the Gibbs measure.
-* plane: draw a child-count sequence from the DP, shuffle, then rotate to
-  the unique valid Lukasiewicz rotation (cycle lemma).  Each valid word has
+* labeled: read the sequence as the degrees of vertices 1..N, lay out the
+  multiset word with vertex i repeated deg(i) - 1 times, permute it
+  uniformly, read the result as a Prufer code.  Trees sharing a degree
+  sequence are equally likely, which is exactly the multinomial tree count,
+  so the composite law is the Gibbs measure.
+* plane: rotate the child-count sequence, already uniformly permuted, to
+  its unique valid Lukasiewicz rotation (cycle lemma).  Each valid word has
   exactly N distinct rotations, so conditional uniformity is preserved and
   the composite law is again exactly Gibbs.
 
@@ -37,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels
-from .ensembles import CountVector, EnsembleSpec, Kind, validate_spec
+from .ensembles import CountVector, EnsembleSpec, Kind
 from .errors import (
     BadLabel,
     BadStepSum,
@@ -46,7 +48,7 @@ from .errors import (
     NotATree,
     TooLarge,
 )
-from .partition import DpTable, build_dp, sample_class_sequences
+from .partition import sample_class_sequences
 
 MAX_ENUM_LABELED = 8
 MAX_ENUM_PLANE = 12
@@ -272,61 +274,45 @@ def cycle_lemma_rotation(word) -> int:
 # exact samplers
 
 
-def _require_kind(dp_or_spec, kind: Kind, what: str) -> None:
-    spec = dp_or_spec.spec if isinstance(dp_or_spec, DpTable) else dp_or_spec
+def _require_kind(spec: EnsembleSpec, kind: Kind, what: str) -> None:
     if spec.kind is not kind:
         raise KindMismatch(f"{what} needs a {kind.value} spec, got {spec.kind.value}")
 
 
-def sample_prufer_codes(dp: DpTable, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_prufer_codes(
+    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
     """Batch of ``size`` Prufer codes drawn exactly from the Gibbs measure.
 
     Codes identify trees bijectively, so row counts over this output are
     tree-level statistics.
     """
-    _require_kind(dp, Kind.LABELED, "labeled sampling")
-    N = dp.n_vertices
-    degrees = sample_class_sequences(dp, size, rng)
-    reps = (degrees - 1).ravel()
+    _require_kind(spec, Kind.LABELED, "labeled sampling")
+    degrees = sample_class_sequences(spec, N, size, rng)
+    degrees -= 1
     labels = np.tile(np.arange(1, N + 1, dtype=np.int64), size)
-    codes = np.repeat(labels, reps).reshape(size, N - 2)
-    if N - 2 >= 2:
-        shuffle_u = rng.random((size, N - 3))
-        kernels.fisher_yates_rows(codes, shuffle_u)
-    return codes
+    codes = np.repeat(labels, degrees.ravel()).reshape(size, N - 2)
+    return rng.permuted(codes, axis=1, out=codes)
 
 
-def sample_labeled_tree(
-    spec: EnsembleSpec, N: int, rng: np.random.Generator, dp: DpTable | None = None
-) -> LabeledTree:
+def sample_labeled_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> LabeledTree:
     """One exact draw from the labeled-tree Gibbs measure."""
-    if dp is None:
-        dp = build_dp(validate_spec(spec), N)
-    code = sample_prufer_codes(dp, 1, rng)[0]
-    return prufer_decode(code)
+    return prufer_decode(sample_prufer_codes(spec, N, 1, rng)[0])
 
 
 def sample_plane_child_counts(
-    dp: DpTable, size: int, rng: np.random.Generator
+    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Batch of ``size`` plane trees as preorder child-count rows."""
-    _require_kind(dp, Kind.PLANE, "plane sampling")
-    N = dp.n_vertices
-    counts = sample_class_sequences(dp, size, rng)
-    if N >= 2:
-        shuffle_u = rng.random((size, N - 1))
-        kernels.fisher_yates_rows(counts, shuffle_u)
+    _require_kind(spec, Kind.PLANE, "plane sampling")
+    counts = sample_class_sequences(spec, N, size, rng)
     starts = kernels.lukasiewicz_starts(counts - 1)
     return kernels.rotate_rows(counts, starts)
 
 
-def sample_plane_tree(
-    spec: EnsembleSpec, N: int, rng: np.random.Generator, dp: DpTable | None = None
-) -> PlaneTree:
+def sample_plane_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> PlaneTree:
     """One exact draw from the plane-tree Gibbs measure."""
-    if dp is None:
-        dp = build_dp(validate_spec(spec), N)
-    row = sample_plane_child_counts(dp, 1, rng)[0]
+    row = sample_plane_child_counts(spec, N, 1, rng)[0]
     return PlaneTree(tuple(int(v) for v in row))
 
 

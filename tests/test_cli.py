@@ -8,13 +8,15 @@ import pytest
 from conftest import assert_same_text
 from treegibbs import (
     EnsembleSpec,
+    LabeledTree,
     PlaneTree,
-    build_dp,
     prufer_decode,
+    prufer_encode,
     rng_stream,
     sample_plane_child_counts,
     sample_prufer_codes,
 )
+from treegibbs import cli
 from treegibbs.cli import fmt, main
 from treegibbs.treegen import WRITE_BLOCK
 
@@ -145,18 +147,43 @@ def test_sample_deterministic(tmp_path, capsys):
     assert "# l1_distance_to_pstar = " in text
 
 
-def test_sample_block_sharding(tmp_path):
-    # one RNG stream per block of SAMPLE_BLOCK = 65536 trees: a one-block run
-    # is a prefix of a two-block run at the same seed
-    base = ["sample", "--kind", "labeled", "--bound", "3", "--n", "6", "--seed", "5"]
+def test_sample_block_sharding(tmp_path, monkeypatch):
+    # one RNG stream per block of SAMPLE_CELLS // N trees: a one-block run is
+    # a prefix of a two-block run at the same seed
+    monkeypatch.setattr(cli, "SAMPLE_CELLS", 600)
+    N = 6
+    block = cli.SAMPLE_CELLS // N
+    base = ["sample", "--kind", "labeled", "--bound", "3", "--n", str(N), "--seed", "5"]
     one = tmp_path / "one.txt"
     two = tmp_path / "two.txt"
-    assert main(base + ["--samples", "65536", "--out", str(one)]) == 0
-    assert main(base + ["--samples", "65537", "--out", str(two)]) == 0
+    assert main(base + ["--samples", str(block), "--out", str(one)]) == 0
+    assert main(base + ["--samples", str(block + 1), "--out", str(two)]) == 0
     trees_one = one.read_text().split("# summary")[0].split("\n\n")[:-1]
     trees_two = two.read_text().split("# summary")[0].split("\n\n")[:-1]
-    assert len(trees_one) == 65536 and len(trees_two) == 65537
-    assert trees_two[:65536] == trees_one
+    assert len(trees_one) == block and len(trees_two) == block + 1
+    assert trees_two[:block] == trees_one
+
+
+@pytest.mark.parametrize("kind", ["labeled", "plane"])
+def test_sample_past_the_dp_table_limit(tmp_path, kind):
+    # N = 30000 would need a DP table of about 9e8 cells, past
+    # DEFAULT_MAX_CELLS; sampling builds no table
+    N, samples = 30_000, 2
+    out = tmp_path / "big.txt"
+    argv = ["sample", "--kind", kind, "--bound", "3", "--n", str(N),
+            "--samples", str(samples), "--seed", "9", "--out", str(out)]
+    assert main(argv) == 0
+    body = out.read_text().split("# summary\n")[0]
+    if kind == "labeled":
+        blocks = body.split("\n\n")[:-1]
+        trees = [LabeledTree.from_text(block) for block in blocks]
+        for tree in trees:
+            assert len(prufer_encode(tree)) == N - 2  # N - 1 edges, acyclic
+            assert tree.n_vertices == N and tree.degrees().max() <= 3
+    else:
+        trees = [PlaneTree.from_text(line) for line in body.splitlines()]
+        assert all(t.n_vertices == N and max(t.child_counts) <= 3 for t in trees)
+    assert len(trees) == samples
 
 
 @pytest.mark.parametrize("kind", ["labeled", "plane"])
@@ -171,16 +198,15 @@ def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind):
     assert main(argv) == 0
     body, summary = out.read_text().split("# summary\n")
     spec = EnsembleSpec.labeled(3) if kind == "labeled" else EnsembleSpec.plane(3)
-    dp = build_dp(spec, N)
     if kind == "labeled":
-        trees = [prufer_decode(c) for c in sample_prufer_codes(dp, samples, rng_stream(seed, 0))]
+        trees = [prufer_decode(c) for c in sample_prufer_codes(spec, N, samples, rng_stream(seed, 0))]
         assert_same_text(body, "".join(tree.to_text() + "\n" for tree in trees))
         classes = np.concatenate(
             [np.bincount(np.array(block.split(), dtype=np.int64), minlength=N + 1)[1:] - 1
              for block in body.split("\n\n")[:-1]]
         )
     else:
-        rows = sample_plane_child_counts(dp, samples, rng_stream(seed, 0))
+        rows = sample_plane_child_counts(spec, N, samples, rng_stream(seed, 0))
         assert_same_text(body, "".join(PlaneTree(tuple(row)).to_text() for row in rows))
         classes = np.array(body.split(), dtype=np.int64)
     freq = np.bincount(classes, minlength=spec.n_classes) / (samples * N)

@@ -31,33 +31,6 @@ def test_dp_forward_matches_reference():
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
-def test_backward_sample_rows_sum_to_budget():
-    rng = np.random.default_rng(2)
-    logw = rng.normal(size=4)
-    W = kernels.dp_forward(logw, 15, 14)
-    uniforms = np.random.default_rng(3).random((200, 15))
-    rows = kernels.backward_sample(W, logw, 14, uniforms)
-    np.testing.assert_array_equal(rows.sum(axis=1), np.full(200, 14))
-
-
-def test_fisher_yates_rows_are_permutations():
-    rng = np.random.default_rng(4)
-    rows = np.tile(np.arange(9, dtype=np.int64), (50, 1))
-    kernels.fisher_yates_rows(rows, rng.random((50, 8)))
-    np.testing.assert_array_equal(np.sort(rows, axis=1), np.tile(np.arange(9), (50, 1)))
-
-
-def test_fisher_yates_is_uniform():
-    rng = np.random.default_rng(5)
-    rows = np.tile(np.arange(3, dtype=np.int64), (60_000, 1))
-    kernels.fisher_yates_rows(rows, rng.random((60_000, 2)))
-    _, counts = np.unique(rows, axis=0, return_counts=True)
-    assert counts.size == 6
-    expected = 10_000.0
-    stat = (((counts - expected) ** 2) / expected).sum()
-    assert stat < 20.5  # chi2.ppf(0.999, 5)
-
-
 def test_rotation_gives_lukasiewicz_paths():
     rng = np.random.default_rng(6)
     counts = rng.integers(0, 3, size=(300, 9))

@@ -10,7 +10,6 @@ from treegibbs import (
     FrequencyVector,
     Kind,
     convergence_table,
-    couple_sample,
     couple_samples,
     exact_chi_law,
     finite_rate,
@@ -147,7 +146,7 @@ def test_r_set_is_minimal_distance_set(spec, N):
 
 def test_couple_sample_single():
     spec = EnsembleSpec(Kind.LABELED, 3, 0.6, (0.2, 0.0, 0.4))
-    sample = couple_sample(spec, 12, rng_stream(3))
+    [sample] = couple_samples(spec, 12, 1, rng_stream(3))
     assert sample.y.on_manifold()
     assert abs(sample.distance - 2.0 / 12) <= 1e-15
     assert 1 <= sample.r_size <= 9

@@ -25,13 +25,13 @@ from treegibbs import (
     log_sum,
     rng_stream,
     sample_class_sequences,
-    sample_degree_sequence,
 )
 from treegibbs.partition import (
     class_log_weights,
     enumerate_profiles,
     integer_lattice,
-    profile_of_classes,
+    tilt,
+    tilt_probs,
 )
 
 NEG_INF = float("-inf")
@@ -233,18 +233,45 @@ def test_rng_stream_reproducible_and_split():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EnsembleSpec.labeled(2),
+        EnsembleSpec(Kind.LABELED, 5, 0.8, (0.3, 0.0, -0.2, 0.6, 0.1)),
+        EnsembleSpec.plane(1),
+        EnsembleSpec(Kind.PLANE, 3, -0.4, (0.0, 0.5, 0.2, -0.3)),
+    ],
+)
+def test_tilt_ends_and_interior(spec):
+    # the ends of the class range are point masses with no ln x
+    for mean, index in ((spec.k_min, 0), (spec.D, -1)):
+        q, log_x = tilt(spec, mean)
+        assert log_x is None and q[index] == 1.0 and q.sum() == 1.0
+    for frac in (1e-6, 0.3, 0.5, 0.97):
+        mean = spec.k_min + frac * (spec.D - spec.k_min)
+        q, log_x = tilt(spec, mean)
+        np.testing.assert_array_equal(q, tilt_probs(spec, log_x))
+        assert abs(spec.classes() @ q - mean) <= 1e-12
+
+
+def test_sampler_refuses_an_underflowed_tilt():
+    # At beta = 1000 the tilt weight of degree 2 underflows to 0, and degrees
+    # 1 and 3 alone give an odd degree sum at N = 5: no proposal can be kept.
+    spec = EnsembleSpec(Kind.LABELED, 3, 1000.0, (0.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="underflows"):
+        sample_class_sequences(spec, 5, 1, rng_stream(1))
+
+
 def test_sample_degree_sequence_unique_profile():
-    dp = build_dp(EnsembleSpec.labeled(2), 5)
     rng = rng_stream(7)
     for _ in range(20):
-        degrees = sample_degree_sequence(dp, rng)
+        [degrees] = sample_class_sequences(EnsembleSpec.labeled(2), 5, 1, rng)
         assert sorted(degrees) == [1, 1, 2, 2, 2]
 
 
 def test_sampled_sequences_respect_budget():
     spec = EnsembleSpec(Kind.PLANE, 3, 0.9, (0.2, 0.0, -0.1, 0.5))
-    dp = build_dp(spec, 12)
-    rows = sample_class_sequences(dp, 200, rng_stream(11))
+    rows = sample_class_sequences(spec, 12, 200, rng_stream(11))
     assert rows.min() >= 0 and rows.max() <= 3
     np.testing.assert_array_equal(rows.sum(axis=1), np.full(200, 11))
 
@@ -260,11 +287,10 @@ MARGINAL_SPECS = [
 @pytest.mark.parametrize("spec", MARGINAL_SPECS)
 def test_backward_sampling_marginal_matches_chi_law(spec):
     N, draws = 8, 100_000
-    dp = build_dp(spec, N)
-    rows = sample_class_sequences(dp, draws, rng_stream(2024))
+    rows = sample_class_sequences(spec, N, draws, rng_stream(2024))
     observed: dict[tuple[int, ...], int] = {}
     for row in rows:
-        key = profile_of_classes(spec, row).counts
+        key = tuple(np.bincount(row - spec.k_min, minlength=spec.n_classes).tolist())
         observed[key] = observed.get(key, 0) + 1
     expected = exact_chi_law(spec, N).as_dict()
     stat, critical = chi_square_check(observed, expected, draws)

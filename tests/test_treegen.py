@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from treegibbs import (
     NotATree,
     PlaneTree,
     TooLarge,
-    build_dp,
     chi_of,
     cycle_lemma_rotation,
     energy_of,
@@ -28,6 +28,7 @@ from treegibbs import (
     prufer_decode,
     prufer_encode,
     rng_stream,
+    sample_class_sequences,
     sample_labeled_tree,
     sample_plane_child_counts,
     sample_plane_tree,
@@ -119,7 +120,7 @@ def test_write_sample_labeled_matches_per_tree(N, count):
                                       (9, 2 * WRITE_BLOCK + 5), (300, WRITE_BLOCK + 3)])
 def test_write_sample_plane_matches_per_tree(N, count):
     spec = EnsembleSpec.plane(3)
-    rows = sample_plane_child_counts(build_dp(spec, N), count, rng_stream(43, N))
+    rows = sample_plane_child_counts(spec, N, count, rng_stream(43, N))
     out = io.StringIO()
     totals = write_sample(spec, rows, out)
     trees = [PlaneTree(tuple(row)) for row in rows]
@@ -245,8 +246,7 @@ def test_plane_sampler_degenerate_d1():
 
 def test_plane_sample_rows_are_valid_trees():
     spec = EnsembleSpec(Kind.PLANE, 3, 0.7, (0.1, 0.0, 0.2, -0.3))
-    dp = build_dp(spec, 9)
-    rows = sample_plane_child_counts(dp, 500, rng_stream(17))
+    rows = sample_plane_child_counts(spec, 9, 500, rng_stream(17))
     for row in rows[:50]:
         PlaneTree(tuple(int(v) for v in row))  # validates the walk
     steps = rows - 1
@@ -257,8 +257,7 @@ def test_plane_sample_rows_are_valid_trees():
 
 def test_labeled_codes_respect_bound():
     spec = EnsembleSpec(Kind.LABELED, 3, 0.4, (0.0, 0.2, 0.5))
-    dp = build_dp(spec, 7)
-    codes = sample_prufer_codes(dp, 400, rng_stream(23))
+    codes = sample_prufer_codes(spec, 7, 400, rng_stream(23))
     for row in codes:
         degrees = np.bincount(row, minlength=8)[1:] + 1
         assert degrees.max() <= 3
@@ -278,18 +277,74 @@ def test_sampler_tree_level_exactness(spec):
     # full-size version at 10^6 draws
     N, draws = 6, 60_000
     law = gibbs_tree_law(spec, N)
-    dp = build_dp(spec, N)
     rng = rng_stream(314)
     observed: dict[tuple[int, ...], int] = {}
     if spec.kind is Kind.LABELED:
-        rows = sample_prufer_codes(dp, draws, rng)
+        rows = sample_prufer_codes(spec, N, draws, rng)
     else:
-        rows = sample_plane_child_counts(dp, draws, rng)
+        rows = sample_plane_child_counts(spec, N, draws, rng)
     for row in rows:
         key = tuple(int(v) for v in row)
         observed[key] = observed.get(key, 0) + 1
     stat, critical = chi_square_check(observed, law, draws)
     assert stat < critical, f"chi-square {stat:.1f} >= {critical:.1f}"
+
+
+END_SPECS = [
+    (EnsembleSpec(Kind.LABELED, 3, 0.7, (0.2, -0.1, 0.4)), 2),  # budget 0
+    (EnsembleSpec(Kind.LABELED, 3, 0.7, (0.2, -0.1, 0.4)), 3),
+    (EnsembleSpec(Kind.LABELED, 2, 0.7, (0.2, -0.1)), 5),
+    (EnsembleSpec(Kind.PLANE, 3, 0.7, (0.2, -0.1, 0.4, 0.0)), 1),  # budget 0
+    (EnsembleSpec(Kind.PLANE, 3, 0.7, (0.2, -0.1, 0.4, 0.0)), 2),
+    (EnsembleSpec(Kind.PLANE, 1, 0.7, (0.2, -0.1)), 6),
+]
+
+
+@pytest.mark.parametrize("spec,N", END_SPECS)
+def test_samplers_at_the_ends_of_the_tilt(spec, N):
+    # Budget 0 tilts to the point mass at k_min; labeled D = 2 and plane D = 1
+    # have one feasible profile.  The draws must match the enumerated law.
+    draws = 3000
+    law = gibbs_tree_law(spec, N)
+    if spec.kind is Kind.LABELED:
+        rows = sample_prufer_codes(spec, N, draws, rng_stream(55))
+    else:
+        rows = sample_plane_child_counts(spec, N, draws, rng_stream(55))
+    assert rows.shape == (draws, N - 2 if spec.kind is Kind.LABELED else N)
+    observed = Counter(tuple(int(v) for v in row) for row in rows)
+    if len(law) == 1:
+        assert observed == {next(iter(law)): draws}
+    else:
+        stat, critical = chi_square_check(observed, law, draws)
+        assert stat < critical, f"chi-square {stat:.1f} >= {critical:.1f}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(Kind)), data=st.data())
+def test_sampler_rows_property(kind, data):
+    D = data.draw(st.integers(kind.mean, 6), label="D")
+    N = data.draw(st.integers(kind.mean, 40), label="N")
+    beta = data.draw(st.floats(-3.0, 3.0), label="beta")
+    energies = data.draw(
+        st.lists(st.floats(-2.0, 2.0), min_size=D - kind.k_min + 1, max_size=D - kind.k_min + 1),
+        label="energies",
+    )
+    spec = EnsembleSpec(kind, D, beta, tuple(energies))
+    seed, size = data.draw(st.integers(0, 2**32), label="seed"), 5
+    classes = sample_class_sequences(spec, N, size, rng_stream(seed))
+    assert classes.shape == (size, N)
+    assert classes.min() >= spec.k_min and classes.max() <= D
+    assert (classes.sum(axis=1) == kind.class_sum(N)).all()
+    # The tree samplers draw the same class rows from the same stream first.
+    if kind is Kind.LABELED:
+        codes = sample_prufer_codes(spec, N, size, rng_stream(seed))
+        for code, degrees in zip(codes, classes):
+            assert prufer_decode(code).degrees().tolist() == degrees.tolist()
+    else:
+        rows = sample_plane_child_counts(spec, N, size, rng_stream(seed))
+        walks = np.cumsum(rows - 1, axis=1)
+        assert (walks[:, :-1] >= 0).all() and (walks[:, -1] == -1).all()
+        np.testing.assert_array_equal(np.sort(rows, axis=1), np.sort(classes, axis=1))
 
 
 def test_tree_key_is_the_prufer_bijection():
