@@ -12,10 +12,11 @@ Configuration may also come from a plain-text file (``--config PATH``) with
 one ``key = value`` per line; energy tables are written ``c = [v1, v2, ...]``
 and lists like ``n-list`` the same way.  Flags win over file values.  All
 randomized output is reproducible from (config, seed): sampling is sharded
-into blocks of ``SAMPLE_CELLS // N`` trees (at least one) with one RNG
-stream per block index, so the trees of a shorter run are a prefix of those
-of a longer one.  Each (trees, N) int64 array of a block holds at most
-32 MB, or one tree once N passes ``SAMPLE_CELLS``.
+into blocks of ``SAMPLE_CELLS // max(N, n_classes)`` trees (at least one),
+n_classes being the number of degree classes, with one RNG stream per block
+index, so the trees of a shorter run are a prefix of those of a longer one.
+Each (trees, N) or (trees, n_classes) int64 array of a block holds at most
+32 MB, or one tree's worth once N or n_classes passes ``SAMPLE_CELLS``.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
 request, 4 verification failure.
@@ -57,7 +58,8 @@ from .treegen import (
     write_sample,
 )
 
-#: Cells (trees times N) drawn per RNG block by ``sample``.
+#: Cells (trees times the larger of N and the class count) drawn per RNG
+#: block by ``sample``.
 SAMPLE_CELLS = 2**22
 
 ORACLE_TOL = 1e-9
@@ -261,7 +263,7 @@ def cmd_sample(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     N = cfg.require_n()
     ctx = solve_pstar(spec)
-    block = max(1, SAMPLE_CELLS // max(N, 1))  # the sampler rejects a bad N
+    block = max(1, SAMPLE_CELLS // max(N, spec.n_classes))
     class_totals = np.zeros(spec.n_classes, dtype=np.int64)
     for index, start in enumerate(range(0, cfg.samples, block)):
         count = min(block, cfg.samples - start)

@@ -28,7 +28,9 @@ keeps the proposals that hit the budget; ``sample_class_sequences`` lays
 each kept profile out as a class row and permutes it uniformly, which is
 the entry point of both tree samplers.  This is Devroye's reduction
 ("Simulating size-constrained Galton-Watson trees", SIAM J. Comput. 41(1),
-2012).
+2012).  When a class the budget needs has so small a tilt weight that
+hardly any proposal is kept, the profiles are drawn from their enumerated
+law instead.
 
 Randomness contract: every sampler takes a ``numpy.random.Generator``.
 ``rng_stream(seed, block)`` derives independent, reproducible streams from
@@ -63,6 +65,10 @@ DEFAULT_MAX_PROFILES = 10_000_000
 #: Ceiling on the cells of one proposal matrix in ``sample_profiles``
 #: (rows times classes, int64): 32 MB whatever the size of the request.
 PROPOSAL_CELLS = 2**22
+
+#: Proposals per kept profile past which ``sample_profiles`` stops rejecting
+#: and draws from the enumerated profile law.
+MAX_PROPOSALS_PER_HIT = 2**16
 
 _TILT_TOL = 1e-13
 _TILT_MAX_ITER = 200
@@ -388,8 +394,17 @@ def sample_profiles(
     class in draw m.  Proposals are Multinomial(N, q) at the tilt q whose
     mean shifted class is budget/N, and a proposal is kept when its shifted
     class sum is the budget.  By the local CLT about 1/(sigma sqrt(2 pi N)) of
-    them are kept (sigma^2 the class variance under q), which sizes each
-    batch of proposals.
+    them are kept (sigma^2 the class variance under q).  That guess sizes the
+    first batch and then counts as one hit among 1/guess proposals in the
+    running acceptance estimate that sizes the later ones.
+
+    The guess fails when the classes that carry the tilt cannot make up the
+    budget alone, so every kept row needs a class of tiny (or underflowed)
+    weight: labeled D=3 with degree 2 suppressed at odd N, say.  Once the
+    estimate falls below 1 in ``MAX_PROPOSALS_PER_HIT``, the remaining rows
+    are drawn from the enumerated profile law instead, which is exact in the
+    log domain; LatticeTooLarge is raised when it has more than
+    ``PROPOSAL_CELLS // n_classes`` profiles.
     """
     validate_spec(spec)
     if size < 1:
@@ -397,23 +412,41 @@ def sample_profiles(
     budget = shifted_budget(spec, N)
     q, _ = tilt(spec, spec.kind.class_sum(N) / N)
     shifted = np.arange(spec.n_classes)
-    # A class whose tilt weight underflows to 0 is never proposed; refuse,
-    # rather than loop for ever, when the other classes cannot hit the budget.
-    support = shifted[q > 0]
-    reach, span = budget - N * support[0], support - support[0]
-    if not 0 <= reach <= N * span[-1] or reach % max(np.gcd.reduce(span), 1):
-        raise ValueError("the tilt underflows classes the class sum needs; beta is too large")
     var = float(q @ (shifted - q @ shifted) ** 2)
-    accept = min(1.0, 1.0 / math.sqrt(2.0 * math.pi * N * var)) if var > 0 else 1.0
+    guess = min(1.0, 1.0 / math.sqrt(2.0 * math.pi * N * var)) if var > 0 else 1.0
     max_rows = max(1, PROPOSAL_CELLS // spec.n_classes)
-    kept, need = [], size
+    kept, need, drawn, hits = [], size, 0, 0
     while need:
+        accept = guess * (hits + 1) / (guess * drawn + 1)
+        if accept * MAX_PROPOSALS_PER_HIT < 1:
+            kept.append(_sample_enumerated(spec, N, need, rng))
+            break
         rows = min(max_rows, math.ceil(1.2 * need / accept) + 16)
         proposals = rng.multinomial(N, q, size=rows)
-        hits = proposals[proposals @ shifted == budget][:need]
-        kept.append(hits)
-        need -= hits.shape[0]
+        found = proposals[proposals @ shifted == budget]
+        kept.append(found[:need])
+        drawn, hits = drawn + rows, hits + found.shape[0]
+        need -= kept[-1].shape[0]
     return np.concatenate(kept)
+
+
+def _sample_enumerated(
+    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``size`` profiles from the enumerated law of chi (see
+    ``sample_profiles``)."""
+    try:
+        profiles = enumerate_profiles(
+            spec, N, max_profiles=PROPOSAL_CELLS // spec.n_classes
+        )
+    except LatticeTooLarge as exc:
+        raise LatticeTooLarge(
+            f"fewer than 1 in {MAX_PROPOSALS_PER_HIT} tilted proposals hit the "
+            f"class sum, and the {exc}"
+        ) from None
+    lw = profile_log_weights(spec, N, profiles)
+    p = np.exp(lw - lw.max())
+    return profiles[rng.choice(profiles.shape[0], size=size, p=p / p.sum())]
 
 
 def sample_class_sequences(

@@ -186,6 +186,58 @@ def test_sample_past_the_dp_table_limit(tmp_path, kind):
     assert len(trees) == samples
 
 
+@pytest.mark.parametrize(
+    "argv,degrees",
+    [
+        # degree 2 has tilt weight about e^-beta, and at odd N every tree needs
+        # one: about 1 proposal in 10^13 (beta 30) or 10^6 (beta 15) is kept
+        (["--kind", "labeled", "--beta", "30", "--energy", "0,1,0", "--n", "7"],
+         [1, 1, 1, 1, 2, 3, 3]),
+        (["--kind", "labeled", "--beta", "15", "--energy", "0,1,0", "--n", "7"],
+         [1, 1, 1, 1, 2, 3, 3]),
+        # class 1 underflows, and the only plane tree on 2 vertices needs it
+        (["--kind", "plane", "--energy", "0,1000,0,0", "--n", "2"], [0, 1]),
+    ],
+)
+def test_sample_when_the_tilt_rarely_hits_the_budget(tmp_path, argv, degrees):
+    out = tmp_path / "rare.txt"
+    assert main(["sample", "--bound", "3", "--samples", "300", "--seed", "4",
+                 *argv, "--out", str(out)]) == 0
+    body = out.read_text().split("# summary\n")[0]
+    if "labeled" in argv:
+        trees = [LabeledTree.from_text(block) for block in body.split("\n\n")[:-1]]
+        assert all(sorted(t.degrees().tolist()) == degrees for t in trees)
+    else:
+        trees = [PlaneTree.from_text(line) for line in body.splitlines()]
+        assert all(sorted(t.child_counts) == degrees for t in trees)
+    assert len(trees) == 300
+
+
+def test_sample_refuses_rare_hits_past_the_enumeration_cap(capsys):
+    code, _, err = run_cli(
+        capsys, "sample", "--kind", "labeled", "--bound", "5", "--beta", "1000",
+        "--energy", "0,1,0,1,0", "--n", "2001", "--samples", "5",
+    )
+    assert code == 3 and "tilted proposals" in err
+
+
+def test_sample_block_bounded_by_class_count(tmp_path, monkeypatch):
+    # with more classes than vertices, the (trees, classes) arrays set the block
+    monkeypatch.setattr(cli, "SAMPLE_CELLS", 600)
+    counts: list[int] = []
+    draw = cli.sample_plane_child_counts
+
+    def spy(spec, N, count, rng):
+        counts.append(count)
+        return draw(spec, N, count, rng)
+
+    monkeypatch.setattr(cli, "sample_plane_child_counts", spy)
+    argv = ["sample", "--kind", "plane", "--bound", "299", "--n", "3",
+            "--samples", "5", "--out", str(tmp_path / "wide.txt")]
+    assert main(argv) == 0
+    assert counts == [2, 2, 1]
+
+
 @pytest.mark.parametrize("kind", ["labeled", "plane"])
 def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind):
     # The batch writer against the single-tree API, over several sub-blocks:

@@ -25,7 +25,9 @@ from treegibbs import (
     log_sum,
     rng_stream,
     sample_class_sequences,
+    sample_profiles,
 )
+from treegibbs import partition
 from treegibbs.partition import (
     class_log_weights,
     enumerate_profiles,
@@ -254,12 +256,53 @@ def test_tilt_ends_and_interior(spec):
         assert abs(spec.classes() @ q - mean) <= 1e-12
 
 
-def test_sampler_refuses_an_underflowed_tilt():
-    # At beta = 1000 the tilt weight of degree 2 underflows to 0, and degrees
-    # 1 and 3 alone give an odd degree sum at N = 5: no proposal can be kept.
-    spec = EnsembleSpec(Kind.LABELED, 3, 1000.0, (0.0, 1.0, 0.0))
-    with pytest.raises(ValueError, match="underflows"):
-        sample_class_sequences(spec, 5, 1, rng_stream(1))
+@pytest.mark.parametrize(
+    "spec,N,profile",
+    [
+        # beta = 1000 underflows the tilt weight of degree 2 to 0, and degrees
+        # 1 and 3 alone give an odd degree sum at N = 5
+        (EnsembleSpec(Kind.LABELED, 3, 1000.0, (0.0, 1.0, 0.0)), 5, (3, 1, 1)),
+        # class 1 underflows: no two of the classes 0, 2, 3 sum to 1, and the
+        # only plane tree on 2 vertices has child counts (1, 0)
+        (EnsembleSpec(Kind.PLANE, 3, 1.0, (0.0, 1000.0, 0.0, 0.0)), 2, (1, 1, 0, 0)),
+    ],
+)
+def test_sampler_survives_an_underflowed_tilt(spec, N, profile):
+    rows = sample_profiles(spec, N, 50, rng_stream(1))
+    assert rows.tolist() == [list(profile)] * 50
+
+
+def test_sampler_falls_back_to_the_enumerated_law(monkeypatch):
+    # Degrees 2 and 4 carry tilt weight e^-20.  At odd N every feasible profile
+    # needs one of them, so about 1 proposal in 10^8 is kept and the sampler
+    # draws from the enumerated law, which must be the exact law of chi.
+    spec = EnsembleSpec(Kind.LABELED, 4, 1.0, (0.0, 20.0, 0.0, 20.0))
+    N, draws = 9, 20_000
+    fallback = partition._sample_enumerated
+    sizes: list[int] = []
+
+    def spy(spec, N, size, rng):
+        sizes.append(size)
+        return fallback(spec, N, size, rng)
+
+    monkeypatch.setattr(partition, "_sample_enumerated", spy)
+    rows = sample_profiles(spec, N, draws, rng_stream(31))
+    assert sizes == [draws]
+    observed: dict[tuple[int, ...], int] = {}
+    for row in rows.tolist():
+        observed[tuple(row)] = observed.get(tuple(row), 0) + 1
+    expected = exact_chi_law(spec, N).as_dict()
+    assert sum(p > 1e-6 for p in expected.values()) == 2
+    stat, critical = chi_square_check(observed, expected, draws)
+    assert stat < critical, f"chi-square {stat:.2f} >= {critical:.2f}"
+
+
+def test_sampler_refuses_rare_hits_past_the_enumeration_cap():
+    # Degrees 2 and 4 underflow; degrees 1, 3 and 5 give an odd degree sum at
+    # N = 2001, and the profiles at that N are too many to enumerate.
+    spec = EnsembleSpec(Kind.LABELED, 5, 1000.0, (0.0, 1.0, 0.0, 1.0, 0.0))
+    with pytest.raises(LatticeTooLarge, match="tilted proposals"):
+        sample_profiles(spec, 2001, 5, rng_stream(1))
 
 
 def test_sample_degree_sequence_unique_profile():
