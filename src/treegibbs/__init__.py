@@ -1,11 +1,11 @@
 """Gibbs ensembles of degree-bounded random trees.
 
-Exact partition functions and profile laws via log-domain dynamic
-programming, exact tree samplers (profiles from the tilted multinomial
-conditioned on the class sum, then Prufer codes for labeled trees and the
-cycle lemma for plane trees), the explicit large-deviation rate function
-with its minimizer p*, and exact finite-N verification of the LDP and the
-law of large numbers.
+Exact profile laws normalized by their own sum over the profile lattice,
+ln Z_N by a log-domain dynamic program, exact tree samplers (profiles from
+the tilted multinomial conditioned on the class sum, then Prufer codes for
+labeled trees and the cycle lemma for plane trees), the explicit
+large-deviation rate function with its minimizer p*, and exact finite-N
+verification of the LDP and the law of large numbers.
 """
 
 from .combinatorics import (

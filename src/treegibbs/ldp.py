@@ -33,23 +33,11 @@ from .ensembles import (
     validate_spec,
 )
 from .errors import NoFeasibleTree
-from .partition import (
-    DEFAULT_MAX_PROFILES,
-    exact_chi_law,
-    integer_lattice,
-    sample_profiles,
-)
+from .partition import exact_chi_law, integer_lattice, sample_profiles
 from .rate import RateContext, rate_value, solve_pstar
 
 
-def log_prob_ball(
-    spec: EnsembleSpec,
-    N: int,
-    center,
-    eps: float,
-    *,
-    max_profiles: int = DEFAULT_MAX_PROFILES,
-) -> float:
+def log_prob_ball(spec: EnsembleSpec, N: int, center, eps: float) -> float:
     """ln P_N{ |chi/N - center|_1 <= eps } over the closed l1 ball.
 
     The center may be any vector in [0,1]^K, on or off the manifold.
@@ -59,7 +47,7 @@ def log_prob_ball(
     if eps <= 0:
         raise ValueError("eps must be positive")
     center_arr = as_frequency(spec, center).p
-    law = exact_chi_law(spec, N, max_profiles=max_profiles)
+    law = exact_chi_law(spec, N)
     dist = np.abs(law.profiles / N - center_arr[None, :]).sum(axis=1)
     inside = dist <= eps
     if not inside.any():
@@ -67,9 +55,9 @@ def log_prob_ball(
     return log_sum(law.logp[inside])
 
 
-def finite_rate(spec: EnsembleSpec, N: int, p, eps: float, **kwargs) -> float:
+def finite_rate(spec: EnsembleSpec, N: int, p, eps: float) -> float:
     """Finite-size rate -(1/N) ln P(ball); +inf when the ball has no mass."""
-    lp = log_prob_ball(spec, N, p, eps, **kwargs)
+    lp = log_prob_ball(spec, N, p, eps)
     if lp == NEG_INF:
         return float("inf")
     return -lp / N
@@ -95,7 +83,6 @@ def convergence_table(
     eps: float,
     *,
     ctx: RateContext | None = None,
-    max_profiles: int = DEFAULT_MAX_PROFILES,
 ) -> list[RateTableRow]:
     """Exact finite-N rates at a fixed on-manifold target for increasing N."""
     n_values = [int(v) for v in n_values]
@@ -107,7 +94,7 @@ def convergence_table(
     limit = rate_value(target, ctx)
     rows = []
     for N in n_values:
-        lp = log_prob_ball(spec, N, target, eps, max_profiles=max_profiles)
+        lp = log_prob_ball(spec, N, target, eps)
         rate = float("inf") if lp == NEG_INF else -lp / N
         rows.append(
             RateTableRow(
@@ -243,7 +230,6 @@ def lln_tail(
     delta: float,
     *,
     ctx: RateContext | None = None,
-    max_profiles: int = DEFAULT_MAX_PROFILES,
 ) -> float:
     """Exact tail P_N{ |chi/N - p*|_1 > delta } by lattice summation."""
     validate_spec(spec)
@@ -251,7 +237,7 @@ def lln_tail(
         raise ValueError("delta must be positive")
     if ctx is None:
         ctx = solve_pstar(spec)
-    law = exact_chi_law(spec, N, max_profiles=max_profiles)
+    law = exact_chi_law(spec, N)
     dist = np.abs(law.profiles / N - ctx.pstar.p[None, :]).sum(axis=1)
     outside = dist > delta
     if not outside.any():

@@ -1,20 +1,27 @@
 """Exact partition functions, profile laws, and degree-sequence sampling.
 
-The partition function is computed by a per-vertex dynamic program over the
-remaining class-sum budget.  Writing ``w_k`` for the per-vertex Gibbs weight
-of class k,
+Writing ``w_k`` for the per-vertex Gibbs weight of class k,
 
 * labeled:  ``w_k = exp(-beta c(k)) / (k-1)!``  (the factorial absorbs the
   word-multiplicity of the degree in the underlying code),
 * plane:    ``w_k = exp(-beta c(k))``,
 
-the sum of ``prod_i w_{k_i}`` over all class sequences with the feasible
-class sum factors through ``W[i][s]``.  Classes are stored shifted by their
-minimum (degree-1 for labeled), so ``s`` is the shifted class sum, whose
-feasible value (the budget) is ``N-2`` for labeled trees (degree sum 2N-2)
-and ``N-1`` for plane trees; the stored budget axis is ``0..budget``, which
-halves the labeled table.  Reading the final cell ``W[N][budget]``
-(``DpTable.log_final``) gives
+Z_N sums ``prod_i w_{k_i}`` over all class sequences with the feasible class
+sum.  Classes are stored shifted by their minimum (degree-1 for labeled), so
+the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
+(degree sum 2N-2) and ``N-1`` for plane trees.
+
+The exact law of the profile chi normalizes itself: ``exact_chi_law``
+enumerates the feasible profiles, and the log-sum-exp of their log weights
+is ln Z_N.
+
+``log_partition_value`` gives ln Z_N alone, for ``log_prob_profile`` and the
+``partition`` suite of ``oracle-check``, from a per-vertex dynamic program
+over the remaining budget; the tests use it as the reference for the
+lattice sum.  ``W[i][s]`` is the log weight of the length-i class words
+with shifted class sum s, stored on ``0..budget``, which halves the labeled
+table.  Reading the final cell ``W[N][budget]`` (``DpTable.log_final``)
+gives
 
 * labeled:  ``ln Z_N = W[N][N-2] + ln (N-2)!``
 * plane:    ``ln Z_N = W[N][N-1] - ln N``.
@@ -29,8 +36,8 @@ each kept profile out as a class row and permutes it uniformly, which is
 the entry point of both tree samplers.  This is Devroye's reduction
 ("Simulating size-constrained Galton-Watson trees", SIAM J. Comput. 41(1),
 2012).  When a class the budget needs has so small a tilt weight that
-hardly any proposal is kept, the profiles are drawn from their enumerated
-law instead.
+hardly any proposal is kept, the profiles are drawn from ``exact_chi_law``
+instead.
 
 Randomness contract: every sampler takes a ``numpy.random.Generator``.
 ``rng_stream(seed, block)`` derives independent, reproducible streams from
@@ -338,8 +345,9 @@ class ChiLaw:
     """Exact law of the class-count vector chi under the Gibbs measure.
 
     ``profiles`` holds every feasible profile; ``logp`` the matching exact
-    log-probabilities (normalized by the DP partition function, so their
-    log-sum-exp doubles as a DP-vs-lattice consistency check).
+    log-probabilities.  The law normalizes itself: ``logp`` is each
+    profile's log weight less the log-sum-exp of all of them, which is
+    ln Z_N.
     """
 
     spec: EnsembleSpec
@@ -361,28 +369,26 @@ class ChiLaw:
             for row, lp in zip(self.profiles, self.logp)
         }
 
-    def total_log_mass(self) -> float:
-        return log_sum(self.logp)
 
-
-@lru_cache(maxsize=16)
 def exact_chi_law(
     spec: EnsembleSpec, N: int, *, max_profiles: int = DEFAULT_MAX_PROFILES
 ) -> ChiLaw:
     """Exact finite-N law of chi: every feasible profile with its log-probability.
 
-    Cached per (spec, N, max_profiles) as the call spells them; the law is
-    immutable and its arrays are read-only, so callers share it.
+    Raises NoFeasibleTree when no profile is feasible and LatticeTooLarge
+    when there are more than ``max_profiles``.
     """
     profiles = enumerate_profiles(spec, N, max_profiles=max_profiles)
     if profiles.shape[0] == 0:
         raise NoFeasibleTree(
             f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}"
         )
-    logp = profile_log_weights(spec, N, profiles) - log_partition_value(spec, N)
-    logp.setflags(write=False)
-    profiles.setflags(write=False)
-    return ChiLaw(spec=spec, N=N, profiles=profiles, logp=logp)
+    lw = profile_log_weights(spec, N, profiles)
+    # The shift is exact near the max, where the mass is, and leaves a
+    # normalizer of order ln(profiles): logp has no rounding at the scale of
+    # ln Z_N.
+    lw -= lw.max()
+    return ChiLaw(spec=spec, N=N, profiles=profiles, logp=lw - log_sum(lw))
 
 
 def sample_profiles(
@@ -402,8 +408,8 @@ def sample_profiles(
     budget alone, so every kept row needs a class of tiny (or underflowed)
     weight: labeled D=3 with degree 2 suppressed at odd N, say.  Once the
     estimate falls below 1 in ``MAX_PROPOSALS_PER_HIT``, the remaining rows
-    are drawn from the enumerated profile law instead, which is exact in the
-    log domain; LatticeTooLarge is raised when it has more than
+    are drawn from ``exact_chi_law`` instead, which is exact in the log
+    domain; LatticeTooLarge is raised when it has more than
     ``PROPOSAL_CELLS // n_classes`` profiles.
     """
     validate_spec(spec)
@@ -433,20 +439,15 @@ def sample_profiles(
 def _sample_enumerated(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``size`` profiles from the enumerated law of chi (see
-    ``sample_profiles``)."""
+    """Draw ``size`` profiles from ``exact_chi_law`` (see ``sample_profiles``)."""
     try:
-        profiles = enumerate_profiles(
-            spec, N, max_profiles=PROPOSAL_CELLS // spec.n_classes
-        )
+        law = exact_chi_law(spec, N, max_profiles=PROPOSAL_CELLS // spec.n_classes)
     except LatticeTooLarge as exc:
         raise LatticeTooLarge(
             f"fewer than 1 in {MAX_PROPOSALS_PER_HIT} tilted proposals hit the "
             f"class sum, and the {exc}"
         ) from None
-    lw = profile_log_weights(spec, N, profiles)
-    p = np.exp(lw - lw.max())
-    return profiles[rng.choice(profiles.shape[0], size=size, p=p / p.sum())]
+    return law.profiles[rng.choice(len(law), size=size, p=np.exp(law.logp))]
 
 
 def sample_class_sequences(

@@ -134,9 +134,15 @@ class RateContext:
 
 
 def _stationarity_residual(spec: EnsembleSpec, p: np.ndarray) -> float:
-    """Max deviation of ln p_k + beta c(k) + ln (k-1)! from an affine law in k."""
-    ks = spec.classes().astype(np.float64)
-    y = np.log(p) + spec.beta * spec.energies() + word_log_weights(spec)
+    """Max deviation of ln p_k + beta c(k) + ln (k-1)! from an affine law in
+    k, over the classes with p_k > 0 (underflowed classes have no logarithm);
+    0 when fewer than two classes are positive."""
+    pos = p > 0
+    if pos.sum() < 2:
+        return 0.0
+    ks = spec.classes()[pos].astype(np.float64)
+    y = (np.log(p[pos]) + spec.beta * spec.energies()[pos]
+         + word_log_weights(spec)[pos])
     coef = np.polyfit(ks, y, 1)
     return float(np.abs(y - np.polyval(coef, ks)).max())
 

@@ -92,8 +92,7 @@ def iter_profiles(k_min: int, D: int, total: int, weighted: int):
 
 
 def iter_feasible_profiles(spec: EnsembleSpec, N: int):
-    target = 2 * N - 2 if spec.kind is Kind.LABELED else N - 1
-    return iter_profiles(spec.k_min, spec.D, N, target)
+    return iter_profiles(spec.k_min, spec.D, N, spec.kind.class_sum(N))
 
 
 def assert_same_text(got: str, expected: str) -> None:

@@ -16,7 +16,7 @@ from treegibbs import (
     sample_plane_child_counts,
     sample_prufer_codes,
 )
-from treegibbs import cli
+from treegibbs import cli, partition
 from treegibbs.cli import fmt, main
 from treegibbs.treegen import WRITE_BLOCK
 
@@ -387,6 +387,36 @@ def test_lln_plane_d4(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "N,delta,tail_prob,empirical_rate,inf_I"
     assert [line.split(",")[0] for line in lines[1:]] == ["20", "40"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # N = 30000 would need a DP table past DEFAULT_MAX_CELLS
+        ("ldp-table", "--kind", "labeled", "--bound", "3", "--n-list", "30000",
+         "--eps", "0.05"),
+        ("lln", "--kind", "labeled", "--bound", "4", "--n-list", "300,600",
+         "--delta", "0.1"),
+    ],
+)
+def test_lattice_commands_build_no_dp_table(capsys, monkeypatch, argv):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("build_dp called")
+
+    monkeypatch.setattr(partition, "build_dp", refuse)
+    partition.log_partition_value.cache_clear()  # a cached ln Z hides a call
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    n_list = argv[argv.index("--n-list") + 1].split(",")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == n_list
+
+
+@pytest.mark.parametrize("command,radius", [("ldp-table", "--eps"), ("lln", "--delta")])
+def test_no_feasible_profile_exits_3(capsys, command, radius):
+    code, _, err = run_cli(
+        capsys, command, "--kind", "labeled", "--bound", "3", "--n-list", "1", radius, "0.05"
+    )
+    assert code == 3 and "no feasible labeled profile at N=1" in err
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

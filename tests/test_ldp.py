@@ -38,6 +38,14 @@ def test_log_prob_ball_small_example():
     assert abs(lp - math.log(4 / 16)) <= 1e-12
 
 
+def test_log_prob_ball_matches_high_precision_value():
+    # The reference is the lattice sum over (n1, N - 2 n1 + 2, n1 - 2) in
+    # 50-digit arithmetic.
+    spec = EnsembleSpec.labeled(3)
+    lp = log_prob_ball(spec, 4000, solve_pstar(spec).pstar, 0.05)
+    assert abs(lp / -0.0013253993220777808301 - 1.0) <= 1e-10
+
+
 def test_finite_rate_trivia():
     spec = EnsembleSpec(Kind.PLANE, 2, 0.9, (0.2, 0.0, -0.1))
     ctx = solve_pstar(spec)
@@ -130,8 +138,7 @@ def test_r_set_accepts_frequency_vectors():
     ],
 )
 def test_r_set_is_minimal_distance_set(spec, N):
-    manifold_total = 2 * N if spec.kind is Kind.LABELED else N
-    lattice = np.array(iter_profiles(spec.k_min, spec.D, N, manifold_total))
+    lattice = np.array(iter_profiles(spec.k_min, spec.D, N, spec.kind.manifold_total(N)))
     law = exact_chi_law(spec, N)
     for profile in law.profiles:
         got = {tuple((m.p * N + 0.5).astype(int)) for m in r_set(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ def test_solve_pstar_random_specs_certificates():
         assert ctx.pstar.on_manifold()
         assert ctx.stationarity_residual <= 1e-8
         assert abs(rate_value(ctx.pstar, ctx)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "D,beta,energy,bound",
+    [
+        (5, 1000.0, (0, 1, 0, 1, 0), 1e-12),  # degrees 2 and 4 underflow
+        (3, 1.0, (1000, 0, 1000), 0.0),  # only degree 2 is positive
+    ],
+)
+def test_stationarity_residual_over_positive_classes(D, beta, energy, bound):
+    spec = EnsembleSpec(Kind.LABELED, D, beta, energy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = solve_pstar(spec)
+    assert 0.0 <= ctx.stationarity_residual <= bound
 
 
 def test_rate_value_examples():
