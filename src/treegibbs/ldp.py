@@ -1,8 +1,11 @@
 """Numerical verification of the LDP and LLN at finite N.
 
 Everything here is an exact lattice computation (no Monte Carlo): ball and
-tail probabilities are log-sum-exp reductions of exact profile
-probabilities over the feasible lattice, and finite-size rates
+tail probabilities are ratios of two log-sum-exps of the profiles' log
+weights, both folded block by block over ``partition.lattice_blocks`` (the
+whole lattice for ln Z_N, the ball or tail for the numerator), so memory
+is bounded by the block size and time grows like the lattice, N^(D-2) for
+labeled and N^(D-1) for plane profiles.  Finite-size rates
 ``r_N = -(1/N) ln P(ball)`` are compared against the rate function.  The
 expected discrepancy decays like O(ln N / N) plus an O(eps) smearing from
 the ball radius.
@@ -18,11 +21,12 @@ distance 4/N.  The set size always satisfies 1 <= |R(x)| <= D^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import NEG_INF, log_sum
+from .combinatorics import NEG_INF
 from .ensembles import (
     CountVector,
     EnsembleSpec,
@@ -33,26 +37,79 @@ from .ensembles import (
     validate_spec,
 )
 from .errors import NoFeasibleTree
-from .partition import exact_chi_law, integer_lattice, sample_profiles
+from .partition import (
+    integer_lattice,
+    lattice_blocks,
+    profile_log_weights,
+    sample_profiles,
+)
 from .rate import RateContext, rate_value, solve_pstar
+
+
+class _RunningLogSum:
+    """ln sum e^v over arrays folded in one at a time.
+
+    The sum is kept as ``total`` times e^``top``, ``top`` the largest value
+    seen so far, and rescaled when a larger one arrives, so no term
+    overflows and a sum far below another's scale keeps its digits.
+    """
+
+    def __init__(self) -> None:
+        self.top = NEG_INF
+        self.total = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        top = float(values.max()) if values.size else NEG_INF
+        if top == NEG_INF:
+            return
+        if top > self.top:
+            self.total *= math.exp(self.top - top)
+            self.top = top
+        self.total += float(np.exp(values - self.top).sum())
+
+
+def _log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
+    """ln P_N{select(|chi/N - center|_1)}, ``select`` mapping the distances
+    of a block's profiles to a mask, streamed over ``lattice_blocks``.
+
+    Raises NoFeasibleTree when no profile is feasible; -inf when none is
+    selected.
+    """
+    s, c = _RunningLogSum(), _RunningLogSum()  # the selected profiles, the rest
+    for block in lattice_blocks(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
+        lw = profile_log_weights(spec, N, block)
+        chosen = select(np.abs(block / N - center).sum(axis=1))
+        s.add(lw[chosen])
+        c.add(lw[~chosen])
+    if s.top == NEG_INF:
+        if c.top == NEG_INF:
+            raise NoFeasibleTree(
+                f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}"
+            )
+        return NEG_INF
+    if c.top == NEG_INF:
+        return 0.0
+    # ln S - ln(S + C) = -ln(1 + C/S): exact to rounding whether the
+    # selected mass is near 1 or tiny.  The tops are profile log weights, of
+    # order N; their difference is taken first so that no rounding at that
+    # scale enters the result.
+    log_ratio = (c.top - s.top) + math.log(c.total / s.total)
+    return -float(np.logaddexp(0.0, log_ratio))
 
 
 def log_prob_ball(spec: EnsembleSpec, N: int, center, eps: float) -> float:
     """ln P_N{ |chi/N - center|_1 <= eps } over the closed l1 ball.
 
     The center may be any vector in [0,1]^K, on or off the manifold.
-    Returns -inf when no feasible profile falls inside the ball.
+    Returns -inf when no feasible profile falls inside the ball.  The
+    lattice is streamed, never held: memory stays within a few blocks of
+    ``partition.LATTICE_BLOCK_BYTES`` at any N.
     """
     validate_spec(spec)
     if eps <= 0:
         raise ValueError("eps must be positive")
     center_arr = as_frequency(spec, center).p
-    law = exact_chi_law(spec, N)
-    dist = np.abs(law.profiles / N - center_arr[None, :]).sum(axis=1)
-    inside = dist <= eps
-    if not inside.any():
-        return NEG_INF
-    return log_sum(law.logp[inside])
+    return _log_mass(spec, N, center_arr, lambda dist: dist <= eps)
 
 
 def finite_rate(spec: EnsembleSpec, N: int, p, eps: float) -> float:
@@ -140,9 +197,8 @@ def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
             moves.append(m)
     if moves:
         return moves
+    # never empty: the profile with all N vertices in class k_min + 1 is on M
     lattice = integer_lattice(spec.k_min, spec.D, N, manifold_total)
-    if lattice.shape[0] == 0:
-        raise NoFeasibleTree("manifold lattice is empty")
     dist = np.abs(lattice - counts[None, :]).sum(axis=1)
     best = dist.min()
     return [row.copy() for row in lattice[dist == best]]
@@ -231,15 +287,15 @@ def lln_tail(
     *,
     ctx: RateContext | None = None,
 ) -> float:
-    """Exact tail P_N{ |chi/N - p*|_1 > delta } by lattice summation."""
+    """Exact tail P_N{ |chi/N - p*|_1 > delta } by lattice summation.
+
+    Streamed like ``log_prob_ball``; 0.0 when no feasible profile lies
+    outside the ball.
+    """
     validate_spec(spec)
     if delta <= 0:
         raise ValueError("delta must be positive")
     if ctx is None:
         ctx = solve_pstar(spec)
-    law = exact_chi_law(spec, N)
-    dist = np.abs(law.profiles / N - ctx.pstar.p[None, :]).sum(axis=1)
-    outside = dist > delta
-    if not outside.any():
-        return 0.0
-    return float(np.exp(log_sum(law.logp[outside])))
+    lp = _log_mass(spec, N, ctx.pstar.p, lambda dist: dist > delta)
+    return 0.0 if lp == NEG_INF else math.exp(lp)

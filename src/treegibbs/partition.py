@@ -11,9 +11,15 @@ sum.  Classes are stored shifted by their minimum (degree-1 for labeled), so
 the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
 (degree sum 2N-2) and ``N-1`` for plane trees.
 
-The exact law of the profile chi normalizes itself: ``exact_chi_law``
-enumerates the feasible profiles, and the log-sum-exp of their log weights
-is ln Z_N.
+The feasible profiles form an integer lattice of dimension K-2 (K the
+number of classes): ``lattice_blocks`` yields it in int64 blocks of at most
+``LATTICE_BLOCK_BYTES``, and the ball and tail sums of ``ldp`` fold those
+blocks into running log-sum-exps, so their memory does not grow with N.
+``integer_lattice`` joins the blocks into one matrix, under a cap of
+``DEFAULT_MAX_PROFILES`` rows, for the callers that need every profile at
+once.  Among them is the exact law of chi, which normalizes itself:
+``exact_chi_law`` enumerates the feasible profiles, and the log-sum-exp of
+their log weights is ln Z_N.
 
 ``log_partition_value`` gives ln Z_N alone, for ``log_prob_profile`` and the
 ``partition`` suite of ``oracle-check``, from a per-vertex dynamic program
@@ -66,8 +72,13 @@ from .errors import (
 #: Default ceiling on DP table cells, sized to admit N = 20000 for either kind.
 DEFAULT_MAX_CELLS = 20_001 * 20_000
 
-#: Default ceiling on enumerated feasible profiles.
+#: Default ceiling on the profiles that ``integer_lattice`` materializes for
+#: ``exact_chi_law``, ``rate.manifold_grid`` and ``ldp.r_set_counts``; the
+#: ball and tail sums of ``ldp`` stream ``lattice_blocks`` and have no cap.
 DEFAULT_MAX_PROFILES = 10_000_000
+
+#: Ceiling on the bytes of one int64 block of ``lattice_blocks``: 8 MB.
+LATTICE_BLOCK_BYTES = 2**23
 
 #: Ceiling on the cells of one proposal matrix in ``sample_profiles``
 #: (rows times classes, int64): 32 MB whatever the size of the request.
@@ -255,6 +266,72 @@ def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector) -> float:
     return float(lw - log_partition_value(spec, N))
 
 
+def lattice_blocks(k_min: int, k_max: int, total: int, weighted_total: int):
+    """Yield all integer vectors m >= 0 indexed by classes k_min..k_max with
+    ``sum m = total`` and ``sum k m_k = weighted_total``, in int64 blocks.
+
+    Each block is an (M, k_max - k_min + 1) matrix of at most
+    ``LATTICE_BLOCK_BYTES`` bytes.  Writing j for the shifted class k - k_min,
+    the walk is depth-first over the classes j >= 4; within each of its
+    leaves, the pairs (m_3, m_2) form one vectorized 2-D block, and m_1 and
+    m_0 are solved from the two constraints.  Rows come in ascending
+    lexicographic order of (m_{K-1}, ..., m_2), K the number of classes.
+    """
+    ncls = k_max - k_min + 1
+    R = weighted_total - k_min * total  # shifted weighted sum
+    if total < 0 or R < 0:
+        return
+    if ncls == 1:
+        if R == 0:
+            yield np.array([[total]], dtype=np.int64)
+        return
+    if ncls == 2:
+        # m1 = R, m0 = total - R
+        if R <= total:
+            yield np.array([[total - R, R]], dtype=np.int64)
+        return
+    max_rows = max(1, LATTICE_BLOCK_BYTES // (8 * ncls))
+    # Children are pushed in reverse so that they pop in increasing order.
+    stack = [(ncls - 1, total, R, ())]
+    while stack:
+        j, rem_total, rem_r, suffix = stack.pop()
+        if j <= 3:
+            yield from _leaf_blocks(ncls, rem_total, rem_r, suffix, max_rows)
+            continue
+        top = min(rem_total, rem_r // j)
+        for m in range(top, -1, -1):
+            stack.append((j - 1, rem_total - m, rem_r - j * m, suffix + (m,)))
+
+
+def _leaf_blocks(ncls: int, rem_total: int, rem_r: int, suffix: tuple, max_rows: int):
+    """The rows of one leaf of ``lattice_blocks``: every (m_3, m_2) left once
+    the classes above 3 are fixed to ``suffix`` (top class first), cut into
+    blocks of at most ``max_rows`` rows.  With three classes m_3 is 0."""
+    # For each m3: m1 = r - 2*m2 >= 0 and m0 = t - r + m2 >= 0, where
+    # t = rem_total - m3 and r = rem_r - 3*m3.
+    top3 = min(rem_total, rem_r // 3) if ncls > 3 else 0
+    m3 = np.arange(top3 + 1, dtype=np.int64)
+    r = rem_r - 3 * m3
+    lo = np.maximum(0, r - (rem_total - m3))
+    counts = np.maximum(r // 2 - lo + 1, 0)
+    ends = np.cumsum(counts)
+    offset = ends - counts - lo  # m2 = (row index in the leaf) - offset[m3]
+    for start in range(0, int(ends[-1]), max_rows):
+        flat = np.arange(start, min(start + max_rows, int(ends[-1])), dtype=np.int64)
+        col3 = np.searchsorted(ends, flat, side="right")
+        col2 = flat - offset[col3]
+        col1 = r[col3] - 2 * col2
+        block = np.empty((flat.size, ncls), dtype=np.int64)
+        block[:, 0] = rem_total - col3 - col2 - col1
+        block[:, 1] = col1
+        block[:, 2] = col2
+        if ncls > 3:
+            block[:, 3] = col3
+        for off, v in enumerate(suffix):
+            block[:, ncls - 1 - off] = v
+        yield block
+
+
 def integer_lattice(
     k_min: int,
     k_max: int,
@@ -263,71 +340,25 @@ def integer_lattice(
     *,
     max_points: int = DEFAULT_MAX_PROFILES,
 ) -> np.ndarray:
-    """All integer vectors m >= 0 indexed by classes k_min..k_max with
-    ``sum m = total`` and ``sum k m_k = weighted_total``.
+    """The blocks of ``lattice_blocks`` joined into one (M, k_max - k_min + 1)
+    int64 matrix, in the same order.
 
-    Returns an (M, k_max - k_min + 1) int64 matrix in a deterministic order.
-    The two lowest classes are eliminated through the constraints, so the
-    search runs over the remaining coordinates only (dimension D-2 for
-    labeled profiles, D-1 for plane profiles).
+    Raises LatticeTooLarge when there are more than ``max_points`` rows.
+    The lattice has dimension D-2 for labeled profiles and D-1 for plane
+    profiles, so its size grows like N^(D-2) or N^(D-1).
     """
-    ncls = k_max - k_min + 1
-    R = weighted_total - k_min * total  # shifted weighted sum
-    if total < 0 or R < 0:
-        return np.empty((0, ncls), dtype=np.int64)
-    if ncls == 1:
-        if R == 0:
-            return np.array([[total]], dtype=np.int64)
-        return np.empty((0, 1), dtype=np.int64)
-    if ncls == 2:
-        # m1 = R, m0 = total - R
-        if R <= total:
-            return np.array([[total - R, R]], dtype=np.int64)
-        return np.empty((0, 2), dtype=np.int64)
-
     blocks: list[np.ndarray] = []
     count = 0
-
-    def emit(rem_total: int, rem_r: int, suffix: list[int]) -> None:
-        # Vectorize the lowest free class (shifted class 2):
-        #   m1 = rem_r - 2*m2 >= 0,  m0 = rem_total - rem_r + m2 >= 0.
-        nonlocal count
-        lo = max(0, rem_r - rem_total)
-        hi = rem_r // 2
-        if hi < lo:
-            return
-        m2 = np.arange(lo, hi + 1, dtype=np.int64)
-        m1 = rem_r - 2 * m2
-        m0 = rem_total - m1 - m2
-        block = np.empty((m2.size, ncls), dtype=np.int64)
-        block[:, 0] = m0
-        block[:, 1] = m1
-        block[:, 2] = m2
-        for off, v in enumerate(suffix):
-            block[:, ncls - 1 - off] = v
-        count += m2.size
+    for block in lattice_blocks(k_min, k_max, total, weighted_total):
+        count += block.shape[0]
         if count > max_points:
             raise LatticeTooLarge(
                 f"profile lattice exceeds the cap of {max_points} points"
             )
         blocks.append(block)
-
-    # Depth-first over the free classes, walked from the top down to 3 (j is
-    # the shifted class index); children are pushed in reverse so that they
-    # pop in increasing order.  A loop rather than a recursive closure, which
-    # would reference itself and keep ``blocks`` alive until the cyclic GC.
-    stack = [(ncls - 1, total, R, [])]
-    while stack:
-        j, rem_total, rem_r, suffix = stack.pop()
-        if j == 2:
-            emit(rem_total, rem_r, suffix)
-            continue
-        top = min(rem_total, rem_r // j)
-        for m in range(top, -1, -1):
-            stack.append((j - 1, rem_total - m, rem_r - j * m, suffix + [m]))
     if not blocks:
-        return np.empty((0, ncls), dtype=np.int64)
-    return np.vstack(blocks)
+        return np.empty((0, k_max - k_min + 1), dtype=np.int64)
+    return np.concatenate(blocks)
 
 
 def enumerate_profiles(

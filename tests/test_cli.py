@@ -16,7 +16,7 @@ from treegibbs import (
     sample_plane_child_counts,
     sample_prufer_codes,
 )
-from treegibbs import cli, partition
+from treegibbs import cli, ldp, partition
 from treegibbs.cli import fmt, main
 from treegibbs.treegen import WRITE_BLOCK
 
@@ -120,6 +120,14 @@ def test_oracle_check_size_limit(capsys):
         capsys, "oracle-check", "--kind", "plane", "--bound", "3", "--n", "13"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("kind,bound,n", [("labeled", "2", "6"), ("plane", "1", "12")])
+def test_oracle_check_at_the_smallest_bound(capsys, kind, bound, n):
+    # the path fits every valid bound, so no enumeration comes out empty
+    code, out, err = run_cli(capsys, "oracle-check", "--kind", kind, "--bound", bound, "--n", n)
+    assert code == 0, err
+    assert out.strip().endswith("oracle-check OK")
 
 
 def test_sample_deterministic(tmp_path, capsys):
@@ -409,6 +417,41 @@ def test_lattice_commands_build_no_dp_table(capsys, monkeypatch, argv):
     assert code == 0, err
     n_list = argv[argv.index("--n-list") + 1].split(",")
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == n_list
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ldp-table", "--kind", "plane", "--bound", "4", "--beta", "1",
+         "--energy", "0,0,0,1,2", "--n-list", "200,400", "--eps", "0.05"),
+        ("lln", "--kind", "labeled", "--bound", "4", "--n-list", "300,600",
+         "--delta", "0.1"),
+    ],
+)
+def test_lattice_commands_materialize_no_lattice(capsys, monkeypatch, argv):
+    # The ball and tail sums stream partition.lattice_blocks; the rate grid
+    # of lln (rate.manifold_grid) is not a profile lattice and is left alone.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("profile lattice materialized")
+
+    for module in (partition, ldp, cli):
+        for name in ("exact_chi_law", "integer_lattice"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    n_list = argv[argv.index("--n-list") + 1].split(",")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == n_list
+
+
+def test_ldp_table_past_the_lattice_cap(capsys):
+    # 12,090,200 profiles, past partition.DEFAULT_MAX_PROFILES
+    code, out, err = run_cli(
+        capsys, "ldp-table", "--kind", "labeled", "--bound", "5", "--n-list", "1200",
+        "--eps", "0.1",
+    )
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("1200,0.1,")
 
 
 @pytest.mark.parametrize("command,radius", [("ldp-table", "--eps"), ("lln", "--delta")])

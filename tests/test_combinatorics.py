@@ -1,8 +1,11 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from conftest import iter_profiles
 from treegibbs import (
@@ -21,6 +24,7 @@ from treegibbs import (
     log_plane_count_by_profile,
     log_sum,
 )
+from treegibbs.combinatorics import log_factorials
 
 NEG_INF = float("-inf")
 
@@ -38,6 +42,23 @@ def test_log_factorial_matches_exact_products():
     assert abs(log_factorial(59) - acc) <= 1e-10
     with pytest.raises(ValueError):
         log_factorial(-1)
+
+
+def test_log_factorial_table_matches_gammaln():
+    # exact integer logs below 1024, the Stirling series from there on
+    m = np.arange(2**21 + 1)
+    got = log_factorials(m)
+    ref = gammaln(m + 1.0)
+    assert got[0] == 0.0 and got[1] == 0.0
+    assert (np.abs(got[2:] - ref[2:]) <= 4 * np.spacing(ref[2:])).all()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, treegibbs.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_log_multinomial_examples():

@@ -15,10 +15,12 @@ from treegibbs import (
     finite_rate,
     lln_tail,
     log_prob_ball,
+    log_sum,
     r_set,
     rng_stream,
     solve_pstar,
 )
+from treegibbs import partition
 from treegibbs.rate import j_values, manifold_grid
 
 NEG_INF = float("-inf")
@@ -204,3 +206,45 @@ def test_lln_tail_monotone_and_frozen_value():
     assert all(b < a for a, b in zip(tails, tails[1:]))
     # frozen from an independent lattice-sum oracle (lgamma + logsumexp)
     assert abs(tails[0] - 9.467964e-02) <= 1e-7
+
+
+STREAMED_SPECS = [
+    (EnsembleSpec.labeled(3), 90),
+    (EnsembleSpec(Kind.LABELED, 4, 0.8, (0.0, 0.3, 0.0, 1.0)), 50),
+    (EnsembleSpec.labeled(5), 30),
+    (EnsembleSpec(Kind.PLANE, 3, 0.5, (0.0, 0.2, 0.0, 0.7)), 40),
+    (EnsembleSpec(Kind.PLANE, 4, 1.0, (0.0, 0.0, 0.0, 1.0, 2.0)), 24),
+]
+
+
+@pytest.mark.parametrize("spec,N", STREAMED_SPECS)
+def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
+    # Blocks of 3 profiles, so every sum folds across many blocks; the
+    # reference sums the materialized law's log-probabilities.
+    monkeypatch.setattr(partition, "LATTICE_BLOCK_BYTES", 3 * 8 * spec.n_classes)
+    blocks = partition.lattice_blocks(spec.k_min, spec.D, N, spec.kind.class_sum(N))
+    assert sum(1 for _ in blocks) >= 10
+    law = exact_chi_law(spec, N)
+    ctx = solve_pstar(spec)
+    pstar = ctx.pstar.p
+    # off the mode along (1, -2, 1, 0, ...), which keeps sum p and sum k p
+    direction = np.zeros(spec.n_classes)
+    direction[:3] = (1.0, -2.0, 1.0)
+    off_mode = pstar + 0.3 * pstar[1] * direction
+
+    def dist(center):
+        return np.abs(law.profiles / N - center[None, :]).sum(axis=1)
+
+    for center, eps in ((pstar, 0.15), (off_mode, 0.08)):
+        want = log_sum(law.logp[dist(center) <= eps])
+        got = log_prob_ball(spec, N, center, eps)
+        assert abs(got - want) <= 1e-13 * abs(want)
+    assert log_prob_ball(spec, N, off_mode, 0.08) < log_prob_ball(spec, N, pstar, 0.08)
+    assert not (dist(pstar + 0.5 / N) <= 1e-9).any()
+    assert log_prob_ball(spec, N, pstar + 0.5 / N, 1e-9) == NEG_INF
+
+    for delta in (0.1, 0.4):
+        want = math.exp(log_sum(law.logp[dist(pstar) > delta]))
+        got = lln_tail(spec, N, delta, ctx=ctx)
+        assert 0.0 < got < 1.0 and abs(got - want) <= 1e-13 * want
+    assert lln_tail(spec, N, 2.5, ctx=ctx) == 0.0

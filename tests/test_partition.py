@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_log_partition,
     chi_square_check,
     gibbs_profile_law,
     iter_feasible_profiles,
+    iter_profiles,
 )
 from treegibbs import (
     CountVector,
     EnsembleSpec,
     Kind,
     LatticeTooLarge,
+    NoFeasibleTree,
     SizeOverflow,
     SumMismatch,
     build_dp,
@@ -32,6 +36,7 @@ from treegibbs.partition import (
     class_log_weights,
     enumerate_profiles,
     integer_lattice,
+    lattice_blocks,
     tilt,
     tilt_probs,
 )
@@ -173,6 +178,15 @@ def test_dp_symmetry_reversed_class_order():
         assert abs(prev[budget] - dp.log_final) <= 1e-10
 
 
+def test_log_partition_refuses_an_empty_table():
+    # beta * c(2) overflows, so every labeled path on 5 vertices weighs 0
+    spec = EnsembleSpec(Kind.LABELED, 2, 1e300, (0.0, 1e300))
+    with np.errstate(over="ignore"):
+        dp = build_dp(spec, 5)
+    with pytest.raises(NoFeasibleTree, match="no labeled tree on 5 vertices"):
+        log_partition(dp)
+
+
 def test_size_overflow():
     with pytest.raises(SizeOverflow):
         build_dp(EnsembleSpec.labeled(3), 100, max_cells=50)
@@ -194,6 +208,42 @@ def test_integer_lattice_matches_brute_force():
                 continue
             expected.add(combo)
         assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k_min=st.integers(0, 1),
+    ncls=st.integers(1, 7),
+    total=st.integers(0, 12),
+    offset=st.integers(0, 100),
+    block_rows=st.integers(1, 6),
+    slack=st.integers(0, 7),
+)
+@example(k_min=1, ncls=1, total=5, offset=1, block_rows=1, slack=0)
+@example(k_min=0, ncls=2, total=5, offset=3, block_rows=1, slack=0)
+@example(k_min=0, ncls=3, total=12, offset=12, block_rows=2, slack=0)
+def test_lattice_blocks_property(k_min, ncls, total, offset, block_rows, slack):
+    # weighted totals from one below the feasible range to one above it;
+    # blocks of block_rows rows, plus up to one row's worth of slack bytes
+    k_max = k_min + ncls - 1
+    low, high = k_min * total, k_max * total
+    weighted = max(0, low - 1) + offset % (high + 2 - max(0, low - 1))
+    bound = 8 * ncls * block_rows + slack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "LATTICE_BLOCK_BYTES", bound)
+        blocks = list(lattice_blocks(k_min, k_max, total, weighted))
+        joined = integer_lattice(k_min, k_max, total, weighted)
+    assert all(b.dtype == np.int64 and b.shape[1] == ncls for b in blocks)
+    assert all(0 < b.nbytes <= bound for b in blocks)
+    rows = np.concatenate(blocks) if blocks else np.empty((0, ncls), dtype=np.int64)
+    np.testing.assert_array_equal(rows, joined)
+    # strictly ascending in (m_{K-1}, ..., m_2), which fix m_1 and m_0: in
+    # order, and no row twice
+    keys = [tuple(row[::-1][: max(ncls - 2, 0)]) for row in rows.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert {tuple(row) for row in rows.tolist()} == set(
+        iter_profiles(k_min, k_max, total, weighted)
+    )
 
 
 def test_integer_lattice_leaves_no_reference_cycle():
