@@ -2,10 +2,10 @@
 
 Exact profile laws normalized by their own sum over the profile lattice,
 ln Z_N by a log-domain dynamic program, exact tree samplers (profiles from
-the tilted multinomial conditioned on the class sum, then Prufer codes for
-labeled trees and the cycle lemma for plane trees), the explicit
-large-deviation rate function with its minimizer p*, and exact finite-N
-verification of the LDP and the law of large numbers.
+the tilted multinomial conditioned on the class sum, then a Foata-Fuchs
+word -> tree map for labeled trees and the cycle lemma for plane trees), the
+explicit large-deviation rate function with its minimizer p*, and exact
+finite-N verification of the LDP and the law of large numbers.
 """
 
 from .combinatorics import (
@@ -13,9 +13,7 @@ from .combinatorics import (
     log_add,
     log_factorial,
     log_labeled_count_by_degrees,
-    log_labeled_count_by_profile,
     log_multinomial,
-    log_plane_count_by_profile,
     log_sum,
 )
 from .ensembles import (
@@ -95,6 +93,7 @@ from .treegen import (
     sample_plane_child_counts,
     sample_plane_tree,
     sample_prufer_codes,
+    word_edges,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,12 @@ n_classes being the number of degree classes, with one RNG stream per block
 index, so the trees of a shorter run are a prefix of those of a longer one.
 Each (trees, N) or (trees, n_classes) int64 array of a block holds at most
 32 MB, or one tree's worth once N or n_classes passes ``SAMPLE_CELLS``.
+``sample`` prints labeled trees as the sorted edge lists of their words
+under the Foata-Fuchs-type word -> tree map (``treegen.word_edges``; D. Foata
+& A. Fuchs, J. Combin. Theory 8, 1970), decoded a sub-block at a time, and
+encodes the text of both kinds with one table-driven gather per sub-block
+(``treegen.write_sample``), whose working arrays are bounded in bytes by
+``treegen.WRITE_BLOCK_BYTES``.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
 request, 4 verification failure.  ``ldp-table`` and the tail sums of ``lln``
@@ -30,7 +36,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +53,7 @@ from .errors import (
     TreeGibbsError,
 )
 from .ldp import convergence_table, lln_tail
-from .partition import exact_chi_law, log_partition_value, rng_stream
+from .partition import exact_chi_law, log_partition_value, profile_log_weights, rng_stream
 from .rate import j_values, manifold_grid, solve_pstar
 from .treegen import (
     MAX_ENUM_LABELED,
@@ -351,12 +357,10 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     law = exact_chi_law(spec, N)
     law_map = law.as_dict()
 
-    from .combinatorics import log_count_by_profile
-
-    dev_counts = 0.0
-    for chi, count in profile_counts.items():
-        lc = log_count_by_profile(spec.kind, N, chi)
-        dev_counts = max(dev_counts, abs(lc - math.log(count)))
+    # tree counts per profile: the profile log weights at beta = 0
+    counting = replace(spec, beta=0.0)
+    log_counts = profile_log_weights(counting, N, np.array(list(profile_counts)))
+    dev_counts = float(np.abs(log_counts - np.log(list(profile_counts.values()))).max())
     suites = [("profile-counts", dev_counts)]
 
     z_enum = sum(weights.values())

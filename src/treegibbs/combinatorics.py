@@ -6,15 +6,10 @@ A quantity ``x >= 0`` is represented by ``ln x`` as a plain float, with
 ``-inf`` encoding zero; the ``LogReal`` alias marks that convention in
 signatures.
 
-The two closed-form counts:
-
-* labeled trees with degree sequence d_1..d_N:
-  ``multinomial(N - 2; d_1 - 1, ..., d_N - 1)`` when ``sum d = 2N - 2``,
-  zero otherwise;
-* labeled trees with degree profile n (n_k vertices of degree k):
-  ``(N-2)! / prod_k ((k-1)!)^{n_k} * multinomial(N; n)``;
-* plane trees with child-count profile n:
-  ``(1/N) * multinomial(N; n_0, n_1, ...)`` when ``sum k n_k = N - 1``.
+The closed-form count of labeled trees with degree sequence d_1..d_N is
+``multinomial(N - 2; d_1 - 1, ..., d_N - 1)`` when ``sum d = 2N - 2``, zero
+otherwise.  The counts by profile are ``partition.profile_log_weights`` at
+beta = 0, for whole rows of profiles.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .ensembles import CountVector, Kind
+from .ensembles import CountVector
 from .errors import SumMismatch
 
 LogReal = float
@@ -134,42 +129,3 @@ def log_labeled_count_by_degrees(degrees) -> LogReal:
     if d.sum() != 2 * N - 2:
         return NEG_INF
     return float(log_factorial(N - 2) - log_factorials(d - 1).sum())
-
-
-def log_labeled_count_by_profile(N: int, n) -> LogReal:
-    """ln of the number of labeled N-trees with degree profile n.
-
-    ``n[k-1]`` counts vertices of degree k.  Returns -inf for infeasible
-    profiles (degree sum != 2N - 2); raises SumMismatch when the profile
-    does not account for all N vertices.
-    """
-    counts = _counts_array(n)
-    if counts.sum() != N:
-        raise SumMismatch(f"profile sums to {counts.sum()}, expected {N}")
-    ks = np.arange(1, counts.size + 1)
-    if (ks * counts).sum() != 2 * N - 2:
-        return NEG_INF
-    word_part = log_factorial(N - 2) - (counts * log_factorials(ks - 1)).sum()
-    return float(word_part + log_multinomial(N, counts))
-
-
-def log_plane_count_by_profile(N: int, n) -> LogReal:
-    """ln of the number of plane trees of order N with child-count profile n.
-
-    ``n[k]`` counts vertices with k children.  Returns -inf when
-    ``sum k n_k != N - 1``.
-    """
-    counts = _counts_array(n)
-    if counts.sum() != N:
-        raise SumMismatch(f"profile sums to {counts.sum()}, expected {N}")
-    ks = np.arange(counts.size)
-    if (ks * counts).sum() != N - 1:
-        return NEG_INF
-    return float(log_multinomial(N, counts) - np.log(N))
-
-
-def log_count_by_profile(kind: Kind, N: int, n) -> LogReal:
-    """Dispatch on ensemble kind."""
-    if kind is Kind.LABELED:
-        return log_labeled_count_by_profile(N, n)
-    return log_plane_count_by_profile(N, n)

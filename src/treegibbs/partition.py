@@ -105,19 +105,25 @@ def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
 
 
 def shifted_budget(spec: EnsembleSpec, N: int) -> int:
-    """Shifted class-sum budget: N-2 for labeled trees, N-1 for plane trees."""
+    """Shifted class-sum budget: N-2 for labeled trees, N-1 for plane trees.
+
+    Raises NoFeasibleTree (exit 3 in the CLI) below the smallest tree.
+    """
     budget = spec.kind.class_sum(N) - spec.k_min * N
     if budget < 0:
-        raise ValueError(f"{spec.kind.value} ensembles need N >= {spec.k_min + 1}")
+        raise NoFeasibleTree(
+            f"no {spec.kind.value} tree on {N} vertices: "
+            f"{spec.kind.value} ensembles need N >= {spec.k_min + 1}"
+        )
     return budget
 
 
 def word_log_weights(spec: EnsembleSpec) -> np.ndarray:
     """ln (k-1)! per class for labeled trees, zero for plane trees.
 
-    A labeled vertex of degree k fills k - 1 places of the Prufer code, and
-    the code's word count divides by (k-1)! per vertex; plane trees carry no
-    such factor.  Indexed by shifted class.
+    A labeled vertex of degree k fills k - 1 places of the tree's word, and
+    the number of such words divides by (k-1)! per vertex; plane trees carry
+    no such factor.  Indexed by shifted class.
     """
     if spec.kind is Kind.LABELED:
         return log_factorials(spec.classes() - 1)

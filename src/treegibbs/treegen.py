@@ -1,8 +1,13 @@
 """Concrete tree construction: exact Gibbs samplers, codecs, enumerators.
 
-Labeled trees are stored as canonical sorted edge lists over labels 1..N and
-are in bijection with Prufer codes (vertex v appears deg(v) - 1 times in the
-code).  Plane trees are stored as preorder child-count sequences: a sequence
+Labeled trees are stored as canonical sorted edge lists over labels 1..N.
+They are built from words of length N-2 over 1..N in which vertex v
+appears deg(v) - 1 times, by the Foata-Fuchs-type bijection ``word_edges``
+(D. Foata & A. Fuchs, "Rearrangements de fonctions et denombrement",
+J. Combin. Theory 8, 1970), which decodes a whole block of words in a fixed
+number of array passes.  ``prufer_decode`` and ``prufer_encode`` are the
+single-tree Prufer codec, another bijection with the same degree rule.
+Plane trees are stored as preorder child-count sequences: a sequence
 c_1..c_N is valid exactly when the partial sums of (c_i - 1) stay >= 0
 before the last position and end at -1 (a Lukasiewicz path).
 
@@ -12,9 +17,10 @@ multinomial, laid out and uniformly permuted):
 
 * labeled: read the sequence as the degrees of vertices 1..N, lay out the
   multiset word with vertex i repeated deg(i) - 1 times, permute it
-  uniformly, read the result as a Prufer code.  Trees sharing a degree
-  sequence are equally likely, which is exactly the multinomial tree count,
-  so the composite law is the Gibbs measure.
+  uniformly, map the word to its tree.  Each tree with those degrees has
+  exactly one word, so trees sharing a degree sequence are equally likely,
+  which is exactly the multinomial tree count, and the composite law is the
+  Gibbs measure (whichever such bijection maps words to trees).
 * plane: rotate the child-count sequence, already uniformly permuted, to
   its unique valid Lukasiewicz rotation (cycle lemma).  Each valid word has
   exactly N distinct rotations, so conditional uniformity is preserved and
@@ -23,12 +29,11 @@ multinomial, laid out and uniformly permuted):
 Text serialization: a labeled tree is its sorted edge list, one ``u v`` line
 per edge; a plane tree is one line of space-separated child counts.  Both are
 newline-terminated ASCII.  ``write_sample`` writes sampled batches without
-tree objects: it takes ``WRITE_BLOCK`` rows at a time, decodes labeled rows
-to canonical edge arrays with the one Prufer decoder (``prufer_edges``),
-formats each tree with a single ``%``-format of a per-N template (the
-labeled template ends in a blank line that separates trees) and writes the
-sub-block's text before the next one is made.  ``to_text`` is the
-single-tree form of the same text.
+tree objects or per-tree formatting: per sub-block of rows, labeled words
+are decoded to edge arrays by ``word_edges``, and the values are encoded
+with one gather from a table of digit-and-separator cells (the labeled
+separators end each tree in a blank line), one compress and one
+``tobytes``.  ``to_text`` is the single-tree form of the same text.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ class PlaneTree:
 
 
 # ---------------------------------------------------------------------------
-# Prufer codec
+# word -> tree map and Prufer codec
 
 
 def code_occurrences(codes: np.ndarray) -> np.ndarray:
@@ -137,61 +142,72 @@ def code_occurrences(codes: np.ndarray) -> np.ndarray:
     return flat.reshape(B, N + 1)
 
 
-def _prufer_parents(codes: np.ndarray) -> np.ndarray:
-    """Parent of each vertex in the tree of each code row, rooted at N.
+def word_edges(words: np.ndarray) -> np.ndarray:
+    """Canonical edge arrays of the trees of a (B, N-2) word matrix.
 
-    ``codes`` is a (B, N-2) matrix of labels in 1..N.  Column u of the
-    (B, N+1) result is the parent of vertex u for 1 <= u < N; columns 0
-    and N are 0.  Each row runs the linear-time decoder: ``ptr`` scans
-    upward for the next leaf, and a vertex that becomes a leaf below
-    ``ptr`` is removed at once.
+    This is the Foata-Fuchs-type bijection from words over 1..N to labeled
+    trees (D. Foata & A. Fuchs, "Rearrangements de fonctions et
+    denombrement", J. Combin. Theory 8, 1970).  With s = (N, w_1, ...,
+    w_{N-2}), edge i for i = 1..N-1 joins s_i to its child c_i, which is
+    s_{i+1} when i < N-1 and s_{i+1} is absent from s_1..s_i, and otherwise
+    the next unused label among those absent from s, in increasing order.
+    Vertex v ends up with degree 1 + (occurrences of v in the word).  No
+    child depends on an earlier one, so a whole block decodes in a fixed
+    number of array passes.  Row r of the (B, N-1, 2) result lists the edges
+    as (min, max) pairs in increasing order, as ``LabeledTree`` stores them.
     """
-    B, N = codes.shape[0], codes.shape[1] + 2
-    parent = np.zeros((B, N + 1), dtype=np.int64)
-    degrees = code_occurrences(codes) + 1
-    for r in range(B):
-        deg = degrees[r].tolist()
-        par = [0] * (N + 1)
-        ptr = leaf = deg.index(1, 1)
-        for v in codes[r].tolist():
-            par[leaf] = v
-            deg[v] -= 1
-            if deg[v] == 1 and v < ptr:
-                leaf = v
-            else:
-                ptr = leaf = deg.index(1, ptr + 1)
-        par[leaf] = N
-        parent[r] = par
-    return parent
-
-
-def prufer_edges(codes: np.ndarray) -> np.ndarray:
-    """Canonical edge arrays of the trees of a (B, N-2) code matrix.
-
-    Row r of the (B, N-1, 2) result lists the edges of row r's tree as
-    (min, max) pairs in increasing order, as ``LabeledTree`` stores them.
-    """
-    B, N = codes.shape[0], codes.shape[1] + 2
-    child = np.arange(1, N, dtype=np.int64)
-    parent = _prufer_parents(codes)[:, 1:N]
-    key = np.minimum(child, parent) * (N + 1) + np.maximum(child, parent)
+    B, N = words.shape[0], words.shape[1] + 2
+    s = np.empty((B, N - 1), dtype=np.int64)
+    s[:, 0] = N
+    s[:, 1:] = words
+    # first[r, v]: first position of label v in row r of s, N - 1 if absent
+    flat = s + np.arange(B, dtype=np.int64)[:, None] * (N + 1)
+    first = np.full(B * (N + 1), N - 1, dtype=np.int64)
+    np.minimum.at(first, flat.ravel(), np.tile(np.arange(N - 1), B))
+    take_leaf = np.ones((B, N - 1), dtype=bool)
+    take_leaf[:, :-1] = first[flat[:, 1:]] != np.arange(1, N - 1)
+    child = np.empty_like(s)
+    child[:, :-1] = s[:, 1:]
+    first[:: N + 1] = 0  # label 0 is no vertex
+    # the absent labels, row by row in increasing order, fill the leaf slots
+    child[take_leaf] = np.flatnonzero(first == N - 1) % (N + 1)
+    key = np.minimum(s, child)
+    key *= N + 1
+    key += np.maximum(s, child)
     key.sort(axis=1)
-    return np.stack((key // (N + 1), key % (N + 1)), axis=2)
+    edges = np.empty((B, N - 1, 2), dtype=np.int64)
+    np.divmod(key, N + 1, out=(edges[:, :, 0], edges[:, :, 1]))
+    return edges
 
 
 def prufer_decode(seq) -> LabeledTree:
     """Decode a Prufer code of length N-2 into its labeled tree.
 
     The empty code decodes to the single edge {1, 2}.  Vertex v ends up
-    with degree 1 + (occurrences of v in the code).
+    with degree 1 + (occurrences of v in the code).  This is the textbook
+    linear-time decoder, one tree at a time: ``ptr`` scans upward for the
+    next leaf, and a vertex that becomes a leaf below ``ptr`` is taken at
+    once.  The samplers and enumerators build trees with ``word_edges``.
     """
-    code = np.asarray([int(v) for v in seq], dtype=np.int64)
-    N = code.size + 2
-    bad = code[(code < 1) | (code > N)]
-    if bad.size:
-        raise BadLabel(f"code entry {int(bad[0])} outside 1..{N}")
-    edges = prufer_edges(code[None, :])[0]
-    return LabeledTree(N, tuple(map(tuple, edges.tolist())))
+    code = [int(v) for v in seq]
+    N = len(code) + 2
+    bad = [v for v in code if not 1 <= v <= N]
+    if bad:
+        raise BadLabel(f"code entry {bad[0]} outside 1..{N}")
+    deg = [1] * (N + 1)
+    for v in code:
+        deg[v] += 1
+    edges = []
+    ptr = leaf = deg.index(1, 1)
+    for v in code:
+        edges.append((leaf, v))
+        deg[v] -= 1
+        if deg[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            ptr = leaf = deg.index(1, ptr + 1)
+    edges.append((leaf, N))
+    return LabeledTree(N, tuple(edges))
 
 
 def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
@@ -282,10 +298,14 @@ def _require_kind(spec: EnsembleSpec, kind: Kind, what: str) -> None:
 def sample_prufer_codes(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Batch of ``size`` Prufer codes drawn exactly from the Gibbs measure.
+    """Batch of ``size`` tree words drawn exactly from the Gibbs measure.
 
-    Codes identify trees bijectively, so row counts over this output are
-    tree-level statistics.
+    Row m is a word of length N-2 over 1..N in which vertex v appears
+    deg(v) - 1 times, uniformly permuted; ``word_edges`` maps it to its
+    tree.  That map is a bijection with deg(v) = 1 + occurrences(v), as the
+    Prufer code is, so any such map gives the same tree law, and row counts
+    over this output are tree-level statistics.  (The rows are also
+    Prufer codes of trees with the same law, hence the name.)
     """
     _require_kind(spec, Kind.LABELED, "labeled sampling")
     degrees = sample_class_sequences(spec, N, size, rng)
@@ -297,7 +317,8 @@ def sample_prufer_codes(
 
 def sample_labeled_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> LabeledTree:
     """One exact draw from the labeled-tree Gibbs measure."""
-    return prufer_decode(sample_prufer_codes(spec, N, 1, rng)[0])
+    edges = word_edges(sample_prufer_codes(spec, N, 1, rng))[0]
+    return LabeledTree(N, tuple(map(tuple, edges.tolist())))
 
 
 def sample_plane_child_counts(
@@ -319,35 +340,80 @@ def sample_plane_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> P
 # ---------------------------------------------------------------------------
 # batch text writer
 
-#: Trees decoded and formatted per ``write`` by ``write_sample``: enough to
-#: amortize the per-call cost of the array steps, few enough that a
-#: sub-block's arrays and text stay a few MB at N = 1000 (whole 2000-tree
-#: blocks raised the peak RSS of ``sample`` by about 60 MB there).
-WRITE_BLOCK = 256
+#: Ceiling on the bytes that one ``write_sample`` sub-block spends on its
+#: values: eight per value for its int64 form and one per text cell of its
+#: digits and separator.  2 MB holds about 75 labeled trees at N = 1000,
+#: enough to amortize the per-call cost of the array steps (larger budgets
+#: ran no faster there); past N of about 7*10^4 (labeled) or 2*10^5 (plane)
+#: a sub-block is one tree.
+WRITE_BLOCK_BYTES = 2**21
+
+#: Separators written after a value, by kind: labeled rows are ``u v`` edge
+#: lines with a blank line after the last edge, plane rows are one
+#: space-separated line; the last one ends a tree.
+_SEPARATORS = {Kind.LABELED: (b" ", b"\n", b"\n\n"), Kind.PLANE: (b" ", b"\n")}
+
+
+def _text_table(top: int, seps: tuple[bytes, ...]) -> np.ndarray:
+    """Text cells of every (separator, value) pair, one fixed-width item each.
+
+    Item j * (top + 1) + v holds the ASCII digits of v (0 <= v <= top),
+    right-aligned, then ``seps[j]``; the other cells hold 0, so that
+    dropping the zero bytes of a gathered row leaves its ``%d`` text.
+    """
+    digits = len(str(top))
+    sep_width = max(map(len, seps))
+    table = np.zeros((len(seps), top + 1, digits + sep_width), dtype=np.uint8)
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for col in range(digits):
+        # the digit at ``place`` runs through 0..9 in runs of ``place`` values
+        place = 10 ** (digits - 1 - col)
+        cycles = top // (10 * place) + 1
+        column = np.tile(np.repeat(ascii_digits, place), cycles)[: top + 1]
+        if place > 1:
+            column[:place] = 0  # leading zeros
+        table[:, :, col] = column
+    for j, sep in enumerate(seps):
+        table[j, :, digits : digits + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
+    return table.reshape(-1).view(f"V{digits + sep_width}")
 
 
 def write_sample(spec: EnsembleSpec, rows: np.ndarray, out) -> np.ndarray:
     """Write sampled trees to ``out`` as text; return their summed chi.
 
-    ``rows`` are Prufer codes (labeled) or preorder child-count rows
-    (plane), as the samplers return them.  The text of tree r equals
-    ``prufer_decode(rows[r]).to_text() + "\n"`` (labeled) or
-    ``PlaneTree(rows[r]).to_text()`` (plane).  The result counts vertices
-    per shifted class over all rows; every class must be within the bound.
+    ``rows`` are tree words (labeled) or preorder child-count rows (plane),
+    as the samplers return them.  Labeled rows are decoded by ``word_edges``.
+    The text of tree r equals ``LabeledTree(N, edges).to_text() + "\n"``
+    (labeled) or ``PlaneTree(rows[r]).to_text()`` (plane).  Sub-blocks of
+    rows are encoded without per-tree formatting: one gather of each value's
+    digits and separator from ``_text_table``, one boolean compress of the
+    padding and one ``tobytes``.  A sub-block spends at most
+    ``WRITE_BLOCK_BYTES`` over its values (or holds one row), and its text is
+    written before the next one is made.  The result counts vertices per
+    shifted class over all rows; every class must be within the bound.
     """
-    if spec.kind is Kind.LABELED:
-        template = "%d %d\n" * (rows.shape[1] + 1) + "\n"  # N - 1 edges
-    else:
-        template = "%d " * (rows.shape[1] - 1) + "%d\n"
+    labeled = spec.kind is Kind.LABELED
+    N = rows.shape[1] + 2 if labeled else rows.shape[1]
+    n_values = 2 * (N - 1) if labeled else N
+    top = N if labeled else spec.D
+    seps = _SEPARATORS[spec.kind]
+    table = _text_table(top, seps)
+    sep_ids = np.zeros(n_values, dtype=np.int64)
+    if labeled:
+        sep_ids[1::2] = 1  # a newline after each edge
+    sep_ids[-1] = len(seps) - 1
+    offsets = sep_ids * (top + 1)
+    step = max(1, WRITE_BLOCK_BYTES // (n_values * (8 + table.itemsize)))
     totals = np.zeros(spec.n_classes, dtype=np.int64)
-    for start in range(0, rows.shape[0], WRITE_BLOCK):
-        part = rows[start : start + WRITE_BLOCK]
-        if spec.kind is Kind.LABELED:
+    for start in range(0, rows.shape[0], step):
+        part = rows[start : start + step]
+        if labeled:
             classes = code_occurrences(part)[:, 1:]
-            flat = prufer_edges(part).reshape(part.shape[0], -1)
+            values = word_edges(part).reshape(part.shape[0], n_values)
         else:
-            classes = flat = part
-        out.write("".join([template % tuple(row.tolist()) for row in flat]))
+            classes = values = part
+        cells = table[values + offsets].view(np.uint8)
+        out.write(cells[cells != 0].tobytes().decode("ascii"))
         totals += np.bincount(classes.ravel(), minlength=spec.n_classes)
     return totals
 
@@ -357,13 +423,14 @@ def write_sample(spec: EnsembleSpec, rows: np.ndarray, out) -> np.ndarray:
 
 
 def enumerate_labeled_trees(N: int) -> Iterator[LabeledTree]:
-    """Every labeled tree on N vertices exactly once, via all N^{N-2} codes."""
+    """Every labeled tree on N vertices exactly once, via ``word_edges`` of
+    all N^{N-2} words in lexicographic order."""
     if not 2 <= N <= MAX_ENUM_LABELED:
         raise TooLarge(f"labeled enumeration supports 2 <= N <= {MAX_ENUM_LABELED}")
-    # Every code in lexicographic order: digit j of row i in base N.
+    # Every word in lexicographic order: digit j of row i in base N.
     place = N ** np.arange(N - 3, -1, -1, dtype=np.int64)
     codes = np.arange(N ** (N - 2), dtype=np.int64)[:, None] // place % N + 1
-    for edges in prufer_edges(codes):
+    for edges in word_edges(codes):
         yield LabeledTree(N, tuple(map(tuple, edges.tolist())))
 
 

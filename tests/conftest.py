@@ -15,12 +15,31 @@ from scipy.stats import chi2
 from treegibbs import (
     EnsembleSpec,
     Kind,
+    LabeledTree,
     chi_of,
     energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
     prufer_encode,
 )
+from treegibbs.partition import profile_log_weights
+
+
+def word_tree(word) -> LabeledTree:
+    """The Foata-Fuchs-type word -> tree map of ``treegen.word_edges``, one
+    position at a time: with s = (N, w_1, ..., w_{N-2}), s_i's child is
+    s_{i+1} when that label is new, else the next label absent from s."""
+    word = [int(v) for v in word]
+    N = len(word) + 2
+    s = [N] + word
+    absent = iter(sorted(set(range(1, N + 1)) - set(s)))
+    seen: set[int] = set()
+    edges = []
+    for i, parent in enumerate(s):
+        seen.add(parent)
+        new = i + 1 < len(s) and s[i + 1] not in seen
+        edges.append((parent, s[i + 1] if new else next(absent)))
+    return LabeledTree(N, tuple(edges))
 
 
 def tree_key(tree, spec: EnsembleSpec) -> tuple[int, ...]:
@@ -89,6 +108,14 @@ def iter_profiles(k_min: int, D: int, total: int, weighted: int):
 
     rec(D, total, weighted, [])
     return results
+
+
+def log_count_by_profile(kind: Kind, N: int, profile) -> float:
+    """ln of the number of trees with class profile ``profile`` (one count
+    per class from k_min): the library's row form at beta = 0."""
+    counts = np.asarray(profile, dtype=np.int64)
+    spec = EnsembleSpec(kind, counts.size - 1 + kind.k_min, 0.0, (0.0,) * counts.size)
+    return float(profile_log_weights(spec, N, counts[None, :])[0])
 
 
 def iter_feasible_profiles(spec: EnsembleSpec, N: int):

@@ -12,7 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_log_partition, chi_square_check, gibbs_tree_law
+from conftest import (
+    brute_force_log_partition,
+    chi_square_check,
+    gibbs_tree_law,
+    log_count_by_profile,
+)
 from treegibbs import (
     CountVector,
     EnsembleSpec,
@@ -27,9 +32,7 @@ from treegibbs import (
     grid_minimize_J,
     j_free_gradient,
     lln_tail,
-    log_labeled_count_by_profile,
     log_partition,
-    log_plane_count_by_profile,
     prufer_decode,
     prufer_encode,
     rate_value,
@@ -70,7 +73,7 @@ def test_criterion_1_counting_equivalence():
             )
             uniq, counts = np.unique(profiles, axis=0, return_counts=True)
             for profile, count in zip(uniq, counts):
-                got = log_labeled_count_by_profile(N, profile)
+                got = log_count_by_profile(Kind.LABELED, N, profile)
                 worst = max(worst, abs(got - math.log(count)))
     for N in range(1, 11):
         D_full = max(N - 1, 1)
@@ -83,7 +86,7 @@ def test_criterion_1_counting_equivalence():
                 profile = tuple(cc.count(k) for k in range(D + 1))
                 observed[profile] = observed.get(profile, 0) + 1
             for profile, count in observed.items():
-                got = log_plane_count_by_profile(N, profile)
+                got = log_count_by_profile(Kind.PLANE, N, profile)
                 worst = max(worst, abs(got - math.log(count)))
     assert worst <= 1e-9
     print(f"\n[criterion 1] PASS - profile counts vs enumeration, max |dlog| = {worst:.3e}")

@@ -1,24 +1,28 @@
+import contextlib
+import io
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_same_text
+from conftest import assert_same_text, word_tree
 from treegibbs import (
     EnsembleSpec,
     LabeledTree,
     PlaneTree,
-    prufer_decode,
     prufer_encode,
     rng_stream,
     sample_plane_child_counts,
     sample_prufer_codes,
 )
-from treegibbs import cli, ldp, partition
+from treegibbs import cli, ldp, partition, treegen
 from treegibbs.cli import fmt, main
-from treegibbs.treegen import WRITE_BLOCK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -243,11 +247,13 @@ def test_sample_block_bounded_by_class_count(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["labeled", "plane"])
-def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind):
-    # The batch writer against the single-tree API, over several sub-blocks:
-    # the same draws decoded and printed one tree at a time, and a summary
+def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind, monkeypatch):
+    # The batch writer against the single-tree reference, over several
+    # sub-blocks (4 KB each: 15 labeled or 34 plane trees at N = 12): the
+    # same draws decoded and printed one tree at a time, and a summary
     # recounted from the printed trees.
-    N, samples, seed = 12, 2 * WRITE_BLOCK + 7, 21
+    monkeypatch.setattr(treegen, "WRITE_BLOCK_BYTES", 2**12)
+    N, samples, seed = 12, 519, 21
     out = tmp_path / "sample.txt"
     argv = ["sample", "--kind", kind, "--bound", "3", "--n", str(N),
             "--samples", str(samples), "--seed", str(seed), "--out", str(out)]
@@ -255,7 +261,7 @@ def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind):
     body, summary = out.read_text().split("# summary\n")
     spec = EnsembleSpec.labeled(3) if kind == "labeled" else EnsembleSpec.plane(3)
     if kind == "labeled":
-        trees = [prufer_decode(c) for c in sample_prufer_codes(spec, N, samples, rng_stream(seed, 0))]
+        trees = [word_tree(c) for c in sample_prufer_codes(spec, N, samples, rng_stream(seed, 0))]
         assert_same_text(body, "".join(tree.to_text() + "\n" for tree in trees))
         classes = np.concatenate(
             [np.bincount(np.array(block.split(), dtype=np.int64), minlength=N + 1)[1:] - 1
@@ -494,6 +500,60 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2 and "unknown key" in err
     code, _, _ = run_cli(capsys, "pstar", "--config", str(tmp_path / "missing.cfg"))
     assert code == 2
+
+
+_CONFIG_FAULTS = ("none", "kind", "bound", "energy", "list", "infeasible")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fault=st.sampled_from(_CONFIG_FAULTS),
+    kind=st.sampled_from(["labeled", "plane"]),
+    bound=st.integers(3, 5),
+    command=st.sampled_from(["sample", "ldp-table"]),
+    in_file=st.sets(st.sampled_from(["kind", "bound", "c", "n", "n-list"])),
+    data=st.data(),
+)
+def test_config_parsing_maps_to_exit_codes(fault, kind, bound, command, in_file, data):
+    # One request, each key given as a flag or in a --config file.  A bad
+    # kind, a missing bound, a wrong energy length or a malformed list exits
+    # 2; an N below the smallest tree exits 3; anything else exits 0.
+    n_classes = bound + 1 - (1 if kind == "labeled" else 0)
+    values = {"kind": kind, "bound": str(bound), "c": ["0"] * n_classes,
+              "n": "9", "n-list": ["8", "12"]}
+    if fault == "kind":
+        values["kind"] = data.draw(st.sampled_from(["tree", "Labeled", "3"]), label="kind")
+    elif fault == "bound":
+        del values["bound"]
+    elif fault == "energy":
+        values["c"] = ["0"] * (n_classes + data.draw(st.sampled_from([-1, 1]), label="len"))
+    elif fault == "list":
+        key = data.draw(st.sampled_from(["c", "n-list"]), label="list")
+        values[key] = values[key][:1] + [data.draw(st.sampled_from(["x", "1e", "0x1", "--"]))]
+    elif fault == "infeasible":
+        small = data.draw(st.integers(0, 1 if kind == "labeled" else 0), label="small N")
+        values["n"], values["n-list"] = str(small), [str(small)]
+    flag = {"kind": "--kind", "bound": "--bound", "c": "--energy", "n": "--n",
+            "n-list": "--n-list"}
+    argv = [command, "--samples", "3", "--eps", "0.05"]
+    lines = []
+    for key, value in values.items():
+        text = ",".join(value) if isinstance(value, list) else value
+        if key in in_file:
+            lines.append(f"{key} = [{text}]" if isinstance(value, list) else f"{key} = {text}")
+        else:
+            argv += [flag[key], text]
+    with tempfile.TemporaryDirectory() as tmp:
+        if lines:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("\n".join(lines) + "\n")
+            argv += ["--config", path]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    expected = {"none": 0, "infeasible": 3}.get(fault, 2)
+    assert code == expected, (argv, lines, err.getvalue())
 
 
 def test_nlist_must_increase(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_text, chi_square_check, gibbs_tree_law, tree_key
+from conftest import assert_same_text, chi_square_check, gibbs_tree_law, tree_key, word_tree
 from treegibbs import (
     BadLabel,
     BadStepSum,
@@ -34,7 +34,8 @@ from treegibbs import (
     sample_plane_tree,
     sample_prufer_codes,
 )
-from treegibbs.treegen import WRITE_BLOCK, write_sample
+from treegibbs import treegen
+from treegibbs.treegen import word_edges, write_sample
 
 
 def test_prufer_decode_examples():
@@ -94,31 +95,74 @@ def test_prufer_round_trip_property(code):
 def test_enumerate_labeled_matches_per_code_decode():
     N = 5
     codes = itertools.product(range(1, N + 1), repeat=N - 2)
-    assert list(enumerate_labeled_trees(N)) == [prufer_decode(c) for c in codes]
+    assert list(enumerate_labeled_trees(N)) == [word_tree(c) for c in codes]
 
 
-# (N, number of trees): every count crosses at least one sub-block boundary
-BATCH_CASES = [(2, 2 * WRITE_BLOCK + 5), (3, 2 * WRITE_BLOCK + 5), (4, 2 * WRITE_BLOCK + 5),
-               (10, 2 * WRITE_BLOCK + 5), (257, WRITE_BLOCK + 3)]
+def _all_words(N):
+    place = N ** np.arange(N - 3, -1, -1, dtype=np.int64)
+    return np.arange(N ** (N - 2), dtype=np.int64)[:, None] // place % N + 1
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_word_map_is_a_bijection_exhaustive(N):
+    # every word gives a distinct tree, with deg(v) = 1 + occurrences(v);
+    # N^(N-2) distinct trees are all the labeled trees (Cayley)
+    words = _all_words(N)
+    edges = word_edges(words)
+    assert edges.shape == (words.shape[0], N - 1, 2)
+    assert (edges[:, :, 0] < edges[:, :, 1]).all()
+    keys = (edges[:, :, 0] * (N + 1) + edges[:, :, 1])
+    assert (np.diff(keys, axis=1) > 0).all()  # canonical order
+    assert np.unique(keys, axis=0).shape[0] == N ** (N - 2)
+    rows = np.arange(words.shape[0])[:, None]
+    degrees = np.zeros((words.shape[0], N + 1), dtype=np.int64)
+    np.add.at(degrees, (np.broadcast_to(rows, (rows.size, N - 1)), edges[:, :, 0]), 1)
+    np.add.at(degrees, (np.broadcast_to(rows, (rows.size, N - 1)), edges[:, :, 1]), 1)
+    occurrences = treegen.code_occurrences(words)
+    np.testing.assert_array_equal(degrees[:, 1:], occurrences[:, 1:] + 1)
+    # each is a tree (prufer_encode raises NotATree on a cycle); every row
+    # up to N = 7, every 7th of the 262,144 at N = 8
+    for row in edges[:: 1 if N <= 7 else 7].tolist():
+        assert len(prufer_encode(LabeledTree(N, tuple(map(tuple, row))))) == N - 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40).flatmap(
+    lambda n: st.lists(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2),
+                       min_size=1, max_size=6)))
+def test_word_map_matches_per_row_reference(words):
+    N = len(words[0]) + 2
+    edges = word_edges(np.array(words, dtype=np.int64).reshape(len(words), N - 2))
+    assert [tuple(map(tuple, e)) for e in edges.tolist()] == [word_tree(w).edges for w in words]
+
+
+@pytest.fixture
+def small_write_blocks(monkeypatch):
+    # 4 KB per sub-block: every (N, count) case below spans several
+    # sub-blocks, of one row (N = 257, 300) up to a few hundred (N = 1, 2).
+    monkeypatch.setattr(treegen, "WRITE_BLOCK_BYTES", 2**12)
+
+
+BATCH_CASES = [(2, 517), (3, 517), (4, 517), (10, 517), (257, 259)]
 
 
 @pytest.mark.parametrize("N, count", BATCH_CASES)
-def test_write_sample_labeled_matches_per_tree(N, count):
+def test_write_sample_labeled_matches_per_tree(N, count, small_write_blocks):
     rng = rng_stream(41, N)
     codes = rng.integers(1, N + 1, size=(count, N - 2))
     spec = EnsembleSpec.labeled(max(N - 1, 2))  # every code's degrees fit
     out = io.StringIO()
     totals = write_sample(spec, codes, out)
-    trees = [prufer_decode(row) for row in codes]
-    assert [prufer_encode(tree) for tree in trees] == [tuple(row) for row in codes.tolist()]
+    trees = [word_tree(row) for row in codes]
+    occurrences = [np.bincount(row, minlength=N + 1)[1:] for row in codes]
+    assert [t.degrees().tolist() for t in trees] == [(o + 1).tolist() for o in occurrences]
     assert_same_text(out.getvalue(), "".join(tree.to_text() + "\n" for tree in trees))
     recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
     assert totals.tolist() == recount.tolist()
 
 
-@pytest.mark.parametrize("N, count", [(1, 2 * WRITE_BLOCK + 5), (2, 2 * WRITE_BLOCK + 5),
-                                      (9, 2 * WRITE_BLOCK + 5), (300, WRITE_BLOCK + 3)])
-def test_write_sample_plane_matches_per_tree(N, count):
+@pytest.mark.parametrize("N, count", [(1, 517), (2, 517), (9, 517), (300, 259)])
+def test_write_sample_plane_matches_per_tree(N, count, small_write_blocks):
     spec = EnsembleSpec.plane(3)
     rows = sample_plane_child_counts(spec, N, count, rng_stream(43, N))
     out = io.StringIO()
@@ -127,6 +171,44 @@ def test_write_sample_plane_matches_per_tree(N, count):
     assert_same_text(out.getvalue(), "".join(tree.to_text() for tree in trees))
     recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
     assert totals.tolist() == recount.tolist()
+
+
+def _percent_d_text(spec, rows):
+    """The text of ``write_sample`` by per-value ``%d`` formatting."""
+    if spec.kind is Kind.PLANE:
+        return "".join(" ".join("%d" % v for v in row) + "\n" for row in rows.tolist())
+    trees = word_edges(rows).tolist()
+    return "".join("".join("%d %d\n" % (u, v) for u, v in tree) + "\n" for tree in trees)
+
+
+@pytest.mark.parametrize("top", [9, 10, 99, 100, 999, 1000])
+def test_text_encoder_matches_percent_d_at_digit_boundaries(top):
+    # ``top`` is the largest value the digit table holds: the label N of a
+    # labeled tree (every label 1..N is written) or the plane bound D
+    words = rng_stream(7, top).integers(1, top + 1, size=(3, top - 2))
+    out = io.StringIO()
+    write_sample(EnsembleSpec.labeled(top - 1), words, out)
+    assert out.getvalue() == _percent_d_text(EnsembleSpec.labeled(top - 1), words)
+    rows = np.stack([np.arange(top + 1), np.arange(top, -1, -1)])
+    out = io.StringIO()
+    write_sample(EnsembleSpec.plane(top), rows, out)
+    assert out.getvalue() == _percent_d_text(EnsembleSpec.plane(top), rows)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_text_encoder_on_the_smallest_trees(N):
+    plane = EnsembleSpec.plane(2)
+    rows = np.array([t.child_counts for t in enumerate_plane_trees(N, 2)], dtype=np.int64)
+    out = io.StringIO()
+    write_sample(plane, rows, out)
+    assert out.getvalue() == _percent_d_text(plane, rows)
+    if N >= 2:  # labeled trees need two vertices
+        labeled = EnsembleSpec.labeled(2)
+        words = _all_words(N)
+        out = io.StringIO()
+        write_sample(labeled, words, out)
+        assert out.getvalue() == _percent_d_text(labeled, words)
+        assert out.getvalue() == "".join(word_tree(w).to_text() + "\n" for w in words)
 
 
 def test_cycle_lemma_examples():
@@ -286,6 +368,18 @@ def test_sampler_tree_level_exactness(spec):
     for row in rows:
         key = tuple(int(v) for v in row)
         observed[key] = observed.get(key, 0) + 1
+    stat, critical = chi_square_check(observed, law, draws)
+    assert stat < critical, f"chi-square {stat:.1f} >= {critical:.1f}"
+
+
+@pytest.mark.parametrize("spec", [s for s in SAMPLER_SPECS if s.kind is Kind.LABELED])
+def test_decoded_labeled_trees_follow_the_gibbs_law(spec):
+    # the sampled words decoded by ``word_edges``, keyed by canonical edge
+    # list, against the enumerated tree law keyed the same way
+    N, draws = 6, 60_000
+    law = {prufer_decode(code).edges: p for code, p in gibbs_tree_law(spec, N).items()}
+    edges = word_edges(sample_prufer_codes(spec, N, draws, rng_stream(271)))
+    observed = Counter(tuple(map(tuple, tree)) for tree in edges.tolist())
     stat, critical = chi_square_check(observed, law, draws)
     assert stat < critical, f"chi-square {stat:.1f} >= {critical:.1f}"
 
