@@ -8,9 +8,11 @@ Subcommands::
     treegibbs lln          --kind labeled --bound 3 --n-list 250,500 --delta 0.1
     treegibbs oracle-check --kind labeled --bound 3 --beta 1 --energy 0,0,1 --n 4
 
-Configuration may also come from a plain-text file (``--config PATH``) with
-one ``key = value`` per line; energy tables are written ``c = [v1, v2, ...]``
-and lists like ``n-list`` the same way.  Flags win over file values.  All
+Each option is one row of ``OPTIONS`` (config key -> flag, ``RunConfig``
+field, parser, help), read by ``make_parser`` and by ``load_config_file``
+for a ``--config PATH`` file of ``key = value`` lines, where lists are
+written ``c = [v1, v2, ...]``.  Flags win over file values; ``RunConfig``
+checks the merged values and the ``EnsembleSpec`` checks itself.  All
 randomized output is reproducible from (config, seed): sampling is sharded
 into blocks of ``SAMPLE_CELLS // max(N, n_classes)`` trees (at least one),
 n_classes being the number of degree classes, with one RNG stream per block
@@ -18,17 +20,17 @@ index, so the trees of a shorter run are a prefix of those of a longer one.
 Each (trees, N) or (trees, n_classes) int64 array of a block holds at most
 32 MB, or one tree's worth once N or n_classes passes ``SAMPLE_CELLS``.
 ``sample`` prints labeled trees as the sorted edge lists of their words
-under the Foata-Fuchs-type word -> tree map (``treegen.word_edges``; D. Foata
-& A. Fuchs, J. Combin. Theory 8, 1970), decoded a sub-block at a time, and
-encodes the text of both kinds with one table-driven gather per sub-block
-(``treegen.write_sample``), whose working arrays are bounded in bytes by
-``treegen.WRITE_BLOCK_BYTES``.
+under the Foata-Fuchs-type word -> tree map (``treegen.word_edges``;
+D. Foata & A. Fuchs, J. Combin. Theory 8, 1970), decoded a sub-block at a
+time, and encodes the text of both kinds with one table-driven gather per
+sub-block (``treegen.write_sample``, one call per command), whose working
+arrays are bounded in bytes by ``treegen.WRITE_BLOCK_BYTES``.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
-request, 4 verification failure.  ``ldp-table`` and the tail sums of ``lln``
-stream the profile lattice, so they are never refused for its size; their
-time grows like the lattice, N^(D-2) for labeled and N^(D-1) for plane
-trees.
+request, 4 verification failure; an error exits with the ``exit_code`` of
+its class (``errors``).  ``ldp-table`` and the tail sums of ``lln`` stream
+the profile lattice, so they are never refused for its size; their time
+grows like the lattice, N^(D-2) for labeled and N^(D-1) for plane trees.
 """
 
 from __future__ import annotations
@@ -40,24 +42,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, Kind, validate_spec
-from .errors import (
-    BadEnergyTable,
-    BoundTooSmall,
-    KindMismatch,
-    LatticeTooLarge,
-    NoFeasibleTree,
-    OffManifold,
-    SizeOverflow,
-    TooLarge,
-    TreeGibbsError,
-)
+from .ensembles import EnsembleSpec, Kind
+from .errors import TreeGibbsError
 from .ldp import convergence_table, lln_tail
 from .partition import exact_chi_law, log_partition_value, profile_log_weights, rng_stream
 from .rate import j_values, manifold_grid, solve_pstar
 from .treegen import (
-    MAX_ENUM_LABELED,
-    MAX_ENUM_PLANE,
     chi_of,
     energy_of,
     enumerate_labeled_trees,
@@ -71,11 +61,15 @@ from .treegen import (
 #: block by ``sample``.
 SAMPLE_CELLS = 2**22
 
+#: Free-coordinate spacing 1/GRID_RESOLUTION of the rate grid behind the
+#: ``inf_I`` column of ``lln``.
+GRID_RESOLUTION = 1000
+
 ORACLE_TOL = 1e-9
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(TreeGibbsError, ValueError):
+    """Bad option value, missing option or unreadable file (exit 2)."""
 
 
 def fmt(x: float) -> str:
@@ -83,9 +77,37 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass
+def _list_of(item):
+    """Parser of a list written ``1,2,3``, ``1 2 3`` or ``[1, 2, 3]``."""
+
+    def parse(raw: str) -> list:
+        return [item(v) for v in raw.replace("[", " ").replace("]", " ").replace(",", " ").split()]
+
+    parse.__name__ = f"{item.__name__} list"
+    return parse
+
+
+#: config key -> (flag, RunConfig field, parser, help)
+OPTIONS = {
+    "kind": ("--kind", "kind", Kind, "ensemble kind: labeled or plane"),
+    "bound": ("--bound", "bound", int, "degree/branching bound D"),
+    "beta": ("--beta", "beta", float, "inverse temperature"),
+    "c": ("--energy", "c", _list_of(float), "energy table, e.g. '0,0,1' or '[0,0,1]'"),
+    "n": ("--n", "n", int, "vertex count N"),
+    "n-list": ("--n-list", "n_list", _list_of(int), "list of N values"),
+    "eps": ("--eps", "eps", float, "l1 ball radius"),
+    "delta": ("--delta", "delta", float, "l1 tail radius"),
+    "samples": ("--samples", "samples", int, "number of sampled trees"),
+    "seed": ("--seed", "seed", int, "64-bit RNG seed"),
+    "out": ("--out", "out", str, "output path (default stdout)"),
+}
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    kind: str | None = None
+    """One request: the merged option values, checked on construction."""
+
+    kind: Kind | None = None
     bound: int | None = None
     beta: float = 0.0
     c: list[float] | None = None
@@ -95,18 +117,25 @@ class RunConfig:
     delta: float = 0.1
     samples: int = 1
     seed: int = 0
-    resolution: int = 1000
     out: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.n_list is not None and any(
+            b <= a for a, b in zip(self.n_list, self.n_list[1:])
+        ):
+            raise ConfigError("n-list must be strictly increasing")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must be a 64-bit unsigned integer")
+
     def spec(self) -> EnsembleSpec:
-        if self.kind not in ("labeled", "plane"):
-            raise ConfigError("kind must be 'labeled' or 'plane'")
+        if self.kind is None:
+            raise ConfigError("missing ensemble kind (--kind)")
         if self.bound is None:
             raise ConfigError("missing degree bound (--bound)")
-        kind = Kind(self.kind)
-        n_classes = self.bound - kind.k_min + 1
-        c = tuple(self.c) if self.c is not None else (0.0,) * n_classes
-        return validate_spec(EnsembleSpec(kind, self.bound, self.beta, c))
+        make = EnsembleSpec.labeled if self.kind is Kind.LABELED else EnsembleSpec.plane
+        return make(self.bound, self.beta, self.c)
 
     def require_n(self) -> int:
         if self.n is None:
@@ -121,40 +150,8 @@ class RunConfig:
         raise ConfigError("missing N list (--n-list)")
 
 
-def _parse_scalar(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("bound", "n", "samples", "seed", "resolution"):
-        return int(raw)
-    if key in ("beta", "eps", "delta"):
-        return float(raw)
-    if key in ("c", "n-list"):
-        inner = raw.strip()
-        if inner.startswith("[") and inner.endswith("]"):
-            inner = inner[1:-1]
-        parts = [v for v in inner.replace(",", " ").split() if v]
-        if key == "c":
-            return [float(v) for v in parts]
-        return [int(v) for v in parts]
-    return raw
-
-
-_CONFIG_KEYS = {
-    "kind": "kind",
-    "bound": "bound",
-    "beta": "beta",
-    "c": "c",
-    "n": "n",
-    "n-list": "n_list",
-    "eps": "eps",
-    "delta": "delta",
-    "samples": "samples",
-    "seed": "seed",
-    "resolution": "resolution",
-    "out": "out",
-}
-
-
 def load_config_file(path: str) -> dict:
+    """RunConfig field values from the ``key = value`` lines of a file."""
     values = {}
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -168,71 +165,30 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        _, field, parse, _ = OPTIONS[key]
         try:
-            values[_CONFIG_KEYS[key]] = _parse_scalar(key, raw)
+            values[field] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    overrides = {
-        "kind": args.kind,
-        "bound": args.bound,
-        "beta": args.beta,
-        "c": args.energy,
-        "n": args.n,
-        "n_list": args.n_list,
-        "eps": args.eps,
-        "delta": args.delta,
-        "samples": args.samples,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if cfg.n_list is not None and any(
-        b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])
-    ):
-        raise ConfigError("n-list must be strictly increasing")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if not 0 <= cfg.seed < 2**64:
-        raise ConfigError("seed must be a 64-bit unsigned integer")
-    return cfg
-
-
-def _float_list(raw: str) -> list[float]:
-    return [float(v) for v in raw.replace("[", "").replace("]", "").replace(",", " ").split()]
-
-
-def _int_list(raw: str) -> list[int]:
-    return [int(v) for v in raw.replace("[", "").replace("]", "").replace(",", " ").split()]
+    """The config file's values, overridden by every flag given."""
+    values = load_config_file(args.config) if args.config else {}
+    for _, field, _, _ in OPTIONS.values():
+        if getattr(args, field) is not None:
+            values[field] = getattr(args, field)
+    return RunConfig(**values)
 
 
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--kind", choices=("labeled", "plane"))
-    common.add_argument("--bound", type=int, help="degree/branching bound D")
-    common.add_argument("--beta", type=float, help="inverse temperature")
-    common.add_argument(
-        "--energy", type=_float_list, help="energy table, e.g. '0,0,1' or '[0,0,1]'"
-    )
-    common.add_argument("--n", type=int, help="vertex count N")
-    common.add_argument("--n-list", dest="n_list", type=_int_list, help="list of N values")
-    common.add_argument("--eps", type=float, help="l1 ball radius")
-    common.add_argument("--delta", type=float, help="l1 tail radius")
-    common.add_argument("--samples", type=int, help="number of sampled trees")
-    common.add_argument("--seed", type=int, help="64-bit RNG seed")
-    common.add_argument("--out", help="output path (default stdout)")
+    for flag, field, parse, help_text in OPTIONS.values():
+        common.add_argument(flag, dest=field, type=parse, help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="treegibbs",
@@ -273,15 +229,12 @@ def cmd_sample(cfg: RunConfig, out) -> int:
     N = cfg.require_n()
     ctx = solve_pstar(spec)
     block = max(1, SAMPLE_CELLS // max(N, spec.n_classes))
-    class_totals = np.zeros(spec.n_classes, dtype=np.int64)
-    for index, start in enumerate(range(0, cfg.samples, block)):
-        count = min(block, cfg.samples - start)
-        rng = rng_stream(cfg.seed, index)
-        if spec.kind is Kind.LABELED:
-            rows = sample_prufer_codes(spec, N, count, rng)
-        else:
-            rows = sample_plane_child_counts(spec, N, count, rng)
-        class_totals += write_sample(spec, rows, out)
+    draw = sample_prufer_codes if spec.kind is Kind.LABELED else sample_plane_child_counts
+    blocks = (
+        draw(spec, N, min(block, cfg.samples - start), rng_stream(cfg.seed, index))
+        for index, start in enumerate(range(0, cfg.samples, block))
+    )
+    class_totals = write_sample(spec, blocks, out)
 
     freq = class_totals / float(cfg.samples * N)
     out.write("# summary\n")
@@ -306,13 +259,13 @@ def cmd_ldp_table(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _grid_inf_rate(ctx, resolution: int, delta: float) -> float:
+def _grid_inf_rate(ctx, delta: float) -> float:
     """inf I over the grid points of M farther than ``delta`` (l1) from p*.
 
     A function of its own so that the grid is freed before the tail loop.
     """
     spec = ctx.spec
-    grid = manifold_grid(spec, resolution)
+    grid = manifold_grid(spec, GRID_RESOLUTION)
     rate_grid = j_values(spec, grid) - ctx.Jstar
     dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
     outside = dist > delta
@@ -322,7 +275,7 @@ def _grid_inf_rate(ctx, resolution: int, delta: float) -> float:
 def cmd_lln(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     ctx = solve_pstar(spec)
-    inf_rate = _grid_inf_rate(ctx, cfg.resolution, cfg.delta)
+    inf_rate = _grid_inf_rate(ctx, cfg.delta)
     out.write("N,delta,tail_prob,empirical_rate,inf_I\n")
     for N in cfg.require_n_list():
         tail = lln_tail(spec, N, cfg.delta, ctx=ctx)
@@ -334,16 +287,11 @@ def cmd_lln(cfg: RunConfig, out) -> int:
 def cmd_oracle_check(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     N = cfg.require_n()
-    limit = MAX_ENUM_LABELED if spec.kind is Kind.LABELED else MAX_ENUM_PLANE
-    if N > limit:
-        raise TooLarge(f"oracle-check supports N <= {limit} for {spec.kind.value}")
-
+    # never empty: the path fits every valid D
     if spec.kind is Kind.LABELED:
-        trees = list(enumerate_labeled_trees(N))
+        trees = [t for t in enumerate_labeled_trees(N) if t.degrees().max() <= spec.D]
     else:
         trees = list(enumerate_plane_trees(N, spec.D))
-    # never empty: the path fits every valid D
-    trees = [t for t in trees if _max_class(t, spec) <= spec.D]
 
     profile_counts: dict[tuple[int, ...], int] = {}
     weights: dict[tuple[int, ...], float] = {}
@@ -384,12 +332,6 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     return 4 if failed else 0
 
 
-def _max_class(tree, spec: EnsembleSpec) -> int:
-    if spec.kind is Kind.LABELED:
-        return int(tree.degrees().max())
-    return max(tree.child_counts)
-
-
 _COMMANDS = {
     "pstar": cmd_pstar,
     "sample": cmd_sample,
@@ -408,19 +350,17 @@ def main(argv=None) -> int:
     try:
         cfg = build_run_config(args)
         command = _COMMANDS[args.command]
-        if cfg.out:
-            with open(cfg.out, "w", encoding="ascii", newline="\n") as out:
-                return command(cfg, out)
-        return command(cfg, sys.stdout)
-    except (ConfigError, BoundTooSmall, BadEnergyTable, KindMismatch, OffManifold) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoFeasibleTree, SizeOverflow, LatticeTooLarge, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if not cfg.out:
+            return command(cfg, sys.stdout)
+        try:
+            out = open(cfg.out, "w", encoding="ascii", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot open output: {exc}") from exc
+        with out:
+            return command(cfg, out)
     except (TreeGibbsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def entry() -> None:

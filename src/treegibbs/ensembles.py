@@ -63,7 +63,9 @@ class EnsembleSpec:
     """Ensemble parameters: kind, class bound D, inverse temperature, energies.
 
     ``c[i]`` is the energy of class ``k_min + i``, i.e. degrees ``1..D`` for
-    labeled trees and child counts ``0..D`` for plane trees.
+    labeled trees and child counts ``0..D`` for plane trees.  A spec
+    validates itself on construction (``validate_spec``), so every
+    ``EnsembleSpec`` in hand is valid and no consumer checks it again.
     """
 
     kind: Kind
@@ -75,6 +77,7 @@ class EnsembleSpec:
         object.__setattr__(self, "D", int(self.D))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+        validate_spec(self)
 
     @property
     def k_min(self) -> int:
@@ -250,13 +253,9 @@ def freq_from_counts(n: CountVector) -> FrequencyVector:
 
 def as_frequency(spec: EnsembleSpec, p) -> FrequencyVector:
     """Coerce an array-like (or pass through a FrequencyVector) for ``spec``."""
-    if isinstance(p, FrequencyVector):
-        if p.kind is not spec.kind:
-            raise KindMismatch("frequency vector kind does not match spec")
-        if p.p.size != spec.n_classes:
-            raise ValueError("frequency vector length does not match spec")
-        return p
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.size != spec.n_classes:
+    fv = p if isinstance(p, FrequencyVector) else FrequencyVector(spec.kind, p)
+    if fv.kind is not spec.kind:
+        raise KindMismatch("frequency vector kind does not match spec")
+    if fv.p.size != spec.n_classes:
         raise ValueError("frequency vector length does not match spec")
-    return FrequencyVector(spec.kind, arr)
+    return fv

@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``exit_code`` on each class is the exit status of the command-line front
+end: 2 (the default) for a bad request, 3 for a well-formed request that is
+infeasible or oversize (``NoFeasibleTree``, ``SizeOverflow``,
+``LatticeTooLarge``, ``TooLarge``).  The front end also exits 2 on a bad
+option or a plain ``ValueError``, and 4 when ``oracle-check`` finds a
+deviation.
+"""
 
 
 class TreeGibbsError(Exception):
     """Base class for all treegibbs errors."""
+
+    exit_code = 2
 
 
 class BoundTooSmall(TreeGibbsError, ValueError):
@@ -24,13 +34,19 @@ class SumMismatch(TreeGibbsError, ValueError):
 class SizeOverflow(TreeGibbsError, ValueError):
     """Requested DP table exceeds the configured memory budget."""
 
+    exit_code = 3
+
 
 class NoFeasibleTree(TreeGibbsError, ValueError):
     """No tree satisfies the ensemble constraints at this size."""
 
+    exit_code = 3
+
 
 class LatticeTooLarge(TreeGibbsError, ValueError):
     """Profile lattice or grid enumeration exceeds the configured cap."""
+
+    exit_code = 3
 
 
 class OffManifold(TreeGibbsError, ValueError):
@@ -51,6 +67,8 @@ class BadStepSum(TreeGibbsError, ValueError):
 
 class TooLarge(TreeGibbsError, ValueError):
     """Exhaustive enumeration requested beyond the supported size."""
+
+    exit_code = 3
 
 
 class DegreeBoundExceeded(TreeGibbsError, ValueError):

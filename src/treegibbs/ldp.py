@@ -34,7 +34,6 @@ from .ensembles import (
     as_frequency,
     freq_from_counts,
     is_feasible,
-    validate_spec,
 )
 from .errors import NoFeasibleTree
 from .partition import (
@@ -105,9 +104,8 @@ def log_prob_ball(spec: EnsembleSpec, N: int, center, eps: float) -> float:
     lattice is streamed, never held: memory stays within a few blocks of
     ``partition.LATTICE_BLOCK_BYTES`` at any N.
     """
-    validate_spec(spec)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:  # NaN fails too
+        raise ValueError(f"eps must be positive, got {eps!r}")
     center_arr = as_frequency(spec, center).p
     return _log_mass(spec, N, center_arr, lambda dist: dist <= eps)
 
@@ -209,7 +207,6 @@ def r_set(x, N: int, spec: EnsembleSpec) -> list[FrequencyVector]:
 
     ``x`` may be a FrequencyVector or the profile counts themselves.
     """
-    validate_spec(spec)
     if isinstance(x, CountVector):
         n = x
     else:
@@ -292,9 +289,8 @@ def lln_tail(
     Streamed like ``log_prob_ball``; 0.0 when no feasible profile lies
     outside the ball.
     """
-    validate_spec(spec)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:  # NaN fails too
+        raise ValueError(f"delta must be positive, got {delta!r}")
     if ctx is None:
         ctx = solve_pstar(spec)
     lp = _log_mass(spec, N, ctx.pstar.p, lambda dist: dist > delta)

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import kernels
 from .combinatorics import NEG_INF, log_factorial, log_factorials, log_sum
-from .ensembles import CountVector, EnsembleSpec, Kind, validate_spec
+from .ensembles import CountVector, EnsembleSpec, Kind
 from .errors import (
     LatticeTooLarge,
     NoFeasibleTree,
@@ -93,14 +93,14 @@ _TILT_MAX_ITER = 200
 _BRACKET = 60.0
 
 
-def rng_stream(seed: int, worker: int = 0) -> np.random.Generator:
-    """Deterministic 64-bit seeded stream, split by block index ``worker``.
+def rng_stream(seed: int, block: int = 0) -> np.random.Generator:
+    """Deterministic 64-bit seeded stream, split by block index ``block``.
 
-    Streams for distinct ``worker`` values are statistically independent;
-    the pair ``(seed, worker)`` fully determines the stream.
+    Streams for distinct ``block`` values are statistically independent;
+    the pair ``(seed, block)`` fully determines the stream.
     """
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(int(worker),)))
+        np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(int(block),)))
     )
 
 
@@ -211,7 +211,6 @@ def build_dp(spec: EnsembleSpec, N: int, *, max_cells: int = DEFAULT_MAX_CELLS) 
 
     Raises SizeOverflow when the table would exceed ``max_cells`` cells.
     """
-    validate_spec(spec)
     budget = shifted_budget(spec, N)
     cells = (N + 1) * (budget + 1)
     if cells > max_cells:
@@ -260,7 +259,6 @@ def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector) -> float:
 
     Raises SumMismatch when the profile does not account for all N vertices.
     """
-    validate_spec(spec)
     counts = n.as_array()
     if counts.size != spec.n_classes:
         raise ValueError("profile length does not match spec")
@@ -371,7 +369,6 @@ def enumerate_profiles(
     spec: EnsembleSpec, N: int, *, max_profiles: int = DEFAULT_MAX_PROFILES
 ) -> np.ndarray:
     """All feasible class profiles for (spec, N) as an (M, n_classes) matrix."""
-    validate_spec(spec)
     return integer_lattice(
         spec.k_min, spec.D, N, spec.kind.class_sum(N), max_points=max_profiles
     )
@@ -449,7 +446,6 @@ def sample_profiles(
     domain; LatticeTooLarge is raised when it has more than
     ``PROPOSAL_CELLS // n_classes`` profiles.
     """
-    validate_spec(spec)
     if size < 1:
         raise ValueError("size must be >= 1")
     budget = shifted_budget(spec, N)

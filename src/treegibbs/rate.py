@@ -37,7 +37,6 @@ from .ensembles import (
     FrequencyVector,
     Kind,
     as_frequency,
-    validate_spec,
 )
 from .errors import KindMismatch
 from .partition import integer_lattice, tilt, tilt_probs, word_log_weights
@@ -99,7 +98,6 @@ def j_values(spec: EnsembleSpec, pmat: np.ndarray) -> np.ndarray:
 
 def J_value(p, spec: EnsembleSpec) -> float:
     """J(p) for an on-manifold frequency vector; raises OffManifold otherwise."""
-    validate_spec(spec)
     fv = as_frequency(spec, p)
     fv.require_on_manifold()
     return float(j_values(spec, fv.p))
@@ -107,18 +105,14 @@ def J_value(p, spec: EnsembleSpec) -> float:
 
 def tilt_frequencies(x: float, spec: EnsembleSpec) -> FrequencyVector:
     """Normalized tilt member p_k(x) ~ w_k x^k; generally off-manifold."""
-    if x <= 0:
-        raise ValueError("tilt parameter must be positive")
-    validate_spec(spec)
+    if not x > 0:  # NaN fails too
+        raise ValueError(f"tilt parameter must be positive, got {x!r}")
     return FrequencyVector(spec.kind, tilt_probs(spec, float(np.log(x))))
 
 
 def tilt_mean(x: float, spec: EnsembleSpec) -> float:
     """Mean class under p(x); strictly increasing in x."""
-    if x <= 0:
-        raise ValueError("tilt parameter must be positive")
-    validate_spec(spec)
-    return float(spec.classes() @ tilt_probs(spec, float(np.log(x))))
+    return tilt_frequencies(x, spec).mean_class()
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +149,6 @@ def solve_pstar(spec: EnsembleSpec) -> RateContext:
     the bound itself (labeled D = 2, plane D = 1) the minimizer is the
     boundary point mass at class D and the boundary flag is set.
     """
-    validate_spec(spec)
     p, t = tilt(spec, spec.mean_target)
     boundary = t is None
     return RateContext(
@@ -212,7 +205,6 @@ def j_free_gradient(spec: EnsembleSpec, p) -> np.ndarray:
     Requires an interior point (all p_k > 0).  dJ/du_j collects the chain
     rule through the two pinned coordinates.
     """
-    validate_spec(spec)
     fv = as_frequency(spec, p)
     fv.require_on_manifold()
     arr = fv.p
@@ -235,7 +227,6 @@ def manifold_grid(
     rows); raises LatticeTooLarge when the lattice on M exceeds
     ``max_points``.
     """
-    validate_spec(spec)
     if resolution < 10:
         raise ValueError("resolution must be >= 10")
     weighted_total = round(spec.mean_target * resolution)

@@ -378,35 +378,39 @@ def _text_table(top: int, seps: tuple[bytes, ...]) -> np.ndarray:
     return table.reshape(-1).view(f"V{digits + sep_width}")
 
 
-def write_sample(spec: EnsembleSpec, rows: np.ndarray, out) -> np.ndarray:
+def write_sample(spec: EnsembleSpec, blocks, out) -> np.ndarray:
     """Write sampled trees to ``out`` as text; return their summed chi.
 
-    ``rows`` are tree words (labeled) or preorder child-count rows (plane),
-    as the samplers return them.  Labeled rows are decoded by ``word_edges``.
-    The text of tree r equals ``LabeledTree(N, edges).to_text() + "\n"``
-    (labeled) or ``PlaneTree(rows[r]).to_text()`` (plane).  Sub-blocks of
-    rows are encoded without per-tree formatting: one gather of each value's
-    digits and separator from ``_text_table``, one boolean compress of the
-    padding and one ``tobytes``.  A sub-block spends at most
-    ``WRITE_BLOCK_BYTES`` over its values (or holds one row), and its text is
-    written before the next one is made.  The result counts vertices per
-    shifted class over all rows; every class must be within the bound.
+    ``blocks`` is a nonempty iterable of row arrays of one N, each of tree
+    words (labeled) or preorder child-count rows (plane), as the samplers
+    return them; a lazy iterable is drawn one block at a time, and one text
+    table, sized by the first block, serves all of them.  Labeled rows are
+    decoded by ``word_edges``.  The text of tree r equals
+    ``LabeledTree(N, edges).to_text() + "\n"`` (labeled) or
+    ``PlaneTree(rows[r]).to_text()`` (plane).  Sub-blocks of rows are
+    encoded without per-tree formatting: one gather of each value's digits
+    and separator from ``_text_table``, one boolean compress of the padding
+    and one ``tobytes``.  A sub-block spends at most ``WRITE_BLOCK_BYTES``
+    over its values (or holds one row), and its text is written before the
+    next one is made.  The result counts vertices per shifted class over all
+    rows; every class must be within the bound.
     """
+    blocks = iter(blocks)
+    rows = next(blocks)
     labeled = spec.kind is Kind.LABELED
     N = rows.shape[1] + 2 if labeled else rows.shape[1]
     n_values = 2 * (N - 1) if labeled else N
     top = N if labeled else spec.D
     seps = _SEPARATORS[spec.kind]
     table = _text_table(top, seps)
-    sep_ids = np.zeros(n_values, dtype=np.int64)
+    offsets = np.zeros(n_values, dtype=np.int64)
     if labeled:
-        sep_ids[1::2] = 1  # a newline after each edge
-    sep_ids[-1] = len(seps) - 1
-    offsets = sep_ids * (top + 1)
+        offsets[1::2] = top + 1  # a newline after each edge
+    offsets[-1] = (len(seps) - 1) * (top + 1)
     step = max(1, WRITE_BLOCK_BYTES // (n_values * (8 + table.itemsize)))
-    totals = np.zeros(spec.n_classes, dtype=np.int64)
-    for start in range(0, rows.shape[0], step):
-        part = rows[start : start + step]
+
+    def encode(part: np.ndarray) -> np.ndarray:
+        # a frame of its own: a sub-block's arrays die before the next draw
         if labeled:
             classes = code_occurrences(part)[:, 1:]
             values = word_edges(part).reshape(part.shape[0], n_values)
@@ -414,7 +418,13 @@ def write_sample(spec: EnsembleSpec, rows: np.ndarray, out) -> np.ndarray:
             classes = values = part
         cells = table[values + offsets].view(np.uint8)
         out.write(cells[cells != 0].tobytes().decode("ascii"))
-        totals += np.bincount(classes.ravel(), minlength=spec.n_classes)
+        return np.bincount(classes.ravel(), minlength=spec.n_classes)
+
+    totals = np.zeros(spec.n_classes, dtype=np.int64)
+    while rows is not None:
+        for start in range(0, rows.shape[0], step):
+            totals += encode(rows[start : start + step])
+        rows = next(blocks, None)
     return totals
 
 

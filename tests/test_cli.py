@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import assert_same_text, word_tree
 from treegibbs import (
     EnsembleSpec,
+    Kind,
     LabeledTree,
     PlaneTree,
     prufer_encode,
@@ -466,6 +467,84 @@ def test_no_feasible_profile_exits_3(capsys, command, radius):
         capsys, command, "--kind", "labeled", "--bound", "3", "--n-list", "1", radius, "0.05"
     )
     assert code == 3 and "no feasible labeled profile at N=1" in err
+
+
+def test_sample_builds_one_text_table(tmp_path, monkeypatch):
+    # several RNG blocks go through one write_sample call and one text table
+    monkeypatch.setattr(cli, "SAMPLE_CELLS", 60)
+    builds: list[int] = []
+    build = treegen._text_table
+
+    def spy(top, seps):
+        builds.append(top)
+        return build(top, seps)
+
+    monkeypatch.setattr(treegen, "_text_table", spy)
+    draws: list[int] = []
+    draw = cli.sample_prufer_codes
+
+    def count_draws(spec, N, count, rng):
+        draws.append(count)
+        return draw(spec, N, count, rng)
+
+    monkeypatch.setattr(cli, "sample_prufer_codes", count_draws)
+    argv = ["sample", "--kind", "labeled", "--bound", "3", "--n", "6", "--samples", "25",
+            "--seed", "5", "--out", str(tmp_path / "multi.txt")]
+    assert main(argv) == 0
+    assert draws == [10, 10, 5] and builds == [6]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ldp-table", "--n-list", "100", "--eps", "nan"),
+        ("ldp-table", "--n-list", "100", "--eps", "0"),
+        ("lln", "--n-list", "100", "--delta", "nan"),
+        ("lln", "--n-list", "100", "--delta", "-0.1"),
+    ],
+)
+def test_radius_must_be_positive(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--kind", "labeled", "--bound", "3")
+    assert code == 2 and "must be positive" in err
+    assert "nan" not in out
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(
+        capsys, "pstar", "--kind", "labeled", "--bound", "3", "--out", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot open output") and err.count("\n") == 1
+    assert not path.exists()
+
+
+# one value per option key, as written in a config file and as a flag
+_OPTION_VALUES = {
+    "kind": ("plane", {"kind": Kind.PLANE}),
+    "bound": ("4", {"bound": 4}),
+    "beta": ("-1.5", {"beta": -1.5}),
+    "c": ("[0, 0.5, 1, 2]", {"c": [0.0, 0.5, 1.0, 2.0]}),
+    "n": ("17", {"n": 17}),
+    "n-list": ("[10, 20, 40]", {"n_list": [10, 20, 40]}),
+    "eps": ("0.25", {"eps": 0.25}),
+    "delta": ("0.125", {"delta": 0.125}),
+    "samples": ("7", {"samples": 7}),
+    "seed": ("18446744073709551615", {"seed": 2**64 - 1}),
+    "out": ("trees.txt", {"out": "trees.txt"}),
+}
+
+
+def test_every_option_key_round_trips(tmp_path):
+    assert set(_OPTION_VALUES) == set(cli.OPTIONS)
+    parser = cli.make_parser()
+    for key, (text, fields) in _OPTION_VALUES.items():
+        flag = cli.OPTIONS[key][0]
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key} = {text}\n")
+        from_file = cli.build_run_config(parser.parse_args(["pstar", "--config", str(path)]))
+        from_flag = cli.build_run_config(parser.parse_args(["pstar", flag, text]))
+        assert from_file == from_flag == cli.RunConfig(**fields), key
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -282,7 +282,7 @@ def test_rng_stream_reproducible_and_split():
     a = rng_stream(123).random(5)
     b = rng_stream(123).random(5)
     np.testing.assert_array_equal(a, b)
-    c = rng_stream(123, worker=1).random(5)
+    c = rng_stream(123, block=1).random(5)
     assert not np.array_equal(a, c)
 
 

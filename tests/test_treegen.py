@@ -152,7 +152,7 @@ def test_write_sample_labeled_matches_per_tree(N, count, small_write_blocks):
     codes = rng.integers(1, N + 1, size=(count, N - 2))
     spec = EnsembleSpec.labeled(max(N - 1, 2))  # every code's degrees fit
     out = io.StringIO()
-    totals = write_sample(spec, codes, out)
+    totals = write_sample(spec, [codes], out)
     trees = [word_tree(row) for row in codes]
     occurrences = [np.bincount(row, minlength=N + 1)[1:] for row in codes]
     assert [t.degrees().tolist() for t in trees] == [(o + 1).tolist() for o in occurrences]
@@ -166,7 +166,7 @@ def test_write_sample_plane_matches_per_tree(N, count, small_write_blocks):
     spec = EnsembleSpec.plane(3)
     rows = sample_plane_child_counts(spec, N, count, rng_stream(43, N))
     out = io.StringIO()
-    totals = write_sample(spec, rows, out)
+    totals = write_sample(spec, [rows], out)
     trees = [PlaneTree(tuple(row)) for row in rows]
     assert_same_text(out.getvalue(), "".join(tree.to_text() for tree in trees))
     recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
@@ -187,11 +187,11 @@ def test_text_encoder_matches_percent_d_at_digit_boundaries(top):
     # labeled tree (every label 1..N is written) or the plane bound D
     words = rng_stream(7, top).integers(1, top + 1, size=(3, top - 2))
     out = io.StringIO()
-    write_sample(EnsembleSpec.labeled(top - 1), words, out)
+    write_sample(EnsembleSpec.labeled(top - 1), [words], out)
     assert out.getvalue() == _percent_d_text(EnsembleSpec.labeled(top - 1), words)
     rows = np.stack([np.arange(top + 1), np.arange(top, -1, -1)])
     out = io.StringIO()
-    write_sample(EnsembleSpec.plane(top), rows, out)
+    write_sample(EnsembleSpec.plane(top), [rows], out)
     assert out.getvalue() == _percent_d_text(EnsembleSpec.plane(top), rows)
 
 
@@ -200,13 +200,13 @@ def test_text_encoder_on_the_smallest_trees(N):
     plane = EnsembleSpec.plane(2)
     rows = np.array([t.child_counts for t in enumerate_plane_trees(N, 2)], dtype=np.int64)
     out = io.StringIO()
-    write_sample(plane, rows, out)
+    write_sample(plane, [rows], out)
     assert out.getvalue() == _percent_d_text(plane, rows)
     if N >= 2:  # labeled trees need two vertices
         labeled = EnsembleSpec.labeled(2)
         words = _all_words(N)
         out = io.StringIO()
-        write_sample(labeled, words, out)
+        write_sample(labeled, [words], out)
         assert out.getvalue() == _percent_d_text(labeled, words)
         assert out.getvalue() == "".join(word_tree(w).to_text() + "\n" for w in words)
 
