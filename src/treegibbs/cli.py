@@ -28,9 +28,9 @@ arrays are bounded in bytes by ``treegen.WRITE_BLOCK_BYTES``.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
 request, 4 verification failure; an error exits with the ``exit_code`` of
-its class (``errors``).  ``ldp-table`` and the tail sums of ``lln`` stream
-the profile lattice, so they are never refused for its size; their time
-grows like the lattice, N^(D-2) for labeled and N^(D-1) for plane trees.
+its class (``errors``).  ``ldp-table`` and ``lln`` stream the profile
+lattice and the rate grid, so they are never refused for their size; the
+ball and tail sums fold only the profiles that carry mass (``ldp``).
 """
 
 from __future__ import annotations
@@ -45,8 +45,14 @@ import numpy as np
 from .ensembles import EnsembleSpec, Kind
 from .errors import TreeGibbsError
 from .ldp import convergence_table, lln_tail
-from .partition import exact_chi_law, log_partition_value, profile_log_weights, rng_stream
-from .rate import j_values, manifold_grid, solve_pstar
+from .partition import (
+    exact_chi_law,
+    lattice_blocks,
+    log_partition_value,
+    profile_log_weights,
+    rng_stream,
+)
+from .rate import j_values, solve_pstar
 from .treegen import (
     chi_of,
     energy_of,
@@ -260,27 +266,33 @@ def cmd_ldp_table(cfg: RunConfig, out) -> int:
 
 
 def _grid_inf_rate(ctx, delta: float) -> float:
-    """inf I over the grid points of M farther than ``delta`` (l1) from p*.
-
-    A function of its own so that the grid is freed before the tail loop.
-    """
+    """inf I over the points of the rate grid (``rate.manifold_grid`` at
+    ``GRID_RESOLUTION``) farther than ``delta`` (l1) from p*, folded block
+    by block over ``lattice_blocks``."""
     spec = ctx.spec
-    grid = manifold_grid(spec, GRID_RESOLUTION)
-    rate_grid = j_values(spec, grid) - ctx.Jstar
-    dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
-    outside = dist > delta
-    return float(rate_grid[outside].min()) if outside.any() else float("inf")
+    best = float("inf")
+    for block in lattice_blocks(
+        spec.k_min, spec.D, GRID_RESOLUTION, spec.kind.manifold_total(GRID_RESOLUTION)
+    ):
+        grid = block / GRID_RESOLUTION
+        dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
+        outside = grid[dist > delta]
+        if outside.size:
+            best = min(best, float(j_values(spec, outside).min()))
+    return best - ctx.Jstar
 
 
 def cmd_lln(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     ctx = solve_pstar(spec)
     inf_rate = _grid_inf_rate(ctx, cfg.delta)
-    out.write("N,delta,tail_prob,empirical_rate,inf_I\n")
+    rows = []
     for N in cfg.require_n_list():
         tail = lln_tail(spec, N, cfg.delta, ctx=ctx)
         emp = float("inf") if tail == 0.0 else -math.log(tail) / N
-        out.write(f"{N},{fmt(cfg.delta)},{fmt(tail)},{fmt(emp)},{fmt(inf_rate)}\n")
+        rows.append(f"{N},{fmt(cfg.delta)},{fmt(tail)},{fmt(emp)},{fmt(inf_rate)}\n")
+    out.write("N,delta,tail_prob,empirical_rate,inf_I\n")
+    out.writelines(rows)
     return 0
 
 

@@ -12,9 +12,12 @@ the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
 (degree sum 2N-2) and ``N-1`` for plane trees.
 
 The feasible profiles form an integer lattice of dimension K-2 (K the
-number of classes): ``lattice_blocks`` yields it in int64 blocks of at most
-``LATTICE_BLOCK_BYTES``, and the ball and tail sums of ``ldp`` fold those
-blocks into running log-sum-exps, so their memory does not grow with N.
+number of classes).  ``lattice_rows`` walks it as rows, on each of which
+the classes above 2 are fixed and m_2 runs over an interval, in batches of
+at most ``ROW_BATCH_BYTES``; ``lattice_blocks`` yields the points of every
+row in int64 blocks of at most ``LATTICE_BLOCK_BYTES``.  The ball and tail
+sums of ``ldp`` fold the part of each row that carries mass into running
+log-sum-exps, so their memory does not grow with N.
 ``integer_lattice`` joins the blocks into one matrix, under a cap of
 ``DEFAULT_MAX_PROFILES`` rows, for the callers that need every profile at
 once.  Among them is the exact law of chi, which normalizes itself:
@@ -74,11 +77,14 @@ DEFAULT_MAX_CELLS = 20_001 * 20_000
 
 #: Default ceiling on the profiles that ``integer_lattice`` materializes for
 #: ``exact_chi_law``, ``rate.manifold_grid`` and ``ldp.r_set_counts``; the
-#: ball and tail sums of ``ldp`` stream ``lattice_blocks`` and have no cap.
+#: ball and tail sums of ``ldp`` stream ``lattice_rows`` and have no cap.
 DEFAULT_MAX_PROFILES = 10_000_000
 
-#: Ceiling on the bytes of one int64 block of ``lattice_blocks``: 8 MB.
-LATTICE_BLOCK_BYTES = 2**23
+#: Ceiling on the bytes of one int64 block of ``lattice_blocks``: 1 MB.
+LATTICE_BLOCK_BYTES = 2**20
+
+#: Ceiling on the bytes of one batch of ``lattice_rows``: 1 MB.
+ROW_BATCH_BYTES = 2**20
 
 #: Ceiling on the cells of one proposal matrix in ``sample_profiles``
 #: (rows times classes, int64): 32 MB whatever the size of the request.
@@ -270,70 +276,117 @@ def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector) -> float:
     return float(lw - log_partition_value(spec, N))
 
 
-def lattice_blocks(k_min: int, k_max: int, total: int, weighted_total: int):
-    """Yield all integer vectors m >= 0 indexed by classes k_min..k_max with
-    ``sum m = total`` and ``sum k m_k = weighted_total``, in int64 blocks.
+@dataclass(frozen=True, eq=False)
+class LatticeRows:
+    """One batch of rows of the profile lattice (see ``lattice_rows``).
 
-    Each block is an (M, k_max - k_min + 1) matrix of at most
-    ``LATTICE_BLOCK_BYTES`` bytes.  Writing j for the shifted class k - k_min,
-    the walk is depth-first over the classes j >= 4; within each of its
-    leaves, the pairs (m_3, m_2) form one vectorized 2-D block, and m_1 and
-    m_0 are solved from the two constraints.  Rows come in ascending
-    lexicographic order of (m_{K-1}, ..., m_2), K the number of classes.
+    On row i the shifted classes j >= 3 hold ``upper[i]`` (class 3 first),
+    m_2 runs over ``lo[i]..hi[i]``, and m_1 = r[i] - 2 m_2 and
+    m_0 = t[i] - r[i] + m_2 follow from the two constraints.  Lattices of
+    one or two classes have at most one point, a row with m_2 (and m_1 for
+    one class) pinned to 0.
+    """
+
+    ncls: int
+    upper: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Lattice points on the rows."""
+        return int((self.hi - self.lo + 1).sum())
+
+    def points(self, a: np.ndarray, b: np.ndarray):
+        """Yield the points with a[i] <= m_2 <= b[i] on each row i (none
+        where b[i] < a[i]), row by row with m_2 ascending, in int64 blocks of
+        at most ``LATTICE_BLOCK_BYTES`` bytes."""
+        max_rows = max(1, LATTICE_BLOCK_BYTES // (8 * self.ncls))
+        counts = np.maximum(b - a + 1, 0)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        offset = starts - a  # m_2 = (point index in the batch) - offset[row]
+        for start in range(0, int(ends[-1]), max_rows):
+            stop = min(start + max_rows, int(ends[-1]))
+            # the rows of points start..stop-1, and their points in it
+            r0, r1 = np.searchsorted(ends, (start, stop - 1), side="right")
+            rows = slice(r0, r1 + 1)
+            n = np.minimum(ends[rows], stop) - np.maximum(starts[rows], start)
+            m2 = np.arange(start, stop, dtype=np.int64) - np.repeat(offset[rows], n)
+            t, r = np.repeat(self.t[rows], n), np.repeat(self.r[rows], n)
+            block = np.empty((m2.size, self.ncls), dtype=np.int64)
+            for k, col in enumerate((t - r + m2, r - 2 * m2, m2)[: self.ncls]):
+                block[:, k] = col
+            block[:, 3:] = np.repeat(self.upper[rows], n, axis=0)
+            yield block
+
+
+def lattice_rows(k_min: int, k_max: int, total: int, weighted_total: int):
+    """Yield the rows of the lattice of ``lattice_blocks`` in batches
+    (``LatticeRows``) of at most ``ROW_BATCH_BYTES`` bytes, empty rows left
+    out.
+
+    Writing j for the shifted class k - k_min, the walk is depth-first over
+    the classes j >= 4; each of its leaves is a vector of rows, one per m_3.
+    Rows come in ascending lexicographic order of (m_{K-1}, ..., m_3), K the
+    number of classes.
     """
     ncls = k_max - k_min + 1
     R = weighted_total - k_min * total  # shifted weighted sum
     if total < 0 or R < 0:
         return
-    if ncls == 1:
-        if R == 0:
-            yield np.array([[total]], dtype=np.int64)
+    if ncls < 3:
+        # m0 = total - R, m1 = R
+        if R <= total and (ncls == 2 or R == 0):
+            one = np.array([0], dtype=np.int64)
+            yield LatticeRows(
+                ncls, np.empty((1, 0), dtype=np.int64),
+                np.array([total], dtype=np.int64), np.array([R], dtype=np.int64), one, one,
+            )
         return
-    if ncls == 2:
-        # m1 = R, m0 = total - R
-        if R <= total:
-            yield np.array([[total - R, R]], dtype=np.int64)
-        return
-    max_rows = max(1, LATTICE_BLOCK_BYTES // (8 * ncls))
+    cap = max(1, ROW_BATCH_BYTES // (8 * (ncls + 1)))
+    parts: list[tuple] = []
+    count = 0
     # Children are pushed in reverse so that they pop in increasing order.
     stack = [(ncls - 1, total, R, ())]
     while stack:
         j, rem_total, rem_r, suffix = stack.pop()
-        if j <= 3:
-            yield from _leaf_blocks(ncls, rem_total, rem_r, suffix, max_rows)
+        if j > 3:
+            for m in range(min(rem_total, rem_r // j), -1, -1):
+                stack.append((j - 1, rem_total - m, rem_r - j * m, suffix + (m,)))
             continue
-        top = min(rem_total, rem_r // j)
-        for m in range(top, -1, -1):
-            stack.append((j - 1, rem_total - m, rem_r - j * m, suffix + (m,)))
+        # With three classes m_3 is absent, and the leaf is one row.
+        m3 = np.arange(min(rem_total, rem_r // 3) + 1 if ncls > 3 else 1, dtype=np.int64)
+        t, r = rem_total - m3, rem_r - 3 * m3
+        lo, hi = np.maximum(0, r - t), r // 2
+        keep = lo <= hi
+        if keep.any():
+            upper = np.empty((int(keep.sum()), ncls - 3), dtype=np.int64)
+            if ncls > 3:
+                upper[:, 0] = m3[keep]
+                upper[:, 1:] = suffix[::-1]
+            parts.append((upper, t[keep], r[keep], lo[keep], hi[keep]))
+            count += upper.shape[0]
+        while count >= cap or (count and not stack):
+            cols = [np.concatenate(c) for c in zip(*parts)]
+            yield LatticeRows(ncls, *(c[:cap] for c in cols))
+            parts = [tuple(c[cap:] for c in cols)]
+            count = max(count - cap, 0)
 
 
-def _leaf_blocks(ncls: int, rem_total: int, rem_r: int, suffix: tuple, max_rows: int):
-    """The rows of one leaf of ``lattice_blocks``: every (m_3, m_2) left once
-    the classes above 3 are fixed to ``suffix`` (top class first), cut into
-    blocks of at most ``max_rows`` rows.  With three classes m_3 is 0."""
-    # For each m3: m1 = r - 2*m2 >= 0 and m0 = t - r + m2 >= 0, where
-    # t = rem_total - m3 and r = rem_r - 3*m3.
-    top3 = min(rem_total, rem_r // 3) if ncls > 3 else 0
-    m3 = np.arange(top3 + 1, dtype=np.int64)
-    r = rem_r - 3 * m3
-    lo = np.maximum(0, r - (rem_total - m3))
-    counts = np.maximum(r // 2 - lo + 1, 0)
-    ends = np.cumsum(counts)
-    offset = ends - counts - lo  # m2 = (row index in the leaf) - offset[m3]
-    for start in range(0, int(ends[-1]), max_rows):
-        flat = np.arange(start, min(start + max_rows, int(ends[-1])), dtype=np.int64)
-        col3 = np.searchsorted(ends, flat, side="right")
-        col2 = flat - offset[col3]
-        col1 = r[col3] - 2 * col2
-        block = np.empty((flat.size, ncls), dtype=np.int64)
-        block[:, 0] = rem_total - col3 - col2 - col1
-        block[:, 1] = col1
-        block[:, 2] = col2
-        if ncls > 3:
-            block[:, 3] = col3
-        for off, v in enumerate(suffix):
-            block[:, ncls - 1 - off] = v
-        yield block
+def lattice_blocks(k_min: int, k_max: int, total: int, weighted_total: int):
+    """Yield all integer vectors m >= 0 indexed by classes k_min..k_max with
+    ``sum m = total`` and ``sum k m_k = weighted_total``, in int64 blocks.
+
+    This is every row of ``lattice_rows`` in full, in its order: ascending
+    lexicographic order of (m_{K-1}, ..., m_2), K the number of classes.
+    Each block is an (M, k_max - k_min + 1) matrix of at most
+    ``LATTICE_BLOCK_BYTES`` bytes, and may span rows.
+    """
+    for rows in lattice_rows(k_min, k_max, total, weighted_total):
+        yield from rows.points(rows.lo, rows.hi)
 
 
 def integer_lattice(

@@ -20,9 +20,10 @@ from treegibbs import (
     prufer_encode,
     rng_stream,
     sample_plane_child_counts,
+    solve_pstar,
     sample_prufer_codes,
 )
-from treegibbs import cli, ldp, partition, treegen
+from treegibbs import cli, ldp, partition, rate, treegen
 from treegibbs.cli import fmt, main
 
 SQRT2 = math.sqrt(2.0)
@@ -436,19 +437,38 @@ def test_lattice_commands_build_no_dp_table(capsys, monkeypatch, argv):
     ],
 )
 def test_lattice_commands_materialize_no_lattice(capsys, monkeypatch, argv):
-    # The ball and tail sums stream partition.lattice_blocks; the rate grid
-    # of lln (rate.manifold_grid) is not a profile lattice and is left alone.
+    # The ball and tail sums stream partition.lattice_rows, and the rate grid
+    # of lln streams partition.lattice_blocks: nothing is materialized.
     def refuse(*_args, **_kwargs):
-        raise AssertionError("profile lattice materialized")
+        raise AssertionError("lattice materialized")
 
-    for module in (partition, ldp, cli):
-        for name in ("exact_chi_law", "integer_lattice"):
+    for module in (partition, ldp, rate, cli):
+        for name in ("exact_chi_law", "integer_lattice", "manifold_grid"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     n_list = argv[argv.index("--n-list") + 1].split(",")
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == n_list
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EnsembleSpec.labeled(3), EnsembleSpec.labeled(5, 0.5, (0.0, 0.3, 0.0, 1.0, 0.2)),
+     EnsembleSpec.plane(4, 1.0, (0.0, 0.0, 0.0, 1.0, 2.0))],
+)
+def test_grid_inf_rate_matches_the_materialized_grid(monkeypatch, spec):
+    # blocks of 3 grid points; the oracle takes the minimum over the whole
+    # rate.manifold_grid at the same resolution
+    monkeypatch.setattr(cli, "GRID_RESOLUTION", 60)
+    monkeypatch.setattr(partition, "LATTICE_BLOCK_BYTES", 3 * 8 * spec.n_classes)
+    ctx = solve_pstar(spec)
+    grid = rate.manifold_grid(spec, 60)
+    values = rate.j_values(spec, grid) - ctx.Jstar
+    dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
+    for delta in (0.02, 0.3, 2.5):
+        want = values[dist > delta].min() if (dist > delta).any() else math.inf
+        assert cli._grid_inf_rate(ctx, delta) == want
 
 
 def test_ldp_table_past_the_lattice_cap(capsys):
@@ -467,6 +487,17 @@ def test_no_feasible_profile_exits_3(capsys, command, radius):
         capsys, command, "--kind", "labeled", "--bound", "3", "--n-list", "1", radius, "0.05"
     )
     assert code == 3 and "no feasible labeled profile at N=1" in err
+
+
+@pytest.mark.parametrize("command,radius", [("ldp-table", "--eps"), ("lln", "--delta")])
+@pytest.mark.parametrize("kind,bound", [("labeled", "2"), ("plane", "1"), ("labeled", "4")])
+def test_empty_lattice_exits_3_for_every_class_count(capsys, command, radius, kind, bound):
+    # N = 0: no profile, on the two-class lattices too
+    code, out, err = run_cli(
+        capsys, command, "--kind", kind, "--bound", bound, "--n-list", "0", radius, "0.05"
+    )
+    assert code == 3 and f"no feasible {kind} profile at N=0" in err
+    assert out == ""
 
 
 def test_sample_builds_one_text_table(tmp_path, monkeypatch):
@@ -506,7 +537,7 @@ def test_sample_builds_one_text_table(tmp_path, monkeypatch):
 def test_radius_must_be_positive(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--kind", "labeled", "--bound", "3")
     assert code == 2 and "must be positive" in err
-    assert "nan" not in out
+    assert out == ""  # nothing, not even the header, before a refusal
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chi_square_check, iter_profiles
 from treegibbs import (
@@ -20,7 +22,7 @@ from treegibbs import (
     rng_stream,
     solve_pstar,
 )
-from treegibbs import partition
+from treegibbs import ldp, partition
 from treegibbs.rate import j_values, manifold_grid
 
 NEG_INF = float("-inf")
@@ -248,3 +250,156 @@ def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
         got = lln_tail(spec, N, delta, ctx=ctx)
         assert 0.0 < got < 1.0 and abs(got - want) <= 1e-13 * want
     assert lln_tail(spec, N, 2.5, ctx=ctx) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the cut fold: only profiles within CUT_SLACK of the kept sums are folded
+
+
+def full_fold(spec, N, center, select):
+    """``ldp._log_mass`` with nothing cut (tau = -inf): every profile folded."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ldp, "CUT_SLACK", math.inf)
+        return ldp._log_mass(spec, N, center, select)
+
+
+def make_spec(kind, D, beta, c_raw):
+    n_classes = D + 1 - (1 if kind is Kind.LABELED else 0)
+    return EnsembleSpec(kind, D, beta, tuple(c_raw[:n_classes]))
+
+
+def pick_center(spec, mode, u, weights):
+    """p*, a manifold point moved off p* along (1, -2, 1, 0, ...), or a
+    point of the simplex off the manifold."""
+    pstar = solve_pstar(spec).pstar.p
+    if mode == "pstar" or (mode == "manifold" and spec.n_classes < 3):
+        return pstar
+    if mode == "manifold":
+        center = pstar.copy()
+        center[:3] += u * pstar[1] / 2 * np.array([1.0, -2.0, 1.0])
+        return center
+    w = np.asarray(weights[: spec.n_classes]) + 1e-3
+    return w / w.sum()
+
+
+KINDS = st.sampled_from([Kind.LABELED, Kind.PLANE])
+ENERGIES = st.lists(st.floats(-2.0, 2.0), min_size=7, max_size=7)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=KINDS,
+    D=st.integers(1, 6),
+    beta=st.floats(0.0, 30.0),
+    c_raw=ENERGIES,
+    N=st.integers(2, 60),
+    mode=st.sampled_from(["pstar", "manifold", "simplex"]),
+    u=st.floats(0.0, 1.0),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+    radius=st.floats(1e-3, 2.5),
+    tail=st.booleans(),
+)
+# the empty ball, the empty tail, and a tail of about e^-310
+@example(kind=Kind.LABELED, D=4, beta=1.0, c_raw=[0.0] * 7, N=50, mode="simplex", u=0.0,
+         weights=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], radius=1e-3, tail=False)
+@example(kind=Kind.PLANE, D=3, beta=0.5, c_raw=[0.0] * 7, N=40, mode="pstar", u=0.0,
+         weights=[0.0] * 7, radius=2.5, tail=True)
+@example(kind=Kind.PLANE, D=2, beta=30.0, c_raw=[0.0, 0.0, 1.0, 0, 0, 0, 0], N=60,
+         mode="pstar", u=0.0, weights=[0.0] * 7, radius=0.8, tail=True)
+def test_cut_fold_matches_the_full_fold(kind, D, beta, c_raw, N, mode, u, weights, radius,
+                                        tail):
+    if D < kind.mean:
+        D = kind.mean
+    spec = make_spec(kind, D, beta, c_raw)
+    center = pick_center(spec, mode, u, weights)
+    select = (lambda d: d > radius) if tail else (lambda d: d <= radius)
+    want = full_fold(spec, N, center, select)
+    got = ldp._log_mass(spec, N, center, select)
+    if want in (NEG_INF, 0.0):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_cut_fold_keeps_a_tail_below_e_minus_300():
+    spec = EnsembleSpec(Kind.PLANE, 2, 30.0, (0.0, 0.0, 1.0))
+    pstar = solve_pstar(spec).pstar.p
+    want = full_fold(spec, 60, pstar, lambda d: d > 0.8)
+    assert -400 < want < -300
+    got = ldp._log_mass(spec, 60, pstar, lambda d: d > 0.8)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=KINDS,
+    D=st.integers(1, 6),
+    beta=st.floats(0.0, 30.0),
+    c_raw=ENERGIES,
+    N=st.integers(1, 40),
+    batch_rows=st.integers(1, 8),
+    picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_row_cut_keeps_exactly_the_points_above_tau(kind, D, beta, c_raw, N, batch_rows,
+                                                    picks):
+    # Brute force per row: profile_log_weights of every point, against the
+    # row maxima and the {lw >= tau} intervals found by bisection.  Each tau
+    # lies halfway between two distinct log weights, far from rounding.
+    if D < kind.mean:
+        D = kind.mean
+    spec = make_spec(kind, D, beta, c_raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "ROW_BATCH_BYTES", 8 * (spec.n_classes + 1) * batch_rows)
+        batches = list(partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)))
+    for rows in batches:
+        cut = ldp._RowCut(spec, N, rows)
+        lw = partition.profile_log_weights(
+            spec, N, np.concatenate(list(rows.points(rows.lo, rows.hi))))
+        per_row = np.split(lw, np.cumsum(rows.hi - rows.lo + 1)[:-1])
+        scale = 1e-9 * (1.0 + np.abs(lw).max())
+        for i, values in enumerate(per_row):
+            assert abs(cut.top[i] - values.max()) <= scale
+            assert values[cut.peak[i] - rows.lo[i]] >= values.max() - scale
+        distinct = np.unique(lw)
+        taus = [NEG_INF, distinct[-1] + 1.0]
+        for q in picks:
+            j = min(int(q * (distinct.size - 1)), distinct.size - 2)
+            if j >= 0 and distinct[j + 1] - distinct[j] > scale:
+                taus.append((distinct[j] + distinct[j + 1]) / 2)
+        for tau in taus:
+            first, last = cut.interval(tau)
+            for i, values in enumerate(per_row):
+                kept = rows.lo[i] + np.flatnonzero(values >= tau)
+                np.testing.assert_array_equal(kept, np.arange(first[i], last[i] + 1))
+
+
+def test_cut_fold_second_pass_and_kept_share(monkeypatch):
+    # Counts, not timings: the lln tail of labeled D=4 at N=2000 is small
+    # enough that the certificate sends the fold below tau (a third walk of
+    # the rows), and the ball of plane D=4 at N=1600 folds under 10% of the
+    # lattice.
+    walks, folded = [], []
+    lattice_rows, log_weights = partition.lattice_rows, partition.profile_log_weights
+
+    def walk(*args):
+        walks.append(args)
+        return lattice_rows(*args)
+
+    def fold(spec, N, block):
+        folded.append(block.shape[0])
+        return log_weights(spec, N, block)
+
+    monkeypatch.setattr(ldp, "lattice_rows", walk)
+    monkeypatch.setattr(ldp, "profile_log_weights", fold)
+
+    spec = EnsembleSpec.labeled(4)
+    assert 0 < lln_tail(spec, 2000, 0.1) < 1e-4
+    assert len(walks) == 3
+
+    walks.clear()
+    folded.clear()
+    spec = EnsembleSpec(Kind.PLANE, 4, 1.0, (0.0, 0.0, 0.0, 1.0, 2.0))
+    log_prob_ball(spec, 1600, solve_pstar(spec).pstar, 0.05)
+    assert len(walks) == 2
+    points = sum(rows.size for rows in lattice_rows(*walks[0]))
+    assert sum(folded) < 0.1 * points

@@ -246,6 +246,33 @@ def test_lattice_blocks_property(k_min, ncls, total, offset, block_rows, slack):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    k_min=st.integers(0, 1),
+    ncls=st.integers(1, 7),
+    total=st.integers(0, 12),
+    offset=st.integers(0, 100),
+    batch_rows=st.integers(1, 6),
+)
+def test_lattice_rows_property(k_min, ncls, total, offset, batch_rows):
+    # batches of at most batch_rows rows; each row is one (m_{K-1}, ..., m_3)
+    # with m_2 free over lo..hi, nonempty, in ascending order, and the rows'
+    # points are the lattice
+    k_max = k_min + ncls - 1
+    low, high = k_min * total, k_max * total
+    weighted = max(0, low - 1) + offset % (high + 2 - max(0, low - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "ROW_BATCH_BYTES", 8 * (ncls + 1) * batch_rows)
+        batches = list(partition.lattice_rows(k_min, k_max, total, weighted))
+    assert all(0 < b.t.size <= batch_rows for b in batches)
+    assert all((b.lo <= b.hi).all() for b in batches)
+    keys = [tuple(row[::-1]) for b in batches for row in b.upper.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    points = [tuple(p) for b in batches for blk in b.points(b.lo, b.hi) for p in blk.tolist()]
+    assert sum(b.size for b in batches) == len(points)
+    assert set(points) == set(iter_profiles(k_min, k_max, total, weighted))
+
+
 def test_integer_lattice_leaves_no_reference_cycle():
     # Everything the enumeration builds is freed by reference counting alone,
     # so no block list outlives the call waiting for the cyclic collector.
