@@ -28,9 +28,9 @@ arrays are bounded in bytes by ``treegen.WRITE_BLOCK_BYTES``.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
 request, 4 verification failure; an error exits with the ``exit_code`` of
-its class (``errors``).  ``ldp-table`` and ``lln`` stream the profile
-lattice and the rate grid, so they are never refused for their size; the
-ball and tail sums fold only the profiles that carry mass (``ldp``).
+its class (``errors``).  ``sample``, ``ldp-table`` and ``lln`` are never
+refused for the size of the profile lattice or the rate grid: they stream
+both, and fold or draw only the profiles that carry mass (``partition``).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class ConfigError(TreeGibbsError, ValueError):
 
 def fmt(x: float) -> str:
     """Floating-point rendering used for every numeric output field."""
-    return f"{x:.12g}"
+    return f"{x + 0.0:.12g}"  # -0.0 + 0.0 is 0.0
 
 
 def _list_of(item):
@@ -130,6 +130,8 @@ class RunConfig:
             b <= a for a, b in zip(self.n_list, self.n_list[1:])
         ):
             raise ConfigError("n-list must be strictly increasing")
+        if min([self.n or 0, *(self.n_list or ())]) < 0:
+            raise ConfigError("vertex counts must be >= 0")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -2,8 +2,9 @@
 
 ``exit_code`` on each class is the exit status of the command-line front
 end: 2 (the default) for a bad request, 3 for a well-formed request that is
-infeasible or oversize (``NoFeasibleTree``, ``SizeOverflow``,
-``LatticeTooLarge``, ``TooLarge``).  The front end also exits 2 on a bad
+infeasible or oversize (``NoFeasibleTree``, ``SizeOverflow``, ``TooLarge``,
+and ``LatticeTooLarge``, which only the materializing callers of
+``partition.integer_lattice`` raise).  The front end also exits 2 on a bad
 option or a plain ``ValueError``, and 4 when ``oracle-check`` finds a
 deviation.
 """

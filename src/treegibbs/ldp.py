@@ -8,8 +8,8 @@ batch sizes.  By the LDP almost none of the lattice carries measurable
 mass at finite N, so only the profiles within ``CUT_SLACK`` nats (and the
 log of the lattice size) of the largest log weight are folded, and the
 fold certifies that what it cut lies below the rounding of both sums
-(``_log_mass``).  The log weight is concave along each row, so the kept
-part of a row is one interval, found by bisection.  Time grows like the
+(``_log_mass``).  The cut, one interval per row of the concave log weight,
+is ``partition.row_cuts``, which its sampler shares.  Time grows like the
 kept profiles, about (N ln N)^(d/2) on a lattice of dimension d (D-2 for
 labeled, D-1 for plane profiles), plus the N^(d-1) rows.  Finite-size rates
 ``r_N = -(1/N) ln P(ball)`` are compared against the rate function.  The
@@ -32,129 +32,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import NEG_INF, log_factorial, log_factorials
+from .combinatorics import NEG_INF
 from .ensembles import (
     CountVector,
     EnsembleSpec,
     FrequencyVector,
-    Kind,
     as_frequency,
     freq_from_counts,
     is_feasible,
 )
-from .errors import NoFeasibleTree
 from .partition import (
-    LatticeRows,
-    class_log_weights,
+    CUT_SLACK,
+    _RunningLogSum,
+    cut_level,
     integer_lattice,
-    lattice_rows,
     profile_log_weights,
+    row_cuts,
     sample_profiles,
 )
 from .rate import RateContext, rate_value, solve_pstar
-
-#: Nats by which the profiles cut from a ball or tail sum stay below each
-#: kept sum: e^-40 < 2^-57, under the rounding of a double.
-CUT_SLACK = 40.0
-
-
-class _RunningLogSum:
-    """ln sum e^v over arrays folded in one at a time.
-
-    The sum is kept as ``total`` times e^``top``, ``top`` the largest value
-    seen so far, and rescaled when a larger one arrives, so no term
-    overflows and a sum far below another's scale keeps its digits.
-    """
-
-    def __init__(self) -> None:
-        self.top = NEG_INF
-        self.total = 0.0
-
-    def log(self) -> float:
-        """ln of the sum; -inf while it is empty."""
-        return self.top + math.log(self.total) if self.total else NEG_INF
-
-    def add(self, values: np.ndarray) -> None:
-        top = float(values.max()) if values.size else NEG_INF
-        if top == NEG_INF:
-            return
-        if top > self.top:
-            self.total *= math.exp(self.top - top)
-            self.top = top
-        self.total += float(np.exp(values - self.top).sum())
-
-
-class _RowCut:
-    """The profile log weights along the rows of one ``LatticeRows`` batch,
-    their maxima, and the interval of each row where they are >= tau.
-
-    Along a row m_0 and m_1 are affine in m_2, and ln Gamma(x + 1) is
-    convex, so the log weight, const - sum ln m_k! + m . ``class_log_weights``,
-    is discretely concave in m_2: its forward difference falls, and
-    {lw >= tau} is one interval around the row's maximum.  Both are found by
-    vectorized bisection over the rows of the batch.
-    """
-
-    def __init__(self, spec: EnsembleSpec, N: int, rows: LatticeRows) -> None:
-        self.rows = rows
-        a = np.zeros(max(spec.n_classes, 3))
-        a[: spec.n_classes] = class_log_weights(spec)
-        self.a = a
-        const = log_factorial(N) + (
-            log_factorial(N - 2) if spec.kind is Kind.LABELED else -math.log(N)
-        )
-        self.base = const - log_factorials(rows.upper).sum(axis=1) + rows.upper @ a[3:]
-        # first m_2 whose forward difference is <= 0; never evaluated at hi,
-        # where m_1 < 2
-        step = a[0] - 2.0 * a[1] + a[2]
-
-        def falls(m2, i):
-            m0, m1 = rows.t[i] - rows.r[i] + m2, rows.r[i] - 2 * m2
-            return np.log(m1 * (m1 - 1.0)) - np.log((m0 + 1.0) * (m2 + 1.0)) + step <= 0
-
-        self.peak = _first(falls, rows.lo, rows.hi)
-        self.top = self.log_weights(self.peak, slice(None))
-
-    def log_weights(self, m2: np.ndarray, i) -> np.ndarray:
-        """Log weights of the points m_2 = ``m2`` on rows ``i``: those of
-        ``profile_log_weights``, to rounding."""
-        t, r, a = self.rows.t[i], self.rows.r[i], self.a
-        m0, m1 = t - r + m2, r - 2 * m2
-        return (
-            self.base[i] - log_factorials(m0) - log_factorials(m1) - log_factorials(m2)
-            + a[0] * m0 + a[1] * m1 + a[2] * m2
-        )
-
-    def interval(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the ends (first, last) of {m_2 : lw >= tau}; a row whose
-        maximum is below tau gets the empty interval (peak + 1, peak)."""
-        rows, peak = self.rows, self.peak
-        if tau == NEG_INF:
-            return rows.lo, rows.hi
-        first, last = peak + 1, peak.copy()
-        sel = np.flatnonzero(self.top >= tau)
-        first[sel] = _first(
-            lambda m2, i: self.log_weights(m2, sel[i]) >= tau, rows.lo[sel], peak[sel]
-        )
-        last[sel] = _first(
-            lambda m2, i: self.log_weights(m2, sel[i]) < tau, peak[sel] + 1, rows.hi[sel] + 1
-        ) - 1
-        return first, last
-
-
-def _first(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per row i, the least m in [lo[i], hi[i]] at which ``holds(m, i)``, a
-    vectorized predicate that is false and then true along each row; it is
-    taken to hold at hi[i], where it is never evaluated."""
-    lo, hi = lo.copy(), hi.copy()
-    idx = np.flatnonzero(lo < hi)
-    while idx.size:
-        mid = (lo[idx] + hi[idx]) // 2
-        ok = holds(mid, idx)
-        hi[idx] = np.where(ok, mid, hi[idx])
-        lo[idx] = np.where(ok, lo[idx], mid + 1)
-        idx = idx[lo[idx] < hi[idx]]
-    return lo
 
 
 def _log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
@@ -163,8 +59,8 @@ def _log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
 
     Only profiles whose log weight is at least tau are folded, tau =
     L - ln(lattice points) - ``CUT_SLACK``, L the largest profile log
-    weight: three walks of ``lattice_rows`` find L, fold each row's interval
-    above tau, and, if needed, fold the shell below it.  Every profile left
+    weight: three walks of ``row_cuts`` find tau (``cut_level``), fold each
+    row's interval above it, and, if needed, the shell below.  Every profile left
     out has log weight below tau, so the cut is certified when dropped e^tau
     <= e^-CUT_SLACK of both the selected sum S and the rest C.  If not, tau
     falls to min(ln S, ln C) - ln(dropped) - CUT_SLACK (-inf when a side is
@@ -174,21 +70,8 @@ def _log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
     Raises NoFeasibleTree when no profile is feasible; -inf when none is
     selected.
     """
-
-    def cuts():
-        for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
-            yield _RowCut(spec, N, rows)
-
-    points, top = 0, NEG_INF
-    for cut in cuts():
-        points += cut.rows.size
-        top = max(top, float(cut.top.max()))
-    if not points:
-        raise NoFeasibleTree(
-            f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}"
-        )
+    dropped, _, tau = cut_level(spec, N)  # every profile, until folded
     s, c = _RunningLogSum(), _RunningLogSum()  # the selected profiles, the rest
-    dropped = points
 
     def fold(rows, first, last):
         nonlocal dropped
@@ -201,13 +84,12 @@ def _log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
             s.add(lw[chosen])
             c.add(lw[~chosen])
 
-    tau = top - math.log(points) - CUT_SLACK
-    for cut in cuts():
+    for cut in row_cuts(spec, N):
         fold(cut.rows, *cut.interval(tau))
     floor = min(s.log(), c.log()) - CUT_SLACK
     if dropped and not math.log(dropped) + tau <= floor:
         low = floor - math.log(dropped) if floor > NEG_INF else NEG_INF
-        for cut in cuts():
+        for cut in row_cuts(spec, N):
             first, last = cut.interval(tau)
             low_first, low_last = cut.interval(low)
             fold(cut.rows, low_first, first - 1)

@@ -15,9 +15,10 @@ The feasible profiles form an integer lattice of dimension K-2 (K the
 number of classes).  ``lattice_rows`` walks it as rows, on each of which
 the classes above 2 are fixed and m_2 runs over an interval, in batches of
 at most ``ROW_BATCH_BYTES``; ``lattice_blocks`` yields the points of every
-row in int64 blocks of at most ``LATTICE_BLOCK_BYTES``.  The ball and tail
-sums of ``ldp`` fold the part of each row that carries mass into running
-log-sum-exps, so their memory does not grow with N.
+row in int64 blocks of at most ``LATTICE_BLOCK_BYTES``.  ``row_cuts`` keeps
+each row's interval within ``CUT_SLACK`` nats and ln(points) of the largest
+log weight (``cut_level``); the ball and tail sums of ``ldp`` fold it into
+running log-sum-exps and the sampler draws from it, in memory bounded in N.
 ``integer_lattice`` joins the blocks into one matrix, under a cap of
 ``DEFAULT_MAX_PROFILES`` rows, for the callers that need every profile at
 once.  Among them is the exact law of chi, which normalizes itself:
@@ -45,8 +46,8 @@ each kept profile out as a class row and permutes it uniformly, which is
 the entry point of both tree samplers.  This is Devroye's reduction
 ("Simulating size-constrained Galton-Watson trees", SIAM J. Comput. 41(1),
 2012).  When a class the budget needs has so small a tilt weight that
-hardly any proposal is kept, the profiles are drawn from ``exact_chi_law``
-instead.
+hardly any proposal is kept, the profiles are drawn instead by inverse CDF
+over the row cut, exact up to the e^-CUT_SLACK of mass that it drops.
 
 Randomness contract: every sampler takes a ``numpy.random.Generator``.
 ``rng_stream(seed, block)`` derives independent, reproducible streams from
@@ -65,12 +66,7 @@ import numpy as np
 from . import kernels
 from .combinatorics import NEG_INF, log_factorial, log_factorials, log_sum
 from .ensembles import CountVector, EnsembleSpec, Kind
-from .errors import (
-    LatticeTooLarge,
-    NoFeasibleTree,
-    SizeOverflow,
-    SumMismatch,
-)
+from .errors import LatticeTooLarge, NoFeasibleTree, SizeOverflow, SumMismatch
 
 #: Default ceiling on DP table cells, sized to admit N = 20000 for either kind.
 DEFAULT_MAX_CELLS = 20_001 * 20_000
@@ -91,7 +87,7 @@ ROW_BATCH_BYTES = 2**20
 PROPOSAL_CELLS = 2**22
 
 #: Proposals per kept profile past which ``sample_profiles`` stops rejecting
-#: and draws from the enumerated profile law.
+#: and draws from the row cut of the profile lattice.
 MAX_PROPOSALS_PER_HIT = 2**16
 
 _TILT_TOL = 1e-13
@@ -389,6 +385,130 @@ def lattice_blocks(k_min: int, k_max: int, total: int, weighted_total: int):
         yield from rows.points(rows.lo, rows.hi)
 
 
+#: Nats by which the profiles that ``cut_level``'s cut drops from a sum stay
+#: below it: e^-40 < 2^-57, under the rounding of a double.
+CUT_SLACK = 40.0
+
+
+class _RunningLogSum:
+    """ln sum e^v over arrays folded in one at a time.
+
+    The sum is kept as ``total`` times e^``top``, ``top`` the largest value
+    seen so far, and rescaled when a larger one arrives, so no term
+    overflows and a sum far below another's scale keeps its digits.
+    """
+
+    def __init__(self) -> None:
+        self.top = NEG_INF
+        self.total = 0.0
+
+    def log(self) -> float:
+        """ln of the sum; -inf while it is empty."""
+        return self.top + math.log(self.total) if self.total else NEG_INF
+
+    def add(self, values: np.ndarray) -> None:
+        top = float(values.max()) if values.size else NEG_INF
+        if top == NEG_INF:
+            return
+        if top > self.top:
+            self.total *= math.exp(self.top - top)
+            self.top = top
+        self.total += float(np.exp(values - self.top).sum())
+
+
+class _RowCut:
+    """The profile log weights along the rows of one ``LatticeRows`` batch,
+    their maxima, and the interval of each row where they are >= tau.
+
+    Along a row m_0 and m_1 are affine in m_2, and ln Gamma(x + 1) is
+    convex, so the log weight, const - sum ln m_k! + m . ``class_log_weights``,
+    is discretely concave in m_2: its forward difference falls, and
+    {lw >= tau} is one interval around the row's maximum.  Both are found by
+    vectorized bisection over the rows of the batch.
+    """
+
+    def __init__(self, spec: EnsembleSpec, N: int, rows: LatticeRows) -> None:
+        self.rows = rows
+        a = np.zeros(max(spec.n_classes, 3))
+        a[: spec.n_classes] = class_log_weights(spec)
+        self.a = a
+        const = log_factorial(N) + (
+            log_factorial(N - 2) if spec.kind is Kind.LABELED else -math.log(N)
+        )
+        self.base = const - log_factorials(rows.upper).sum(axis=1) + rows.upper @ a[3:]
+        # first m_2 whose forward difference is <= 0; never evaluated at hi,
+        # where m_1 < 2
+        step = a[0] - 2.0 * a[1] + a[2]
+
+        def falls(m2, i):
+            m0, m1 = rows.t[i] - rows.r[i] + m2, rows.r[i] - 2 * m2
+            return np.log(m1 * (m1 - 1.0)) - np.log((m0 + 1.0) * (m2 + 1.0)) + step <= 0
+
+        self.peak = _first(falls, rows.lo, rows.hi)
+        self.top = self.log_weights(self.peak, slice(None))
+
+    def log_weights(self, m2: np.ndarray, i) -> np.ndarray:
+        """Log weights of the points m_2 = ``m2`` on rows ``i``: those of
+        ``profile_log_weights``, to rounding."""
+        t, r, a = self.rows.t[i], self.rows.r[i], self.a
+        m0, m1 = t - r + m2, r - 2 * m2
+        return (
+            self.base[i] - log_factorials(m0) - log_factorials(m1) - log_factorials(m2)
+            + a[0] * m0 + a[1] * m1 + a[2] * m2
+        )
+
+    def interval(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the ends (first, last) of {m_2 : lw >= tau}; a row whose
+        maximum is below tau gets the empty interval (peak + 1, peak)."""
+        rows, peak = self.rows, self.peak
+        if tau == NEG_INF:
+            return rows.lo, rows.hi
+        first, last = peak + 1, peak.copy()
+        sel = np.flatnonzero(self.top >= tau)
+        first[sel] = _first(
+            lambda m2, i: self.log_weights(m2, sel[i]) >= tau, rows.lo[sel], peak[sel]
+        )
+        last[sel] = _first(
+            lambda m2, i: self.log_weights(m2, sel[i]) < tau, peak[sel] + 1, rows.hi[sel] + 1
+        ) - 1
+        return first, last
+
+
+def _first(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row i, the least m in [lo[i], hi[i]] at which ``holds(m, i)``, a
+    vectorized predicate that is false and then true along each row; it is
+    taken to hold at hi[i], where it is never evaluated."""
+    lo, hi = lo.copy(), hi.copy()
+    idx = np.flatnonzero(lo < hi)
+    while idx.size:
+        mid = (lo[idx] + hi[idx]) // 2
+        ok = holds(mid, idx)
+        hi[idx] = np.where(ok, mid, hi[idx])
+        lo[idx] = np.where(ok, lo[idx], mid + 1)
+        idx = idx[lo[idx] < hi[idx]]
+    return lo
+
+
+def row_cuts(spec: EnsembleSpec, N: int):
+    """Yield a ``_RowCut`` per batch of ``lattice_rows`` of the feasible profiles."""
+    for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
+        yield _RowCut(spec, N, rows)
+
+
+def cut_level(spec: EnsembleSpec, N: int) -> tuple[int, float, float]:
+    """One walk of ``row_cuts``: the number of feasible profiles, their
+    largest log weight L, and the cut tau = L - ln(points) - ``CUT_SLACK``,
+    below which all profiles together weigh under e^(L - CUT_SLACK).
+    Raises NoFeasibleTree when no profile is feasible."""
+    points, top = 0, NEG_INF
+    for cut in row_cuts(spec, N):
+        points += cut.rows.size
+        top = max(top, float(cut.top.max()))
+    if not points:
+        raise NoFeasibleTree(f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}")
+    return points, top, top - math.log(points) - CUT_SLACK
+
+
 def integer_lattice(
     k_min: int,
     k_max: int,
@@ -457,15 +577,13 @@ class ChiLaw:
         }
 
 
-def exact_chi_law(
-    spec: EnsembleSpec, N: int, *, max_profiles: int = DEFAULT_MAX_PROFILES
-) -> ChiLaw:
+def exact_chi_law(spec: EnsembleSpec, N: int) -> ChiLaw:
     """Exact finite-N law of chi: every feasible profile with its log-probability.
 
     Raises NoFeasibleTree when no profile is feasible and LatticeTooLarge
-    when there are more than ``max_profiles``.
+    when there are more than ``DEFAULT_MAX_PROFILES``.
     """
-    profiles = enumerate_profiles(spec, N, max_profiles=max_profiles)
+    profiles = enumerate_profiles(spec, N)
     if profiles.shape[0] == 0:
         raise NoFeasibleTree(
             f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}"
@@ -495,9 +613,9 @@ def sample_profiles(
     budget alone, so every kept row needs a class of tiny (or underflowed)
     weight: labeled D=3 with degree 2 suppressed at odd N, say.  Once the
     estimate falls below 1 in ``MAX_PROPOSALS_PER_HIT``, the remaining rows
-    are drawn from ``exact_chi_law`` instead, which is exact in the log
-    domain; LatticeTooLarge is raised when it has more than
-    ``PROPOSAL_CELLS // n_classes`` profiles.
+    are drawn by ``_sample_cut``, in the log domain at any lattice size and
+    exact up to the e^-CUT_SLACK of mass that the row cut drops, which is
+    below the resolution of a double uniform.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -511,7 +629,7 @@ def sample_profiles(
     while need:
         accept = guess * (hits + 1) / (guess * drawn + 1)
         if accept * MAX_PROPOSALS_PER_HIT < 1:
-            kept.append(_sample_enumerated(spec, N, need, rng))
+            kept.append(_sample_cut(spec, N, need, rng))
             break
         rows = min(max_rows, math.ceil(1.2 * need / accept) + 16)
         proposals = rng.multinomial(N, q, size=rows)
@@ -522,18 +640,30 @@ def sample_profiles(
     return np.concatenate(kept)
 
 
-def _sample_enumerated(
-    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``size`` profiles from ``exact_chi_law`` (see ``sample_profiles``)."""
-    try:
-        law = exact_chi_law(spec, N, max_profiles=PROPOSAL_CELLS // spec.n_classes)
-    except LatticeTooLarge as exc:
-        raise LatticeTooLarge(
-            f"fewer than 1 in {MAX_PROPOSALS_PER_HIT} tilted proposals hit the "
-            f"class sum, and the {exc}"
-        ) from None
-    return law.profiles[rng.choice(len(law), size=size, p=np.exp(law.logp))]
+def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``size`` profiles by inverse CDF over the profiles above the cut
+    of ``cut_level``: two more walks of ``row_cuts`` fold their weights
+    e^(lw - L) into running sums, first for the total and then to place the
+    sorted uniforms block by block, whose argsort undoes the sort."""
+    _, top, tau = cut_level(spec, N)
+
+    def cdf():  # the kept profiles and the running sums of e^(lw - L)
+        seen = 0.0
+        for cut in row_cuts(spec, N):
+            for block in cut.rows.points(*cut.interval(tau)):
+                cum = seen + np.cumsum(np.exp(profile_log_weights(spec, N, block) - top))
+                seen = cum[-1]
+                yield block, cum
+
+    total = max(cum[-1] for _, cum in cdf())  # the last running sum
+    u = rng.random(size)
+    targets = np.sort(u) * total  # each below total, as u < 1
+    drawn, placed = [], 0
+    for block, cum in cdf():
+        below = np.searchsorted(targets, cum)  # targets below each running sum
+        drawn.append(np.repeat(block, np.diff(below, prepend=placed), axis=0))
+        placed = below[-1]
+    return np.concatenate(drawn)[np.argsort(np.argsort(u))]
 
 
 def sample_class_sequences(

@@ -221,14 +221,28 @@ def test_sample_when_the_tilt_rarely_hits_the_budget(tmp_path, argv, degrees):
     assert all(sorted(t.degrees().tolist()) == degrees for t in trees)
 
 
-def test_sample_refuses_rare_hits_past_the_enumeration_cap(capsys):
-    code, _, err = run_cli(
-        capsys, "sample", "--kind", "labeled", "--bound", "5", "--beta", "1000",
-        "--energy", "0,1,0,1,0", "--n", "2001", "--samples", "5",
-    )
+def test_sample_draws_rare_hits_at_any_lattice_size(tmp_path):
     # degrees 2 and 4 underflow, degrees 1, 3 and 5 give an odd degree sum at
-    # N = 2001, and the profiles at that N are too many to enumerate
-    assert code == 3 and "tilted proposals" in err
+    # N = 2001, and the 5.6e7 profiles at that N are drawn from the row
+    # cut without being enumerated: each tree has one vertex of degree 2 or 4
+    out = tmp_path / "rare.txt"
+    assert main(["sample", "--kind", "labeled", "--bound", "5", "--beta", "1000",
+                 "--energy", "0,1,0,1,0", "--n", "2001", "--samples", "5",
+                 "--out", str(out)]) == 0
+    body = out.read_text().split("# summary\n")[0]
+    degrees = [LabeledTree.from_text(block).degrees() for block in body.split("\n\n")[:-1]]
+    assert len(degrees) == 5
+    assert all(np.isin(d, (2, 4)).sum() == 1 for d in degrees)
+
+
+def test_negative_zero_prints_as_zero(capsys):
+    # a certain ball (rate -0.0 and gap -0.0) and a certain tail (rate -0.0)
+    code, out, _ = run_cli(capsys, "ldp-table", "--kind", "labeled", "--bound", "3",
+                           "--n-list", "50", "--eps", "3")
+    assert code == 0 and out.splitlines()[1] == "50,3,0,0,0,0"
+    code, out, _ = run_cli(capsys, "lln", "--kind", "labeled", "--bound", "2",
+                           "--n-list", "5", "--delta", "0.1")
+    assert code == 0 and out.splitlines()[1] == "5,0.1,1,0,inf"
 
 
 def test_sample_block_bounded_by_class_count(tmp_path, monkeypatch):
@@ -612,7 +626,7 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
 
 
-_CONFIG_FAULTS = ("none", "kind", "bound", "energy", "list", "infeasible")
+_CONFIG_FAULTS = ("none", "kind", "bound", "energy", "list", "infeasible", "negative")
 
 
 @settings(max_examples=80, deadline=None)
@@ -626,8 +640,9 @@ _CONFIG_FAULTS = ("none", "kind", "bound", "energy", "list", "infeasible")
 )
 def test_config_parsing_maps_to_exit_codes(fault, kind, bound, command, in_file, data):
     # One request, each key given as a flag or in a --config file.  A bad
-    # kind, a missing bound, a wrong energy length or a malformed list exits
-    # 2; an N below the smallest tree exits 3; anything else exits 0.
+    # kind, a missing bound, a wrong energy length, a malformed list or a
+    # negative N exits 2; an N below the smallest tree exits 3; anything else
+    # exits 0.
     n_classes = bound + 1 - (1 if kind == "labeled" else 0)
     values = {"kind": kind, "bound": str(bound), "c": ["0"] * n_classes,
               "n": "9", "n-list": ["8", "12"]}
@@ -643,6 +658,9 @@ def test_config_parsing_maps_to_exit_codes(fault, kind, bound, command, in_file,
     elif fault == "infeasible":
         small = data.draw(st.integers(0, 1 if kind == "labeled" else 0), label="small N")
         values["n"], values["n-list"] = str(small), [str(small)]
+    elif fault == "negative":
+        negative = data.draw(st.integers(-9, -1), label="negative N")
+        values["n"], values["n-list"] = str(negative), [str(negative)]
     flag = {"kind": "--kind", "bound": "--bound", "c": "--energy", "n": "--n",
             "n-list": "--n-list"}
     argv = [command, "--samples", "3", "--eps", "0.05"]

@@ -257,10 +257,25 @@ def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
 
 
 def full_fold(spec, N, center, select):
-    """``ldp._log_mass`` with nothing cut (tau = -inf): every profile folded."""
+    """``ldp._log_mass`` with nothing cut (tau = -inf): every profile folded.
+
+    The walk that sets tau, ``partition.cut_level``, reads
+    ``partition.CUT_SLACK``; a spy on the fold checks that every profile of
+    the lattice reaches it, so the oracle cannot be the cut itself."""
+    folded = []
+    log_weights = partition.profile_log_weights
+
+    def fold(spec, N, block):
+        folded.append(block.shape[0])
+        return log_weights(spec, N, block)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ldp, "CUT_SLACK", math.inf)
-        return ldp._log_mass(spec, N, center, select)
+        mp.setattr(partition, "CUT_SLACK", math.inf)
+        mp.setattr(ldp, "profile_log_weights", fold)
+        got = ldp._log_mass(spec, N, center, select)
+    rows = partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N))
+    assert sum(folded) == sum(batch.size for batch in rows)
+    return got
 
 
 def make_spec(kind, D, beta, c_raw):
@@ -352,7 +367,7 @@ def test_row_cut_keeps_exactly_the_points_above_tau(kind, D, beta, c_raw, N, bat
         mp.setattr(partition, "ROW_BATCH_BYTES", 8 * (spec.n_classes + 1) * batch_rows)
         batches = list(partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)))
     for rows in batches:
-        cut = ldp._RowCut(spec, N, rows)
+        cut = partition._RowCut(spec, N, rows)
         lw = partition.profile_log_weights(
             spec, N, np.concatenate(list(rows.points(rows.lo, rows.hi))))
         per_row = np.split(lw, np.cumsum(rows.hi - rows.lo + 1)[:-1])
@@ -389,7 +404,7 @@ def test_cut_fold_second_pass_and_kept_share(monkeypatch):
         folded.append(block.shape[0])
         return log_weights(spec, N, block)
 
-    monkeypatch.setattr(ldp, "lattice_rows", walk)
+    monkeypatch.setattr(partition, "lattice_rows", walk)
     monkeypatch.setattr(ldp, "profile_log_weights", fold)
 
     spec = EnsembleSpec.labeled(4)

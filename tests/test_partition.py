@@ -350,29 +350,67 @@ def test_sampler_survives_an_underflowed_tilt(spec, N, profile):
     assert rows.tolist() == [list(profile)] * 50
 
 
-def test_sampler_falls_back_to_the_enumerated_law(monkeypatch):
-    # Degrees 2 and 4 carry tilt weight e^-20.  At odd N every feasible profile
-    # needs one of them, so about 1 proposal in 10^8 is kept and the sampler
-    # draws from the enumerated law, which must be the exact law of chi.
-    spec = EnsembleSpec(Kind.LABELED, 4, 1.0, (0.0, 20.0, 0.0, 20.0))
-    N, draws = 9, 20_000
-    fallback = partition._sample_enumerated
+def fallback_fit(monkeypatch, spec, N, draws, seed):
+    """Draw through ``sample_profiles``, check that every row came from the
+    row-cut fallback, and return the chi-square test against the exact law
+    of chi and that law."""
+    fallback = partition._sample_cut
     sizes: list[int] = []
 
     def spy(spec, N, size, rng):
         sizes.append(size)
         return fallback(spec, N, size, rng)
 
-    monkeypatch.setattr(partition, "_sample_enumerated", spy)
-    rows = sample_profiles(spec, N, draws, rng_stream(31))
+    monkeypatch.setattr(partition, "_sample_cut", spy)
+    rows = sample_profiles(spec, N, draws, rng_stream(seed))
     assert sizes == [draws]
     observed: dict[tuple[int, ...], int] = {}
     for row in rows.tolist():
         observed[tuple(row)] = observed.get(tuple(row), 0) + 1
     expected = exact_chi_law(spec, N).as_dict()
+    return chi_square_check(observed, expected, draws), expected
+
+
+def test_sampler_falls_back_to_the_enumerated_law(monkeypatch):
+    # Degrees 2 and 4 carry tilt weight e^-20.  At odd N every feasible profile
+    # needs one of them, so about 1 proposal in 10^8 is kept and the sampler
+    # draws from the row cut, whose law must be the exact law of chi.
+    spec = EnsembleSpec(Kind.LABELED, 4, 1.0, (0.0, 20.0, 0.0, 20.0))
+    (stat, critical), expected = fallback_fit(monkeypatch, spec, 9, 20_000, 31)
     assert sum(p > 1e-6 for p in expected.values()) == 2
-    stat, critical = chi_square_check(observed, expected, draws)
     assert stat < critical, f"chi-square {stat:.2f} >= {critical:.2f}"
+
+
+def test_plane_sampler_fallback_matches_the_chi_law(monkeypatch):
+    # Classes 1 and 3 carry tilt weight e^-20, and N - 1 = 9 children need an
+    # odd number of them.
+    spec = EnsembleSpec(Kind.PLANE, 4, 1.0, (0.0, 20.0, 0.0, 20.0, 0.0))
+    (stat, critical), expected = fallback_fit(monkeypatch, spec, 10, 20_000, 31)
+    assert len(expected) == 18 and sum(p > 1e-6 for p in expected.values()) == 5
+    assert stat < critical, f"chi-square {stat:.2f} >= {critical:.2f}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([Kind.LABELED, Kind.PLANE]),
+    D=st.integers(1, 6),
+    beta=st.floats(0.0, 1000.0),
+    c_raw=st.lists(st.floats(-2.0, 2.0), min_size=7, max_size=7),
+    N=st.integers(1, 60),
+    size=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_row_cut_draws_are_feasible_profiles_above_the_cut(kind, D, beta, c_raw, N, size,
+                                                           seed):
+    D = max(D, kind.mean)
+    N = max(N, kind.k_min + 1)
+    spec = EnsembleSpec(kind, D, beta, tuple(c_raw[: D + 1 - kind.k_min]))
+    rows = partition._sample_cut(spec, N, size, rng_stream(seed))
+    assert rows.shape == (size, spec.n_classes) and rows.min() >= 0
+    np.testing.assert_array_equal(rows.sum(axis=1), np.full(size, N))
+    np.testing.assert_array_equal(rows @ spec.classes(), np.full(size, spec.kind.class_sum(N)))
+    _, _, tau = partition.cut_level(spec, N)
+    assert partition.profile_log_weights(spec, N, rows).min() >= tau - 1e-9 * (1 + abs(tau))
 
 
 def test_sample_degree_sequence_unique_profile():
