@@ -1,11 +1,12 @@
 """Gibbs ensembles of degree-bounded random trees.
 
 Exact profile laws normalized by their own sum over the profile lattice,
-ln Z_N by a log-domain dynamic program, exact tree samplers (profiles from
-the tilted multinomial conditioned on the class sum, then a Foata-Fuchs
-word -> tree map for labeled trees and the cycle lemma for plane trees), the
-explicit large-deviation rate function with its minimizer p*, and exact
-finite-N verification of the LDP and the law of large numbers.
+ln Z_N from that lattice cut to the profiles that carry mass, exact tree
+samplers (profiles from the tilted multinomial conditioned on the class
+sum, then a Foata-Fuchs word -> tree map for labeled trees and the cycle
+lemma for plane trees), the explicit large-deviation rate function with
+its minimizer p*, and exact finite-N verification of the LDP and the law of
+large numbers.
 """
 
 from .combinatorics import (
@@ -36,7 +37,6 @@ from .errors import (
     NoFeasibleTree,
     NotATree,
     OffManifold,
-    SizeOverflow,
     SumMismatch,
     TooLarge,
     TreeGibbsError,
@@ -54,10 +54,7 @@ from .ldp import (
 )
 from .partition import (
     ChiLaw,
-    DpTable,
-    build_dp,
     exact_chi_law,
-    log_partition,
     log_partition_value,
     log_prob_profile,
     rng_stream,

@@ -27,8 +27,9 @@ sub-block (``treegen.write_sample``, one call per command), whose working
 arrays are bounded in bytes by ``treegen.WRITE_BLOCK_BYTES``.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
-request, 4 verification failure; an error exits with the ``exit_code`` of
-its class (``errors``).  ``sample``, ``ldp-table`` and ``lln`` are never
+request (no tree at this size, or a lattice or tree enumeration past its
+cap), 4 verification failure; an error exits with the ``exit_code`` of its
+class (``errors``).  ``sample``, ``ldp-table`` and ``lln`` are never
 refused for the size of the profile lattice or the rate grid: they stream
 both, and fold or draw only the profiles that carry mass (``partition``).
 """
@@ -42,6 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .combinatorics import log_sum
 from .ensembles import EnsembleSpec, Kind
 from .errors import TreeGibbsError
 from .ldp import convergence_table, lln_tail
@@ -307,14 +309,16 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     else:
         trees = list(enumerate_plane_trees(N, spec.D))
 
+    # per profile: its tree count and the log-sum-exp of its trees' log
+    # weights, which no beta underflows
     profile_counts: dict[tuple[int, ...], int] = {}
-    weights: dict[tuple[int, ...], float] = {}
+    log_weights: dict[tuple[int, ...], float] = {}
     for tree in trees:
         chi = chi_of(tree, spec).counts
         profile_counts[chi] = profile_counts.get(chi, 0) + 1
-        weights[chi] = weights.get(chi, 0.0) + math.exp(
-            -spec.beta * energy_of(tree, spec)
-        )
+        log_weights[chi] = float(np.logaddexp(
+            log_weights.get(chi, -math.inf), -spec.beta * energy_of(tree, spec)
+        ))
 
     law = exact_chi_law(spec, N)
     law_map = law.as_dict()
@@ -325,14 +329,13 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     dev_counts = float(np.abs(log_counts - np.log(list(profile_counts.values()))).max())
     suites = [("profile-counts", dev_counts)]
 
-    z_enum = sum(weights.values())
-    z_dp = log_partition_value(spec, N)
-    suites.append(("partition", abs(z_dp - math.log(z_enum))))
+    log_z = log_sum(list(log_weights.values()))
+    suites.append(("partition", abs(log_partition_value(spec, N) - log_z)))
 
     dev_law = 0.0
-    for chi, weight in weights.items():
-        dev_law = max(dev_law, abs(weight / z_enum - law_map.get(chi, 0.0)))
-    extra = set(law_map) - set(weights)
+    for chi, lw in log_weights.items():
+        dev_law = max(dev_law, abs(math.exp(lw - log_z) - law_map.get(chi, 0.0)))
+    extra = set(law_map) - set(log_weights)
     for chi in extra:
         dev_law = max(dev_law, law_map[chi])
     suites.append(("chi-law", dev_law))

@@ -116,8 +116,9 @@ def validate_spec(spec: EnsembleSpec) -> EnsembleSpec:
 
     Raises BoundTooSmall when D is below the minimum for the kind (2 for
     labeled, 1 for plane) and BadEnergyTable when the energy table has the
-    wrong length or non-finite entries.  beta may have either sign but must
-    be finite.
+    wrong length or non-finite entries, or when some beta c(k) overflows,
+    which keeps every class weight finite.  beta may have either sign but
+    must be finite.
     """
     if not isinstance(spec.kind, Kind):
         raise KindMismatch(f"unknown ensemble kind: {spec.kind!r}")
@@ -135,6 +136,8 @@ def validate_spec(spec: EnsembleSpec) -> EnsembleSpec:
         raise BadEnergyTable("energy table entries must be finite")
     if not math.isfinite(spec.beta):
         raise ValueError("beta must be finite")
+    if not all(math.isfinite(spec.beta * v) for v in spec.c):
+        raise BadEnergyTable(f"beta * c(k) overflows at beta={spec.beta!r}")
     return spec
 
 

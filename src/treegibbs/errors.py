@@ -2,8 +2,8 @@
 
 ``exit_code`` on each class is the exit status of the command-line front
 end: 2 (the default) for a bad request, 3 for a well-formed request that is
-infeasible or oversize (``NoFeasibleTree``, ``SizeOverflow``, ``TooLarge``,
-and ``LatticeTooLarge``, which only the materializing callers of
+infeasible or oversize (``NoFeasibleTree``, ``TooLarge``, and
+``LatticeTooLarge``, which only the materializing callers of
 ``partition.integer_lattice`` raise).  The front end also exits 2 on a bad
 option or a plain ``ValueError``, and 4 when ``oracle-check`` finds a
 deviation.
@@ -21,7 +21,7 @@ class BoundTooSmall(TreeGibbsError, ValueError):
 
 
 class BadEnergyTable(TreeGibbsError, ValueError):
-    """Energy table has the wrong length or a non-finite entry."""
+    """Energy table has the wrong length, or a non-finite entry or beta * c(k)."""
 
 
 class KindMismatch(TreeGibbsError, ValueError):
@@ -30,12 +30,6 @@ class KindMismatch(TreeGibbsError, ValueError):
 
 class SumMismatch(TreeGibbsError, ValueError):
     """Count vector entries do not sum to the stated total."""
-
-
-class SizeOverflow(TreeGibbsError, ValueError):
-    """Requested DP table exceeds the configured memory budget."""
-
-    exit_code = 3
 
 
 class NoFeasibleTree(TreeGibbsError, ValueError):

@@ -1,5 +1,6 @@
-"""Hot numeric kernels, vectorized with numpy: the forward DP and the
-cycle-lemma rotation.  None of them draws random numbers.
+"""Numeric kernels, vectorized with numpy: the cycle-lemma rotation of the
+plane sampler, and the forward DP behind ``partition.build_dp``, the tests'
+reference for ln Z_N.  None of them draws random numbers.
 
 Kernel conventions: class values are already shifted to ``0..K`` (degree
 minus one for labeled trees, raw child count for plane trees) and ``budget``

@@ -25,13 +25,15 @@ once.  Among them is the exact law of chi, which normalizes itself:
 ``exact_chi_law`` enumerates the feasible profiles, and the log-sum-exp of
 their log weights is ln Z_N.
 
-``log_partition_value`` gives ln Z_N alone, for ``log_prob_profile`` and the
-``partition`` suite of ``oracle-check``, from a per-vertex dynamic program
-over the remaining budget; the tests use it as the reference for the
-lattice sum.  ``W[i][s]`` is the log weight of the length-i class words
-with shifted class sum s, stored on ``0..budget``, which halves the labeled
-table.  Reading the final cell ``W[N][budget]`` (``DpTable.log_final``)
-gives
+``log_partition_value`` gives ln Z_N alone, for ``log_prob_profile`` and
+the ``partition`` suite of ``oracle-check``: the log-sum-exp of every
+row's interval above the cut, which drops under e^-CUT_SLACK of Z_N.
+
+``build_dp`` keeps the per-vertex dynamic program over the remaining budget
+as the tests' independent reference for ln Z_N; no library path calls it.
+``W[i][s]`` is the log weight of the length-i class words with shifted
+class sum s, stored on ``0..budget``.  Reading the final cell
+``W[N][budget]`` (``DpTable.log_final``) gives
 
 * labeled:  ``ln Z_N = W[N][N-2] + ln (N-2)!``
 * plane:    ``ln Z_N = W[N][N-1] - ln N``.
@@ -59,17 +61,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
 from .combinatorics import NEG_INF, log_factorial, log_factorials, log_sum
-from .ensembles import CountVector, EnsembleSpec, Kind
-from .errors import LatticeTooLarge, NoFeasibleTree, SizeOverflow, SumMismatch
-
-#: Default ceiling on DP table cells, sized to admit N = 20000 for either kind.
-DEFAULT_MAX_CELLS = 20_001 * 20_000
+from .ensembles import CountVector, EnsembleSpec, Kind, is_feasible
+from .errors import LatticeTooLarge, NoFeasibleTree, SumMismatch
 
 #: Default ceiling on the profiles that ``integer_lattice`` materializes for
 #: ``exact_chi_law``, ``rate.manifold_grid`` and ``ldp.r_set_counts``; the
@@ -194,51 +192,21 @@ class DpTable:
     class sum s; ``W[0, 0] = 0`` and ``W[0, s>0] = -inf``.
     """
 
-    spec: EnsembleSpec
     n_vertices: int
     budget: int
     W: np.ndarray
-
-    @property
-    def feasible(self) -> bool:
-        return self.W[self.n_vertices, self.budget] > NEG_INF
 
     @property
     def log_final(self) -> float:
         return float(self.W[self.n_vertices, self.budget])
 
 
-def build_dp(spec: EnsembleSpec, N: int, *, max_cells: int = DEFAULT_MAX_CELLS) -> DpTable:
-    """Build the forward table in O(D * N * budget) time, O(N * budget) space.
-
-    Raises SizeOverflow when the table would exceed ``max_cells`` cells.
-    """
+def build_dp(spec: EnsembleSpec, N: int) -> DpTable:
+    """Build the forward table in O(D * N * budget) time, O(N * budget) space."""
     budget = shifted_budget(spec, N)
-    cells = (N + 1) * (budget + 1)
-    if cells > max_cells:
-        raise SizeOverflow(
-            f"DP table needs {cells} cells, exceeding the budget of {max_cells}"
-        )
     W = kernels.dp_forward(class_log_weights(spec), N, budget)
     W.setflags(write=False)
-    return DpTable(spec=spec, n_vertices=N, budget=budget, W=W)
-
-
-def log_partition(dp: DpTable) -> float:
-    """ln Z_N from a built table; raises NoFeasibleTree when Z_N = 0."""
-    if not dp.feasible:
-        raise NoFeasibleTree(
-            f"no {dp.spec.kind.value} tree on {dp.n_vertices} vertices fits D={dp.spec.D}"
-        )
-    if dp.spec.kind is Kind.LABELED:
-        return dp.log_final + log_factorial(dp.n_vertices - 2)
-    return dp.log_final - float(np.log(dp.n_vertices))
-
-
-@lru_cache(maxsize=128)
-def log_partition_value(spec: EnsembleSpec, N: int) -> float:
-    """Cached ln Z_N; builds (and discards) the DP table on first use."""
-    return log_partition(build_dp(spec, N))
+    return DpTable(n_vertices=N, budget=budget, W=W)
 
 
 def profile_log_weights(spec: EnsembleSpec, N: int, profiles: np.ndarray) -> np.ndarray:
@@ -259,16 +227,16 @@ def profile_log_weights(spec: EnsembleSpec, N: int, profiles: np.ndarray) -> np.
 def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector) -> float:
     """Exact ln P_N{chi = n}; -inf for infeasible profiles.
 
-    Raises SumMismatch when the profile does not account for all N vertices.
+    Raises KindMismatch or ValueError when ``n`` does not fit the spec
+    (``is_feasible``) and SumMismatch when it does not account for all N
+    vertices.
     """
-    counts = n.as_array()
-    if counts.size != spec.n_classes:
-        raise ValueError("profile length does not match spec")
-    if counts.sum() != N:
-        raise SumMismatch(f"profile sums to {counts.sum()}, expected {N}")
-    if int((spec.classes() * counts).sum()) != spec.kind.class_sum(N):
+    feasible = is_feasible(n, spec)
+    if n.N != N:
+        raise SumMismatch(f"profile sums to {n.N}, expected {N}")
+    if not feasible:
         return NEG_INF
-    lw = profile_log_weights(spec, N, counts[None, :])[0]
+    lw = profile_log_weights(spec, N, n.as_array()[None, :])[0]
     return float(lw - log_partition_value(spec, N))
 
 
@@ -507,6 +475,19 @@ def cut_level(spec: EnsembleSpec, N: int) -> tuple[int, float, float]:
     if not points:
         raise NoFeasibleTree(f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}")
     return points, top, top - math.log(points) - CUT_SLACK
+
+
+def log_partition_value(spec: EnsembleSpec, N: int) -> float:
+    """ln Z_N, the log-sum-exp of the profile log weights above the cut of
+    ``cut_level``.  The profiles it drops weigh under points e^tau =
+    e^(L - CUT_SLACK) <= e^-CUT_SLACK Z_N together, below the rounding of
+    the result.  Raises NoFeasibleTree when no profile is feasible."""
+    _, _, tau = cut_level(spec, N)
+    total = _RunningLogSum()
+    for cut in row_cuts(spec, N):
+        for block in cut.rows.points(*cut.interval(tau)):
+            total.add(profile_log_weights(spec, N, block))
+    return total.log()
 
 
 def integer_lattice(

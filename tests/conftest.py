@@ -1,8 +1,11 @@
-"""Shared test helpers: enumeration-based Gibbs oracles and chi-square checks.
+"""Shared test helpers: enumeration-based Gibbs oracles, the DP reference
+for ln Z_N, and chi-square checks.
 
-The oracles here deliberately avoid the library's DP/closed-form paths:
-tree laws come from exhaustive enumeration plus per-tree energies, so they
-stay independent of the code they verify.
+The enumeration oracles deliberately avoid the library's lattice and
+closed-form paths: tree laws come from exhaustive enumeration plus per-tree
+energies, so they stay independent of the code they verify.  The DP sums
+class words vertex by vertex, never touching the profile lattice that the
+library's ln Z_N folds.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ from treegibbs import (
     EnsembleSpec,
     Kind,
     LabeledTree,
+    NoFeasibleTree,
     chi_of,
     energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
     prufer_encode,
 )
-from treegibbs.partition import profile_log_weights
+from treegibbs.combinatorics import log_factorial
+from treegibbs.partition import build_dp, profile_log_weights
 
 
 def word_tree(word) -> LabeledTree:
@@ -90,6 +95,17 @@ def brute_force_log_partition(spec: EnsembleSpec, N: int) -> float:
     scaled = -spec.beta * energies
     m = scaled.max()
     return float(m + np.log(np.exp(scaled - m).sum()))
+
+
+def dp_log_partition(spec: EnsembleSpec, N: int) -> float:
+    """ln Z_N read off the final cell of the forward DP (``build_dp``);
+    raises NoFeasibleTree when Z_N = 0."""
+    dp = build_dp(spec, N)
+    if dp.log_final == -math.inf:
+        raise NoFeasibleTree(f"no {spec.kind.value} tree on {N} vertices fits D={spec.D}")
+    if spec.kind is Kind.LABELED:
+        return dp.log_final + log_factorial(N - 2)
+    return dp.log_final - math.log(N)
 
 
 def iter_profiles(k_min: int, D: int, total: int, weighted: int):

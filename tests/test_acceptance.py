@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     brute_force_log_partition,
     chi_square_check,
+    dp_log_partition,
     gibbs_tree_law,
     log_count_by_profile,
 )
@@ -23,7 +24,6 @@ from treegibbs import (
     EnsembleSpec,
     FrequencyVector,
     Kind,
-    build_dp,
     couple_samples,
     cycle_lemma_rotation,
     enumerate_plane_trees,
@@ -32,7 +32,6 @@ from treegibbs import (
     grid_minimize_J,
     j_free_gradient,
     lln_tail,
-    log_partition,
     prufer_decode,
     prufer_encode,
     rate_value,
@@ -107,11 +106,11 @@ def test_criterion_2_partition_equivalence():
     for beta, c4 in PARTITION_SETTINGS:
         for N in (4, 5, 6, 7):
             lab = EnsembleSpec(Kind.LABELED, 4, beta, c4)
-            got = log_partition(build_dp(lab, N))
+            got = dp_log_partition(lab, N)
             expected = brute_force_log_partition(lab, N)
             worst = max(worst, abs(got - expected))
             plane = EnsembleSpec(Kind.PLANE, 3, beta, c4)
-            got = log_partition(build_dp(plane, N))
+            got = dp_log_partition(plane, N)
             expected = brute_force_log_partition(plane, N)
             worst = max(worst, abs(got - expected))
     assert worst <= 1e-9

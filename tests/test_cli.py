@@ -136,6 +136,15 @@ def test_oracle_check_at_the_smallest_bound(capsys, kind, bound, n):
     assert out.strip().endswith("oracle-check OK")
 
 
+def test_oracle_check_at_large_beta(capsys):
+    # every tree on 7 vertices has an odd number of degree-2 vertices, so
+    # each tree weight e^(-800 H) underflows; the check sums log weights
+    code, out, err = run_cli(capsys, "oracle-check", "--kind", "labeled", "--bound", "3",
+                             "--beta", "800", "--energy", "0,1,0", "--n", "7")
+    assert code == 0, err
+    assert out.strip().endswith("oracle-check OK")
+
+
 def test_sample_deterministic(tmp_path, capsys):
     args = [
         "sample",
@@ -180,8 +189,8 @@ def test_sample_block_sharding(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["labeled", "plane"])
 def test_sample_past_the_dp_table_limit(tmp_path, kind):
-    # N = 30000 would need a DP table of about 9e8 cells, past
-    # DEFAULT_MAX_CELLS; sampling builds no table
+    # N = 30000 would need a DP table of about 9e8 cells (7 GB); sampling
+    # builds no table
     N, samples = 30_000, 2
     out = tmp_path / "big.txt"
     argv = ["sample", "--kind", kind, "--bound", "3", "--n", str(N),
@@ -422,7 +431,7 @@ def test_lln_plane_d4(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # N = 30000 would need a DP table past DEFAULT_MAX_CELLS
+        # N = 30000 would need a DP table of about 9e8 cells (7 GB)
         ("ldp-table", "--kind", "labeled", "--bound", "3", "--n-list", "30000",
          "--eps", "0.05"),
         ("lln", "--kind", "labeled", "--bound", "4", "--n-list", "300,600",
@@ -434,7 +443,6 @@ def test_lattice_commands_build_no_dp_table(capsys, monkeypatch, argv):
         raise AssertionError("build_dp called")
 
     monkeypatch.setattr(partition, "build_dp", refuse)
-    partition.log_partition_value.cache_clear()  # a cached ln Z hides a call
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     n_list = argv[argv.index("--n-list") + 1].split(",")
@@ -626,7 +634,8 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
 
 
-_CONFIG_FAULTS = ("none", "kind", "bound", "energy", "list", "infeasible", "negative")
+_CONFIG_FAULTS = ("none", "kind", "bound", "energy", "list", "infeasible", "negative",
+                  "overflow")
 
 
 @settings(max_examples=80, deadline=None)
@@ -635,14 +644,14 @@ _CONFIG_FAULTS = ("none", "kind", "bound", "energy", "list", "infeasible", "nega
     kind=st.sampled_from(["labeled", "plane"]),
     bound=st.integers(3, 5),
     command=st.sampled_from(["sample", "ldp-table"]),
-    in_file=st.sets(st.sampled_from(["kind", "bound", "c", "n", "n-list"])),
+    in_file=st.sets(st.sampled_from(["kind", "bound", "beta", "c", "n", "n-list"])),
     data=st.data(),
 )
 def test_config_parsing_maps_to_exit_codes(fault, kind, bound, command, in_file, data):
     # One request, each key given as a flag or in a --config file.  A bad
-    # kind, a missing bound, a wrong energy length, a malformed list or a
-    # negative N exits 2; an N below the smallest tree exits 3; anything else
-    # exits 0.
+    # kind, a missing bound, a wrong energy length, a malformed list, a
+    # negative N or a beta * c(k) that overflows exits 2; an N below the
+    # smallest tree exits 3; anything else exits 0.
     n_classes = bound + 1 - (1 if kind == "labeled" else 0)
     values = {"kind": kind, "bound": str(bound), "c": ["0"] * n_classes,
               "n": "9", "n-list": ["8", "12"]}
@@ -661,8 +670,10 @@ def test_config_parsing_maps_to_exit_codes(fault, kind, bound, command, in_file,
     elif fault == "negative":
         negative = data.draw(st.integers(-9, -1), label="negative N")
         values["n"], values["n-list"] = str(negative), [str(negative)]
-    flag = {"kind": "--kind", "bound": "--bound", "c": "--energy", "n": "--n",
-            "n-list": "--n-list"}
+    elif fault == "overflow":
+        values["beta"], values["c"] = "1e308", [str(k) for k in range(1, n_classes + 1)]
+    flag = {"kind": "--kind", "bound": "--bound", "beta": "--beta", "c": "--energy",
+            "n": "--n", "n-list": "--n-list"}
     argv = [command, "--samples", "3", "--eps", "0.05"]
     lines = []
     for key, value in values.items():

@@ -10,21 +10,22 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_log_partition,
     chi_square_check,
+    dp_log_partition,
     gibbs_profile_law,
     iter_feasible_profiles,
     iter_profiles,
 )
 from treegibbs import (
+    BadEnergyTable,
     CountVector,
     EnsembleSpec,
     Kind,
+    KindMismatch,
     LatticeTooLarge,
     NoFeasibleTree,
-    SizeOverflow,
     SumMismatch,
-    build_dp,
     exact_chi_law,
-    log_partition,
+    log_partition_value,
     log_prob_profile,
     log_sum,
     rng_stream,
@@ -33,6 +34,7 @@ from treegibbs import (
 )
 from treegibbs import partition
 from treegibbs.partition import (
+    build_dp,
     class_log_weights,
     enumerate_profiles,
     integer_lattice,
@@ -45,33 +47,31 @@ NEG_INF = float("-inf")
 
 
 def test_dp_cayley_example():
-    dp = build_dp(EnsembleSpec.labeled(3), 4)
-    assert abs(log_partition(dp) - math.log(16)) <= 1e-12
+    assert abs(dp_log_partition(EnsembleSpec.labeled(3), 4) - math.log(16)) <= 1e-12
 
 
 def test_dp_catalan_example():
-    dp = build_dp(EnsembleSpec.plane(3), 4)
-    assert abs(log_partition(dp) - math.log(5)) <= 1e-12
+    assert abs(dp_log_partition(EnsembleSpec.plane(3), 4) - math.log(5)) <= 1e-12
 
 
 def test_dp_labeled_path_profile():
     beta, c = 0.7, (0.3, -0.2)
-    dp = build_dp(EnsembleSpec(Kind.LABELED, 2, beta, c), 5)
+    lnz = dp_log_partition(EnsembleSpec(Kind.LABELED, 2, beta, c), 5)
     expected = math.log(60) - beta * (2 * c[0] + 3 * c[1])
-    assert abs(log_partition(dp) - expected) <= 1e-12
+    assert abs(lnz - expected) <= 1e-12
 
 
 def test_dp_gibbs_example():
-    dp = build_dp(EnsembleSpec(Kind.LABELED, 3, 1.0, (0.0, 0.0, 1.0)), 4)
-    assert abs(log_partition(dp) - math.log(12 + 4 * math.exp(-1))) <= 1e-12
+    lnz = dp_log_partition(EnsembleSpec(Kind.LABELED, 3, 1.0, (0.0, 0.0, 1.0)), 4)
+    assert abs(lnz - math.log(12 + 4 * math.exp(-1))) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8])
 def test_uniform_partition_closed_forms(N):
     # beta = 0 with a full bound: Cayley for labeled, Catalan for plane
-    lnz = log_partition(build_dp(EnsembleSpec.labeled(N - 1), N))
+    lnz = dp_log_partition(EnsembleSpec.labeled(N - 1), N)
     assert abs(lnz - (N - 2) * math.log(N)) <= 1e-9
-    lnz = log_partition(build_dp(EnsembleSpec.plane(N - 1), N))
+    lnz = dp_log_partition(EnsembleSpec.plane(N - 1), N)
     catalan = math.comb(2 * (N - 1), N - 1) // N
     assert abs(lnz - math.log(catalan)) <= 1e-9
 
@@ -90,8 +90,39 @@ BRUTE_SPECS = [
 @pytest.mark.parametrize("N", [3, 5, 7])
 def test_log_partition_matches_brute_force(spec, N):
     expected = brute_force_log_partition(spec, N)
-    got = log_partition(build_dp(spec, N))
+    got = dp_log_partition(spec, N)
     assert abs(got - expected) <= 1e-9
+    assert abs(log_partition_value(spec, N) - expected) <= 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(list(Kind)),
+    D=st.integers(1, 6),
+    beta=st.floats(0.0, 30.0),
+    c_raw=st.lists(st.floats(-1.0, 2.0), min_size=7, max_size=7),
+    N_raw=st.integers(0, 400),
+)
+# degree 2 suppressed at odd N
+@example(kind=Kind.LABELED, D=3, beta=30.0, c_raw=[0.0, 1.0, 0.0] + [0.0] * 4, N_raw=7)
+def test_cut_fold_log_partition_matches_the_dp(kind, D, beta, c_raw, N_raw):
+    # The cut fold against the DP, over both kinds, at a tolerance scaled by
+    # the terms both sum: ln N! for the counts and N beta max|c| for the
+    # energies.  N runs to 400 on lattices of at most 4 classes, to 100
+    # above.  Where one engine finds no tree, so must the other.
+    D = max(D, kind.k_min + 1)
+    n_classes = D - kind.k_min + 1
+    c = c_raw[:n_classes]
+    N = N_raw if n_classes <= 4 else N_raw // 4
+    spec = EnsembleSpec(kind, D, beta, c)
+    try:
+        expected = dp_log_partition(spec, N)
+    except NoFeasibleTree:
+        with pytest.raises(NoFeasibleTree):
+            log_partition_value(spec, N)
+        return
+    scale = 1.0 + math.lgamma(N + 1) + N * beta * max(abs(v) for v in c)
+    assert abs(log_partition_value(spec, N) - expected) <= 1e-13 * scale
 
 
 def test_log_prob_profile_examples():
@@ -104,6 +135,8 @@ def test_log_prob_profile_examples():
     assert log_prob_profile(spec, 4, infeasible) == NEG_INF
     with pytest.raises(SumMismatch):
         log_prob_profile(spec, 5, paths)
+    with pytest.raises(KindMismatch):
+        log_prob_profile(spec, 4, CountVector(Kind.PLANE, (3, 0, 1)))
 
 
 def test_chi_law_degenerate_labeled_d2():
@@ -147,7 +180,7 @@ def test_chi_law_normalizes_at_scale(spec, N):
     # the lattice sum that normalizes the chi law against the DP reference
     profiles = enumerate_profiles(spec, N)
     lattice = log_sum(partition.profile_log_weights(spec, N, profiles))
-    assert abs(lattice - log_partition(build_dp(spec, N))) <= 1e-9
+    assert abs(lattice - dp_log_partition(spec, N)) <= 1e-9
 
 
 def test_dp_symmetry_reversed_class_order():
@@ -178,18 +211,10 @@ def test_dp_symmetry_reversed_class_order():
         assert abs(prev[budget] - dp.log_final) <= 1e-10
 
 
-def test_log_partition_refuses_an_empty_table():
-    # beta * c(2) overflows, so every labeled path on 5 vertices weighs 0
-    spec = EnsembleSpec(Kind.LABELED, 2, 1e300, (0.0, 1e300))
-    with np.errstate(over="ignore"):
-        dp = build_dp(spec, 5)
-    with pytest.raises(NoFeasibleTree, match="no labeled tree on 5 vertices"):
-        log_partition(dp)
-
-
-def test_size_overflow():
-    with pytest.raises(SizeOverflow):
-        build_dp(EnsembleSpec.labeled(3), 100, max_cells=50)
+def test_spec_refuses_an_overflowing_class_weight():
+    # beta * c(2) overflows, which would weigh every labeled path at 0
+    with pytest.raises(BadEnergyTable, match="overflows"):
+        EnsembleSpec(Kind.LABELED, 2, 1e300, (0.0, 1e300))
 
 
 def test_integer_lattice_matches_brute_force():
