@@ -17,19 +17,22 @@ randomized output is reproducible from (config, seed): sampling is sharded
 into blocks of ``SAMPLE_CELLS // max(N, n_classes)`` trees (at least one),
 n_classes being the number of degree classes, with one RNG stream per block
 index, so the trees of a shorter run are a prefix of those of a longer one.
-Each (trees, N) or (trees, n_classes) int64 array of a block holds at most
-32 MB, or one tree's worth once N or n_classes passes ``SAMPLE_CELLS``.
-``sample`` prints labeled trees as the sorted edge lists of their words
-under the Foata-Fuchs-type word -> tree map (``treegen.word_edges``;
-D. Foata & A. Fuchs, J. Combin. Theory 8, 1970), decoded a sub-block at a
-time, and encodes the text of both kinds with one table-driven gather per
-sub-block (``treegen.write_sample``, one call per command), whose working
-arrays are bounded in bytes by ``treegen.WRITE_BLOCK_BYTES``.
+A block's (trees, N) class table, one byte per entry below D = 128, holds
+at most 4 MB, and its (trees, n_classes) int64 profiles at most 32 MB, or
+one tree's worth once N or n_classes passes ``SAMPLE_CELLS``.  The rest is
+made one row group at a time (``treegen.group_rows``), whose values are
+bounded in bytes by ``treegen.WRITE_BLOCK_BYTES``: the words or rotations of
+the group, then its text.  ``sample`` prints labeled trees as the sorted edge
+lists of their words under the Foata-Fuchs-type word -> tree map
+(``treegen.word_edges``; D. Foata & A. Fuchs, J. Combin. Theory 8, 1970),
+and encodes the text of both kinds with one table-driven gather per group
+(``treegen.write_sample``, one call per command).
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible or oversize
-request (no tree at this size, or a lattice or tree enumeration past its
-cap), 4 verification failure; an error exits with the ``exit_code`` of its
-class (``errors``).  ``sample``, ``ldp-table`` and ``lln`` are never
+Exit codes: 0 success, 2 configuration error (among them an energy table
+whose profile log weights overflow at the requested N), 3 infeasible or
+oversize request (no tree at this size, or a lattice or tree enumeration
+past its cap), 4 verification failure; an error exits with the
+``exit_code`` of its class (``errors``).  ``sample``, ``ldp-table`` and ``lln`` are never
 refused for the size of the profile lattice or the rate grid: they stream
 both, and fold or draw only the profiles that carry mass (``partition``).
 """
@@ -40,12 +43,13 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .combinatorics import log_sum
 from .ensembles import EnsembleSpec, Kind
-from .errors import TreeGibbsError
+from .errors import BadEnergyTable, TreeGibbsError
 from .ldp import convergence_table, lln_tail
 from .partition import (
     exact_chi_law,
@@ -140,12 +144,21 @@ class RunConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
     def spec(self) -> EnsembleSpec:
+        """The ensemble, refused (``BadEnergyTable``) when a profile log
+        weight, up to N * |beta| * max |c(k)| in size, or the energy sum
+        chi . c behind it, overflows at the largest N of the request."""
         if self.kind is None:
             raise ConfigError("missing ensemble kind (--kind)")
         if self.bound is None:
             raise ConfigError("missing degree bound (--bound)")
         make = EnsembleSpec.labeled if self.kind is Kind.LABELED else EnsembleSpec.plane
-        return make(self.bound, self.beta, self.c)
+        spec = make(self.bound, self.beta, self.c)
+        n_max = max([self.n or 0, *(self.n_list or ())])
+        if not math.isfinite(n_max * max(map(abs, spec.c)) * max(1.0, abs(spec.beta))):
+            raise BadEnergyTable(
+                f"profile log weights overflow at N={n_max}, beta={spec.beta!r}"
+            )
+        return spec
 
     def require_n(self) -> int:
         if self.n is None:
@@ -240,11 +253,11 @@ def cmd_sample(cfg: RunConfig, out) -> int:
     ctx = solve_pstar(spec)
     block = max(1, SAMPLE_CELLS // max(N, spec.n_classes))
     draw = sample_prufer_codes if spec.kind is Kind.LABELED else sample_plane_child_counts
-    blocks = (
+    groups = chain.from_iterable(
         draw(spec, N, min(block, cfg.samples - start), rng_stream(cfg.seed, index))
         for index, start in enumerate(range(0, cfg.samples, block))
     )
-    class_totals = write_sample(spec, blocks, out)
+    class_totals = write_sample(spec, groups, out)
 
     freq = class_totals / float(cfg.samples * N)
     out.write("# summary\n")

@@ -21,7 +21,8 @@ class BoundTooSmall(TreeGibbsError, ValueError):
 
 
 class BadEnergyTable(TreeGibbsError, ValueError):
-    """Energy table has the wrong length, or a non-finite entry or beta * c(k)."""
+    """Energy table has the wrong length, a non-finite entry or beta * c(k),
+    or profile log weights that overflow at the requested N."""
 
 
 class KindMismatch(TreeGibbsError, ValueError):

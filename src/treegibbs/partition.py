@@ -655,9 +655,13 @@ def sample_class_sequences(
     Entry (m, i) is the class of vertex i in draw m.  Each row is the
     profile of ``sample_profiles`` laid out in class order and then permuted
     uniformly, so it is distributed proportionally to the product of
-    per-class Gibbs weights conditioned on the feasible class sum.
+    per-class Gibbs weights conditioned on the feasible class sum.  The
+    (size, N) result has the smallest signed integer type that holds D (one
+    byte per vertex below D = 128); ``rng.permuted`` draws the same
+    permutation for every integer type.
     """
     profiles = sample_profiles(spec, N, size, rng)
-    rows = np.repeat(np.tile(spec.classes(), size), profiles.ravel()).reshape(size, N)
+    classes = spec.classes().astype(np.min_scalar_type(-spec.D - 1))  # holds -1..D
+    rows = np.repeat(np.tile(classes, size), profiles.ravel()).reshape(size, N)
     return rng.permuted(rows, axis=1, out=rows)
 

@@ -26,19 +26,27 @@ multinomial, laid out and uniformly permuted):
   exactly N distinct rotations, so conditional uniformity is preserved and
   the composite law is again exactly Gibbs.
 
+The class sequences of a batch are drawn at once, one byte per vertex below
+D = 128; the samplers then yield the words or rotations in row groups of
+``group_rows`` trees, each made when it is taken, so a batch never holds
+more than one group's int64 rows.  ``rng.permuted`` draws row after row, so
+the words do not depend on the group size.
+
 Text serialization: a labeled tree is its sorted edge list, one ``u v`` line
 per edge; a plane tree is one line of space-separated child counts.  Both are
-newline-terminated ASCII.  ``write_sample`` writes sampled batches without
-tree objects or per-tree formatting: per sub-block of rows, labeled words
-are decoded to edge arrays by ``word_edges``, and the values are encoded
-with one gather from a table of digit-and-separator cells (the labeled
-separators end each tree in a blank line), one compress and one
-``tobytes``.  ``to_text`` is the single-tree form of the same text.
+newline-terminated ASCII.  ``write_sample`` writes the row groups without
+tree objects or per-tree formatting: per group, labeled words are decoded to
+edge arrays by ``word_edges``, and the values are encoded with one gather
+from a table of digit-and-separator cells (the labeled separators end each
+tree in a blank line), one ``tobytes`` and one deletion of the padding
+bytes.  ``WRITE_BLOCK_BYTES`` bounds a group's values in bytes.
+``to_text`` is the single-tree form of the same text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -297,8 +305,9 @@ def _require_kind(spec: EnsembleSpec, kind: Kind, what: str) -> None:
 
 def sample_prufer_codes(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Batch of ``size`` tree words drawn exactly from the Gibbs measure.
+) -> Iterator[np.ndarray]:
+    """Yield ``size`` tree words drawn exactly from the Gibbs measure, in
+    groups of ``group_rows`` rows.
 
     Row m is a word of length N-2 over 1..N in which vertex v appears
     deg(v) - 1 times, uniformly permuted; ``word_edges`` maps it to its
@@ -306,52 +315,82 @@ def sample_prufer_codes(
     Prufer code is, so any such map gives the same tree law, and row counts
     over this output are tree-level statistics.  (The rows are also
     Prufer codes of trees with the same law, hence the name.)
+
+    The degrees of all ``size`` draws are drawn at once, as one
+    small-integer class table (``sample_class_sequences``); each group's
+    words are laid out and permuted only when it is taken.  ``rng.permuted`` draws row by
+    row, so the words are those of one permute over the whole batch.
     """
     _require_kind(spec, Kind.LABELED, "labeled sampling")
     degrees = sample_class_sequences(spec, N, size, rng)
-    degrees -= 1
-    labels = np.tile(np.arange(1, N + 1, dtype=np.int64), size)
-    codes = np.repeat(labels, degrees.ravel()).reshape(size, N - 2)
-    return rng.permuted(codes, axis=1, out=codes)
+    step = group_rows(spec, N)
+    labels = np.arange(1, N + 1, dtype=np.int64)
+    for start in range(0, size, step):
+        part = degrees[start : start + step]
+        words = np.repeat(np.tile(labels, part.shape[0]), (part - 1).ravel())
+        words = words.reshape(part.shape[0], N - 2)
+        yield rng.permuted(words, axis=1, out=words)
 
 
 def sample_labeled_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> LabeledTree:
     """One exact draw from the labeled-tree Gibbs measure."""
-    edges = word_edges(sample_prufer_codes(spec, N, 1, rng))[0]
-    return LabeledTree(N, tuple(map(tuple, edges.tolist())))
+    [words] = sample_prufer_codes(spec, N, 1, rng)
+    return LabeledTree(N, tuple(map(tuple, word_edges(words)[0].tolist())))
 
 
 def sample_plane_child_counts(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Batch of ``size`` plane trees as preorder child-count rows."""
+) -> Iterator[np.ndarray]:
+    """Yield ``size`` plane trees as preorder child-count rows, in groups of
+    ``group_rows`` rows: the class sequences of all of them, drawn at once
+    by ``sample_class_sequences``, each rotated by the cycle lemma when its
+    group is taken."""
     _require_kind(spec, Kind.PLANE, "plane sampling")
     counts = sample_class_sequences(spec, N, size, rng)
-    starts = kernels.lukasiewicz_starts(counts - 1)
-    return kernels.rotate_rows(counts, starts)
+    step = group_rows(spec, N)
+    for start in range(0, size, step):
+        part = counts[start : start + step]
+        yield kernels.rotate_rows(part, kernels.lukasiewicz_starts(part - 1))
 
 
 def sample_plane_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> PlaneTree:
     """One exact draw from the plane-tree Gibbs measure."""
-    row = sample_plane_child_counts(spec, N, 1, rng)[0]
-    return PlaneTree(tuple(int(v) for v in row))
+    [rows] = sample_plane_child_counts(spec, N, 1, rng)
+    return PlaneTree(tuple(int(v) for v in rows[0]))
 
 
 # ---------------------------------------------------------------------------
 # batch text writer
 
-#: Ceiling on the bytes that one ``write_sample`` sub-block spends on its
-#: values: eight per value for its int64 form and one per text cell of its
-#: digits and separator.  2 MB holds about 75 labeled trees at N = 1000,
-#: enough to amortize the per-call cost of the array steps (larger budgets
-#: ran no faster there); past N of about 7*10^4 (labeled) or 2*10^5 (plane)
-#: a sub-block is one tree.
+#: Ceiling on the bytes that one row group of the samplers spends on its
+#: values as ``write_sample`` encodes it: eight per value for its int64 form
+#: and one per text cell of its digits and separator.  2 MB holds 74
+#: labeled trees at N = 1000, enough to amortize the per-call cost of the
+#: array steps (larger budgets ran no faster there); past N of about 7*10^4
+#: (labeled) or 2*10^5 (plane) a group is one tree.
 WRITE_BLOCK_BYTES = 2**21
 
 #: Separators written after a value, by kind: labeled rows are ``u v`` edge
 #: lines with a blank line after the last edge, plane rows are one
 #: space-separated line; the last one ends a tree.
 _SEPARATORS = {Kind.LABELED: (b" ", b"\n", b"\n\n"), Kind.PLANE: (b" ", b"\n")}
+
+
+def _text_shape(spec: EnsembleSpec, N: int) -> tuple[int, int]:
+    """Values per tree in its text, and the largest of them: the 2(N-1)
+    edge ends over labels up to N (labeled), or the N child counts up to D
+    (plane)."""
+    if spec.kind is Kind.LABELED:
+        return 2 * (N - 1), N
+    return N, spec.D
+
+
+def group_rows(spec: EnsembleSpec, N: int) -> int:
+    """Trees per row group of the samplers: as many as spend at most
+    ``WRITE_BLOCK_BYTES`` over their text values, and at least one."""
+    n_values, top = _text_shape(spec, N)
+    cell = len(str(top)) + max(map(len, _SEPARATORS[spec.kind]))
+    return max(1, WRITE_BLOCK_BYTES // (n_values * (8 + cell)))
 
 
 def _text_table(top: int, seps: tuple[bytes, ...]) -> np.ndarray:
@@ -378,53 +417,50 @@ def _text_table(top: int, seps: tuple[bytes, ...]) -> np.ndarray:
     return table.reshape(-1).view(f"V{digits + sep_width}")
 
 
-def write_sample(spec: EnsembleSpec, blocks, out) -> np.ndarray:
+def write_sample(spec: EnsembleSpec, groups, out) -> np.ndarray:
     """Write sampled trees to ``out`` as text; return their summed chi.
 
-    ``blocks`` is a nonempty iterable of row arrays of one N, each of tree
+    ``groups`` is a nonempty iterable of row arrays of one N, each of tree
     words (labeled) or preorder child-count rows (plane), as the samplers
-    return them; a lazy iterable is drawn one block at a time, and one text
-    table, sized by the first block, serves all of them.  Labeled rows are
+    yield them; a lazy iterable is drawn one group at a time, and one text
+    table, sized by the first group, serves all of them.  Labeled rows are
     decoded by ``word_edges``.  The text of tree r equals
     ``LabeledTree(N, edges).to_text() + "\n"`` (labeled) or
-    ``PlaneTree(rows[r]).to_text()`` (plane).  Sub-blocks of rows are
-    encoded without per-tree formatting: one gather of each value's digits
-    and separator from ``_text_table``, one boolean compress of the padding
-    and one ``tobytes``.  A sub-block spends at most ``WRITE_BLOCK_BYTES``
-    over its values (or holds one row), and its text is written before the
-    next one is made.  The result counts vertices per shifted class over all
-    rows; every class must be within the bound.
+    ``PlaneTree(rows[r]).to_text()`` (plane).  Each group is encoded
+    without per-tree formatting: one gather of each value's digits and
+    separator from ``_text_table``, one ``tobytes`` and one deletion of the
+    padding bytes, which no digit or separator contains.  Its text is
+    written before the next group is drawn, so the working arrays are those
+    of one group, bounded by ``WRITE_BLOCK_BYTES`` when the samplers made
+    it (``group_rows``).  The result counts vertices per shifted class over
+    all rows; every class must be within the bound.
     """
-    blocks = iter(blocks)
-    rows = next(blocks)
+    groups = iter(groups)
+    rows = next(groups)
     labeled = spec.kind is Kind.LABELED
     N = rows.shape[1] + 2 if labeled else rows.shape[1]
-    n_values = 2 * (N - 1) if labeled else N
-    top = N if labeled else spec.D
+    n_values, top = _text_shape(spec, N)
     seps = _SEPARATORS[spec.kind]
     table = _text_table(top, seps)
     offsets = np.zeros(n_values, dtype=np.int64)
     if labeled:
         offsets[1::2] = top + 1  # a newline after each edge
     offsets[-1] = (len(seps) - 1) * (top + 1)
-    step = max(1, WRITE_BLOCK_BYTES // (n_values * (8 + table.itemsize)))
 
     def encode(part: np.ndarray) -> np.ndarray:
-        # a frame of its own: a sub-block's arrays die before the next draw
+        # a frame of its own: a group's arrays die before the next draw
         if labeled:
             classes = code_occurrences(part)[:, 1:]
             values = word_edges(part).reshape(part.shape[0], n_values)
         else:
             classes = values = part
-        cells = table[values + offsets].view(np.uint8)
-        out.write(cells[cells != 0].tobytes().decode("ascii"))
+        cells = table[values + offsets]
+        out.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
         return np.bincount(classes.ravel(), minlength=spec.n_classes)
 
     totals = np.zeros(spec.n_classes, dtype=np.int64)
-    while rows is not None:
-        for start in range(0, rows.shape[0], step):
-            totals += encode(rows[start : start + step])
-        rows = next(blocks, None)
+    for rows in chain([rows], groups):
+        totals += encode(rows)
     return totals
 
 

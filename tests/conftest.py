@@ -1,5 +1,6 @@
 """Shared test helpers: enumeration-based Gibbs oracles, the DP reference
-for ln Z_N, and chi-square checks.
+for ln Z_N, the whole-block reference of the ``sample`` text, and
+chi-square checks.
 
 The enumeration oracles deliberately avoid the library's lattice and
 closed-form paths: tree laws come from exhaustive enumeration plus per-tree
@@ -20,14 +21,17 @@ from treegibbs import (
     Kind,
     LabeledTree,
     NoFeasibleTree,
+    PlaneTree,
     chi_of,
+    cycle_lemma_rotation,
     energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
     prufer_encode,
+    rng_stream,
 )
 from treegibbs.combinatorics import log_factorial
-from treegibbs.partition import build_dp, profile_log_weights
+from treegibbs.partition import build_dp, profile_log_weights, sample_profiles
 
 
 def word_tree(word) -> LabeledTree:
@@ -45,6 +49,43 @@ def word_tree(word) -> LabeledTree:
         new = i + 1 < len(s) and s[i + 1] not in seen
         edges.append((parent, s[i + 1] if new else next(absent)))
     return LabeledTree(N, tuple(edges))
+
+
+def joined(groups) -> np.ndarray:
+    """The row groups that a sampler yields, as one array."""
+    return np.concatenate(list(groups))
+
+
+def whole_block_draw(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator):
+    """The ``size`` trees of one RNG block, every step over the whole block
+    in int64: the profiles of ``sample_profiles`` laid out as class rows and
+    permuted, then (labeled) each row's vertex labels repeated deg - 1 times
+    and permuted again, or (plane) each row rotated by the cycle lemma.
+    Returns the word rows (labeled) or the child-count rows (plane)."""
+    profiles = sample_profiles(spec, N, size, rng)
+    classes = np.repeat(np.tile(spec.classes(), size), profiles.ravel()).reshape(size, N)
+    rng.permuted(classes, axis=1, out=classes)
+    if spec.kind is Kind.PLANE:
+        return np.array([np.roll(row, -cycle_lemma_rotation(row - 1)) for row in classes])
+    labels = np.tile(np.arange(1, N + 1, dtype=np.int64), size)
+    words = np.repeat(labels, (classes - 1).ravel()).reshape(size, N - 2)
+    return rng.permuted(words, axis=1, out=words)
+
+
+def reference_sample_text(
+    spec: EnsembleSpec, N: int, samples: int, seed: int, block: int
+) -> str:
+    """The tree text of ``sample``: blocks of ``block`` trees, block i drawn
+    by ``whole_block_draw`` from ``rng_stream(seed, i)``, printed one tree at
+    a time (``word_tree`` for labeled words)."""
+    text = []
+    for index, start in enumerate(range(0, samples, block)):
+        rows = whole_block_draw(spec, N, min(block, samples - start), rng_stream(seed, index))
+        if spec.kind is Kind.LABELED:
+            text += [word_tree(word).to_text() + "\n" for word in rows]
+        else:
+            text += [PlaneTree(tuple(row)).to_text() for row in rows]
+    return "".join(text)
 
 
 def tree_key(tree, spec: EnsembleSpec) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from conftest import (
     chi_square_check,
     dp_log_partition,
     gibbs_tree_law,
+    joined,
     log_count_by_profile,
 )
 from treegibbs import (
@@ -142,10 +143,10 @@ def test_criterion_3_sampler_exactness():
         assert min(law.values()) * draws >= 5.0, "spec too cold for chi-square bins"
         rng = rng_stream(20_177)
         if spec.kind is Kind.LABELED:
-            rows = sample_prufer_codes(spec, N, draws, rng)
+            rows = joined(sample_prufer_codes(spec, N, draws, rng))
             base, shift = N + 1, 0
         else:
-            rows = sample_plane_child_counts(spec, N, draws, rng)
+            rows = joined(sample_plane_child_counts(spec, N, draws, rng))
             base, shift = spec.D + 1, 0
         ints = _encode_rows(rows, base)
         uniq, counts = np.unique(ints, return_counts=True)
@@ -162,7 +163,7 @@ def test_criterion_3_sampler_exactness():
     # conditional uniformity: trees sharing a degree sequence are equally
     # likely; condition on one sequence under a tilted labeled spec
     spec = SAMPLER_SPECS_LABELED[1]
-    rows = sample_prufer_codes(spec, N, draws, rng_stream(618))
+    rows = joined(sample_prufer_codes(spec, N, draws, rng_stream(618)))
     degrees = _code_degrees(rows, N)
     d0 = np.array([3, 2, 1, 1, 1, 2])  # degree sum 10 = 2N - 2, max <= 3
     sel = rows[(degrees == d0[None, :]).all(axis=1)]

@@ -5,23 +5,21 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_text, word_tree
+from conftest import assert_same_text, reference_sample_text
 from treegibbs import (
     EnsembleSpec,
     Kind,
     LabeledTree,
     PlaneTree,
     prufer_encode,
-    rng_stream,
-    sample_plane_child_counts,
     solve_pstar,
-    sample_prufer_codes,
 )
 from treegibbs import cli, ldp, partition, rate, treegen
 from treegibbs.cli import fmt, main
@@ -273,10 +271,9 @@ def test_sample_block_bounded_by_class_count(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["labeled", "plane"])
 def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind, monkeypatch):
-    # The batch writer against the single-tree reference, over several
-    # sub-blocks (4 KB each: 15 labeled or 34 plane trees at N = 12): the
-    # same draws decoded and printed one tree at a time, and a summary
-    # recounted from the printed trees.
+    # The batch writer against the whole-block pipeline printed one tree at
+    # a time, over several groups (4 KB each: 15 labeled or 34 plane trees
+    # at N = 12), and a summary recounted from the printed trees.
     monkeypatch.setattr(treegen, "WRITE_BLOCK_BYTES", 2**12)
     N, samples, seed = 12, 519, 21
     out = tmp_path / "sample.txt"
@@ -285,22 +282,45 @@ def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind, monkeypatch
     assert main(argv) == 0
     body, summary = out.read_text().split("# summary\n")
     spec = EnsembleSpec.labeled(3) if kind == "labeled" else EnsembleSpec.plane(3)
+    assert_same_text(body, reference_sample_text(spec, N, samples, seed, samples))
     if kind == "labeled":
-        trees = [word_tree(c) for c in sample_prufer_codes(spec, N, samples, rng_stream(seed, 0))]
-        assert_same_text(body, "".join(tree.to_text() + "\n" for tree in trees))
         classes = np.concatenate(
             [np.bincount(np.array(block.split(), dtype=np.int64), minlength=N + 1)[1:] - 1
              for block in body.split("\n\n")[:-1]]
         )
     else:
-        rows = sample_plane_child_counts(spec, N, samples, rng_stream(seed, 0))
-        assert_same_text(body, "".join(PlaneTree(tuple(row)).to_text() for row in rows))
         classes = np.array(body.split(), dtype=np.int64)
     freq = np.bincount(classes, minlength=spec.n_classes) / (samples * N)
     lines = summary.splitlines()
     assert lines[0] == "class,frequency,pstar"
     for k, line in zip(range(spec.n_classes), lines[1:]):
         assert line.split(",")[:2] == [str(k + spec.k_min), fmt(freq[k])]
+
+
+def test_sample_memory_is_bounded_in_bytes():
+    # Labeled D=3, N=1000, 2000 trees: one RNG block.  Its class table has
+    # one byte per vertex; the proposal matrix of ``sample_profiles`` is its
+    # first batch, 1.2 * trees / (accept guess) + 16 rows of int64 class
+    # counts, held with its class sums and mask; and each row group spends
+    # at most WRITE_BLOCK_BYTES over its values, of which the decode and
+    # the encode hold a few at once.  Nothing is (trees, N) int64.
+    N, samples = 1000, 2000
+    spec = EnsembleSpec.labeled(3)
+    q, _ = partition.tilt(spec, spec.kind.class_sum(N) / N)
+    shifted = np.arange(spec.n_classes)
+    var = float(q @ (shifted - q @ shifted) ** 2)
+    proposal_rows = math.ceil(1.2 * samples * math.sqrt(2 * math.pi * N * var)) + 16
+    bound = (samples * N + 4 * treegen.WRITE_BLOCK_BYTES
+             + 2 * 8 * spec.n_classes * proposal_rows)
+    argv = ["sample", "--kind", "labeled", "--bound", "3", "--n", str(N),
+            "--samples", str(samples), "--seed", "1", "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak} B > {bound} B"
 
 
 def test_sample_labeled_d2_paths(tmp_path):
@@ -541,10 +561,40 @@ def test_sample_builds_one_text_table(tmp_path, monkeypatch):
         return draw(spec, N, count, rng)
 
     monkeypatch.setattr(cli, "sample_prufer_codes", count_draws)
+    out = tmp_path / "multi.txt"
     argv = ["sample", "--kind", "labeled", "--bound", "3", "--n", "6", "--samples", "25",
-            "--seed", "5", "--out", str(tmp_path / "multi.txt")]
+            "--seed", "5", "--out", str(out)]
     assert main(argv) == 0
     assert draws == [10, 10, 5] and builds == [6]
+    body = out.read_text().split("# summary\n")[0]
+    assert_same_text(body, reference_sample_text(EnsembleSpec.labeled(3), 6, 25, 5, 10))
+
+
+@pytest.mark.parametrize("kind", ["labeled", "plane"])
+@pytest.mark.parametrize(
+    "cells,write_bytes",
+    [
+        (600, 2**12),  # blocks of 50 trees in groups of 15 (labeled) or 34 (plane)
+        (600, 1),  # groups of one tree
+        (130, 2**16),  # blocks of 10 trees, each one group
+        (2**22, 2**11),  # one block, in groups of 7 or 17
+    ],
+)
+def test_sample_text_matches_the_whole_block_pipeline(tmp_path, monkeypatch, kind, cells,
+                                                      write_bytes):
+    # Byte for byte the text of drawing each RNG block whole in int64 (words
+    # or rotations of all its trees at once), whatever the row groups.
+    monkeypatch.setattr(cli, "SAMPLE_CELLS", cells)
+    monkeypatch.setattr(treegen, "WRITE_BLOCK_BYTES", write_bytes)
+    N, samples, seed = 12, 519, 33
+    out = tmp_path / "sample.txt"
+    argv = ["sample", "--kind", kind, "--bound", "3", "--beta", "0.7", "--energy",
+            "0.2,0,0.5" if kind == "labeled" else "0.1,0,0.4,-0.2", "--n", str(N),
+            "--samples", str(samples), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    spec = cli.build_run_config(cli.make_parser().parse_args(argv)).spec()
+    want = reference_sample_text(spec, N, samples, seed, cells // N)
+    assert_same_text(out.read_text().split("# summary\n")[0], want)
 
 
 @pytest.mark.parametrize(
@@ -693,6 +743,27 @@ def test_config_parsing_maps_to_exit_codes(fault, kind, bound, command, in_file,
             code = main(argv)
     expected = {"none": 0, "infeasible": 3}.get(fault, 2)
     assert code == expected, (argv, lines, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--n", "50", "--samples", "2"),
+        ("ldp-table", "--n-list", "50"),
+        ("lln", "--n-list", "50", "--delta", "0.1"),
+        ("oracle-check", "--n", "7"),
+    ],
+    ids=["sample", "ldp-table", "lln", "oracle-check"],
+)
+def test_overflowing_profile_log_weights_exit_2(capsys, argv):
+    # every beta * c(k) is finite, but a profile log weight, up to
+    # N * 1e306 * 100, is not
+    spec = ("--kind", "labeled", "--bound", "3", "--beta", "1e306", "--energy", "0,-100,0")
+    code, out, err = run_cli(capsys, *argv, *spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: profile log weights overflow at N=")
+    code, _, _ = run_cli(capsys, "pstar", *spec)  # no N, nothing to overflow
+    assert code == 0
 
 
 def test_nlist_must_increase(capsys):

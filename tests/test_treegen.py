@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_text, chi_square_check, gibbs_tree_law, tree_key, word_tree
+from conftest import (
+    assert_same_text,
+    chi_square_check,
+    gibbs_tree_law,
+    joined,
+    tree_key,
+    word_tree,
+)
 from treegibbs import (
     BadLabel,
     BadStepSum,
@@ -136,23 +143,17 @@ def test_word_map_matches_per_row_reference(words):
     assert [tuple(map(tuple, e)) for e in edges.tolist()] == [word_tree(w).edges for w in words]
 
 
-@pytest.fixture
-def small_write_blocks(monkeypatch):
-    # 4 KB per sub-block: every (N, count) case below spans several
-    # sub-blocks, of one row (N = 257, 300) up to a few hundred (N = 1, 2).
-    monkeypatch.setattr(treegen, "WRITE_BLOCK_BYTES", 2**12)
-
-
 BATCH_CASES = [(2, 517), (3, 517), (4, 517), (10, 517), (257, 259)]
 
 
 @pytest.mark.parametrize("N, count", BATCH_CASES)
-def test_write_sample_labeled_matches_per_tree(N, count, small_write_blocks):
+def test_write_sample_labeled_matches_per_tree(N, count):
+    # groups of 100 rows and a shorter last one, through one text table
     rng = rng_stream(41, N)
     codes = rng.integers(1, N + 1, size=(count, N - 2))
     spec = EnsembleSpec.labeled(max(N - 1, 2))  # every code's degrees fit
     out = io.StringIO()
-    totals = write_sample(spec, [codes], out)
+    totals = write_sample(spec, (codes[i : i + 100] for i in range(0, count, 100)), out)
     trees = [word_tree(row) for row in codes]
     occurrences = [np.bincount(row, minlength=N + 1)[1:] for row in codes]
     assert [t.degrees().tolist() for t in trees] == [(o + 1).tolist() for o in occurrences]
@@ -162,11 +163,19 @@ def test_write_sample_labeled_matches_per_tree(N, count, small_write_blocks):
 
 
 @pytest.mark.parametrize("N, count", [(1, 517), (2, 517), (9, 517), (300, 259)])
-def test_write_sample_plane_matches_per_tree(N, count, small_write_blocks):
+def test_write_sample_plane_matches_per_tree(N, count, monkeypatch):
+    # 4 KB per group: every case spans several groups, of one row (N = 300)
+    # up to a few hundred (N = 1, 2)
+    monkeypatch.setattr(treegen, "WRITE_BLOCK_BYTES", 2**12)
     spec = EnsembleSpec.plane(3)
-    rows = sample_plane_child_counts(spec, N, count, rng_stream(43, N))
+    groups = list(sample_plane_child_counts(spec, N, count, rng_stream(43, N)))
+    step = treegen.group_rows(spec, N)
+    assert len(groups) > 1 and [g.shape[0] for g in groups] == [
+        min(step, count - start) for start in range(0, count, step)
+    ]
+    rows = np.concatenate(groups)
     out = io.StringIO()
-    totals = write_sample(spec, [rows], out)
+    totals = write_sample(spec, groups, out)
     trees = [PlaneTree(tuple(row)) for row in rows]
     assert_same_text(out.getvalue(), "".join(tree.to_text() for tree in trees))
     recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
@@ -328,7 +337,7 @@ def test_plane_sampler_degenerate_d1():
 
 def test_plane_sample_rows_are_valid_trees():
     spec = EnsembleSpec(Kind.PLANE, 3, 0.7, (0.1, 0.0, 0.2, -0.3))
-    rows = sample_plane_child_counts(spec, 9, 500, rng_stream(17))
+    rows = joined(sample_plane_child_counts(spec, 9, 500, rng_stream(17)))
     for row in rows[:50]:
         PlaneTree(tuple(int(v) for v in row))  # validates the walk
     steps = rows - 1
@@ -339,7 +348,7 @@ def test_plane_sample_rows_are_valid_trees():
 
 def test_labeled_codes_respect_bound():
     spec = EnsembleSpec(Kind.LABELED, 3, 0.4, (0.0, 0.2, 0.5))
-    codes = sample_prufer_codes(spec, 7, 400, rng_stream(23))
+    codes = joined(sample_prufer_codes(spec, 7, 400, rng_stream(23)))
     for row in codes:
         degrees = np.bincount(row, minlength=8)[1:] + 1
         assert degrees.max() <= 3
@@ -362,9 +371,9 @@ def test_sampler_tree_level_exactness(spec):
     rng = rng_stream(314)
     observed: dict[tuple[int, ...], int] = {}
     if spec.kind is Kind.LABELED:
-        rows = sample_prufer_codes(spec, N, draws, rng)
+        rows = joined(sample_prufer_codes(spec, N, draws, rng))
     else:
-        rows = sample_plane_child_counts(spec, N, draws, rng)
+        rows = joined(sample_plane_child_counts(spec, N, draws, rng))
     for row in rows:
         key = tuple(int(v) for v in row)
         observed[key] = observed.get(key, 0) + 1
@@ -378,7 +387,7 @@ def test_decoded_labeled_trees_follow_the_gibbs_law(spec):
     # list, against the enumerated tree law keyed the same way
     N, draws = 6, 60_000
     law = {prufer_decode(code).edges: p for code, p in gibbs_tree_law(spec, N).items()}
-    edges = word_edges(sample_prufer_codes(spec, N, draws, rng_stream(271)))
+    edges = word_edges(joined(sample_prufer_codes(spec, N, draws, rng_stream(271))))
     observed = Counter(tuple(map(tuple, tree)) for tree in edges.tolist())
     stat, critical = chi_square_check(observed, law, draws)
     assert stat < critical, f"chi-square {stat:.1f} >= {critical:.1f}"
@@ -401,9 +410,9 @@ def test_samplers_at_the_ends_of_the_tilt(spec, N):
     draws = 3000
     law = gibbs_tree_law(spec, N)
     if spec.kind is Kind.LABELED:
-        rows = sample_prufer_codes(spec, N, draws, rng_stream(55))
+        rows = joined(sample_prufer_codes(spec, N, draws, rng_stream(55)))
     else:
-        rows = sample_plane_child_counts(spec, N, draws, rng_stream(55))
+        rows = joined(sample_plane_child_counts(spec, N, draws, rng_stream(55)))
     assert rows.shape == (draws, N - 2 if spec.kind is Kind.LABELED else N)
     observed = Counter(tuple(int(v) for v in row) for row in rows)
     if len(law) == 1:
@@ -431,11 +440,11 @@ def test_sampler_rows_property(kind, data):
     assert (classes.sum(axis=1) == kind.class_sum(N)).all()
     # The tree samplers draw the same class rows from the same stream first.
     if kind is Kind.LABELED:
-        codes = sample_prufer_codes(spec, N, size, rng_stream(seed))
+        codes = joined(sample_prufer_codes(spec, N, size, rng_stream(seed)))
         for code, degrees in zip(codes, classes):
             assert prufer_decode(code).degrees().tolist() == degrees.tolist()
     else:
-        rows = sample_plane_child_counts(spec, N, size, rng_stream(seed))
+        rows = joined(sample_plane_child_counts(spec, N, size, rng_stream(seed)))
         walks = np.cumsum(rows - 1, axis=1)
         assert (walks[:, :-1] >= 0).all() and (walks[:, -1] == -1).all()
         np.testing.assert_array_equal(np.sort(rows, axis=1), np.sort(classes, axis=1))
