@@ -30,11 +30,13 @@ and encodes the text of both kinds with one table-driven gather per group
 
 Exit codes: 0 success, 2 configuration error (among them an energy table
 whose profile log weights overflow at the requested N), 3 infeasible or
-oversize request (no tree at this size, or a lattice or tree enumeration
-past its cap), 4 verification failure; an error exits with the
-``exit_code`` of its class (``errors``).  ``sample``, ``ldp-table`` and ``lln`` are never
-refused for the size of the profile lattice or the rate grid: they stream
-both, and fold or draw only the profiles that carry mass (``partition``).
+oversize request (no tree at this size, or an ``oracle-check`` tree
+enumeration past its cap), 4 verification failure; an error exits with the
+``exit_code`` of its class (``errors``).  ``sample``, ``ldp-table`` and
+``lln`` are never refused for the size of the profile lattice or the rate
+grid: they stream both, fold or draw only the profiles that carry mass
+(``partition``), and take the ``inf_I`` column of ``lln`` from the rate
+grid of ``rate.grid_inf_rate``.
 """
 
 from __future__ import annotations
@@ -51,14 +53,8 @@ from .combinatorics import log_sum
 from .ensembles import EnsembleSpec, Kind
 from .errors import BadEnergyTable, TreeGibbsError
 from .ldp import convergence_table, lln_tail
-from .partition import (
-    exact_chi_law,
-    lattice_blocks,
-    log_partition_value,
-    profile_log_weights,
-    rng_stream,
-)
-from .rate import j_values, solve_pstar
+from .partition import exact_chi_law, log_partition_value, profile_log_weights, rng_stream
+from .rate import grid_inf_rate, solve_pstar
 from .treegen import (
     chi_of,
     energy_of,
@@ -72,10 +68,6 @@ from .treegen import (
 #: Cells (trees times the larger of N and the class count) drawn per RNG
 #: block by ``sample``.
 SAMPLE_CELLS = 2**22
-
-#: Free-coordinate spacing 1/GRID_RESOLUTION of the rate grid behind the
-#: ``inf_I`` column of ``lln``.
-GRID_RESOLUTION = 1000
 
 ORACLE_TOL = 1e-9
 
@@ -282,27 +274,10 @@ def cmd_ldp_table(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _grid_inf_rate(ctx, delta: float) -> float:
-    """inf I over the points of the rate grid (``rate.manifold_grid`` at
-    ``GRID_RESOLUTION``) farther than ``delta`` (l1) from p*, folded block
-    by block over ``lattice_blocks``."""
-    spec = ctx.spec
-    best = float("inf")
-    for block in lattice_blocks(
-        spec.k_min, spec.D, GRID_RESOLUTION, spec.kind.manifold_total(GRID_RESOLUTION)
-    ):
-        grid = block / GRID_RESOLUTION
-        dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
-        outside = grid[dist > delta]
-        if outside.size:
-            best = min(best, float(j_values(spec, outside).min()))
-    return best - ctx.Jstar
-
-
 def cmd_lln(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     ctx = solve_pstar(spec)
-    inf_rate = _grid_inf_rate(ctx, cfg.delta)
+    inf_rate = grid_inf_rate(ctx, cfg.delta)
     rows = []
     for N in cfg.require_n_list():
         tail = lln_tail(spec, N, cfg.delta, ctx=ctx)

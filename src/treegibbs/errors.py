@@ -3,10 +3,11 @@
 ``exit_code`` on each class is the exit status of the command-line front
 end: 2 (the default) for a bad request, 3 for a well-formed request that is
 infeasible or oversize (``NoFeasibleTree``, ``TooLarge``, and
-``LatticeTooLarge``, which only the materializing callers of
-``partition.integer_lattice`` raise).  The front end also exits 2 on a bad
-option or a plain ``ValueError``, and 4 when ``oracle-check`` finds a
-deviation.
+``LatticeTooLarge``, which ``partition.integer_lattice`` raises past
+``partition.MAX_LATTICE_BYTES`` for the library's materializing callers;
+no command materializes a lattice that large).  The front end also exits 2
+on a bad option or a plain ``ValueError``, and 4 when ``oracle-check``
+finds a deviation.
 """
 
 
@@ -40,7 +41,7 @@ class NoFeasibleTree(TreeGibbsError, ValueError):
 
 
 class LatticeTooLarge(TreeGibbsError, ValueError):
-    """Profile lattice or grid enumeration exceeds the configured cap."""
+    """Profile lattice or rate grid past ``partition.MAX_LATTICE_BYTES``."""
 
     exit_code = 3
 

@@ -2,19 +2,15 @@
 
 Everything here is an exact lattice computation (no Monte Carlo): ball and
 tail probabilities are ratios of two log-sum-exps of the profiles' log
-weights (the ball or tail, and the rest), folded block by block over the
-rows of ``partition.lattice_rows``, so memory is bounded by the block and
-batch sizes.  By the LDP almost none of the lattice carries measurable
-mass at finite N, so only the profiles within ``CUT_SLACK`` nats (and the
-log of the lattice size) of the largest log weight are folded, and the
-fold certifies that what it cut lies below the rounding of both sums
-(``_log_mass``).  The cut, one interval per row of the concave log weight,
-is ``partition.row_cuts``, which its sampler shares.  Time grows like the
-kept profiles, about (N ln N)^(d/2) on a lattice of dimension d (D-2 for
-labeled, D-1 for plane profiles), plus the N^(d-1) rows.  Finite-size rates
-``r_N = -(1/N) ln P(ball)`` are compared against the rate function.  The
-expected discrepancy decays like O(ln N / N) plus an O(eps) smearing from
-the ball radius.
+weights (the ball or tail, and the rest), which ``partition.log_mass``
+folds block by block over the certified cut of the profile lattice
+(``partition.ProfileCut``), the engine that ln Z_N and the rare-class
+sampler share.  Memory is bounded by the block and batch sizes.  Time
+grows like the kept profiles, about (N ln N)^(d/2) on a lattice of
+dimension d (D-2 for labeled, D-1 for plane profiles), plus the N^(d-1)
+rows.  Finite-size rates ``r_N = -(1/N) ln P(ball)`` are compared against
+the rate function.  The expected discrepancy decays like O(ln N / N) plus
+an O(eps) smearing from the ball radius.
 
 The coupling construction pairs the off-manifold empirical vector
 ``x = chi/N`` with an on-manifold lattice point ``y = m/N`` drawn uniformly
@@ -41,69 +37,8 @@ from .ensembles import (
     freq_from_counts,
     is_feasible,
 )
-from .partition import (
-    CUT_SLACK,
-    _RunningLogSum,
-    cut_level,
-    integer_lattice,
-    profile_log_weights,
-    row_cuts,
-    sample_profiles,
-)
+from .partition import log_mass, sample_profiles
 from .rate import RateContext, rate_value, solve_pstar
-
-
-def _log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
-    """ln P_N{select(|chi/N - center|_1)}, ``select`` mapping the distances
-    of a block's profiles to a mask.
-
-    Only profiles whose log weight is at least tau are folded, tau =
-    L - ln(lattice points) - ``CUT_SLACK``, L the largest profile log
-    weight: three walks of ``row_cuts`` find tau (``cut_level``), fold each
-    row's interval above it, and, if needed, the shell below.  Every profile left
-    out has log weight below tau, so the cut is certified when dropped e^tau
-    <= e^-CUT_SLACK of both the selected sum S and the rest C.  If not, tau
-    falls to min(ln S, ln C) - ln(dropped) - CUT_SLACK (-inf when a side is
-    empty: the full fold), which certifies the sums that result.  The
-    result is exact to rounding.
-
-    Raises NoFeasibleTree when no profile is feasible; -inf when none is
-    selected.
-    """
-    dropped, _, tau = cut_level(spec, N)  # every profile, until folded
-    s, c = _RunningLogSum(), _RunningLogSum()  # the selected profiles, the rest
-
-    def fold(rows, first, last):
-        nonlocal dropped
-        dropped -= int(np.maximum(last - first + 1, 0).sum())
-        for block in rows.points(first, last):
-            lw = profile_log_weights(spec, N, block)
-            dist = block / N
-            dist -= center
-            chosen = select(np.abs(dist, out=dist).sum(axis=1))
-            s.add(lw[chosen])
-            c.add(lw[~chosen])
-
-    for cut in row_cuts(spec, N):
-        fold(cut.rows, *cut.interval(tau))
-    floor = min(s.log(), c.log()) - CUT_SLACK
-    if dropped and not math.log(dropped) + tau <= floor:
-        low = floor - math.log(dropped) if floor > NEG_INF else NEG_INF
-        for cut in row_cuts(spec, N):
-            first, last = cut.interval(tau)
-            low_first, low_last = cut.interval(low)
-            fold(cut.rows, low_first, first - 1)
-            fold(cut.rows, last + 1, low_last)
-    if s.top == NEG_INF:
-        return NEG_INF
-    if c.top == NEG_INF:
-        return 0.0
-    # ln S - ln(S + C) = -ln(1 + C/S): exact to rounding whether the
-    # selected mass is near 1 or tiny.  The tops are profile log weights, of
-    # order N; their difference is taken first so that no rounding at that
-    # scale enters the result.
-    log_ratio = (c.top - s.top) + math.log(c.total / s.total)
-    return -float(np.logaddexp(0.0, log_ratio))
 
 
 def log_prob_ball(spec: EnsembleSpec, N: int, center, eps: float) -> float:
@@ -111,14 +46,13 @@ def log_prob_ball(spec: EnsembleSpec, N: int, center, eps: float) -> float:
 
     The center may be any vector in [0,1]^K, on or off the manifold.
     Returns -inf when no feasible profile falls inside the ball.  The
-    lattice is streamed, never held: memory stays within a few blocks of
-    ``partition.LATTICE_BLOCK_BYTES`` and row batches of
-    ``partition.ROW_BATCH_BYTES`` at any N.
+    lattice is streamed, never held: memory stays within a few batches and
+    blocks of ``partition.LATTICE_BYTES`` at any N.
     """
     if not eps > 0:  # NaN fails too
         raise ValueError(f"eps must be positive, got {eps!r}")
     center_arr = as_frequency(spec, center).p
-    return _log_mass(spec, N, center_arr, lambda dist: dist <= eps)
+    return log_mass(spec, N, center_arr, lambda dist: dist <= eps)
 
 
 def finite_rate(spec: EnsembleSpec, N: int, p, eps: float) -> float:
@@ -187,30 +121,23 @@ def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
     with ``sum m = N`` and ``sum k m_k`` equal to 2N (labeled) or N (plane).
     A feasible profile n misses the weighted total by g = 2 (labeled) or 1
     (plane), so candidates at l1 distance 2/N are single-unit transfers from
-    class b to class b + g; when none exists (labeled D = 2) the search
-    falls back to the full manifold lattice.
+    class b to class b + g.  Every tree has a vertex of the lowest class, so
+    the transfer from b = 0 exists whenever class g does; only labeled D = 2
+    has no class g, and its manifold lattice is the one point (0, N).
     """
     if not is_feasible(n, spec):
         raise ValueError("r_set needs a feasible profile")
     N = n.N
     counts = n.as_array()
-    manifold_total = spec.kind.manifold_total(N)
-    gap = manifold_total - spec.kind.class_sum(N)
+    gap = spec.kind.manifold_total(N) - spec.kind.class_sum(N)
     moves = []
-    n_classes = spec.n_classes
-    for b in range(n_classes - gap):
+    for b in range(spec.n_classes - gap):
         if counts[b] >= 1:
             m = counts.copy()
             m[b] -= 1
             m[b + gap] += 1
             moves.append(m)
-    if moves:
-        return moves
-    # never empty: the profile with all N vertices in class k_min + 1 is on M
-    lattice = integer_lattice(spec.k_min, spec.D, N, manifold_total)
-    dist = np.abs(lattice - counts[None, :]).sum(axis=1)
-    best = dist.min()
-    return [row.copy() for row in lattice[dist == best]]
+    return moves or [np.array([0, N], dtype=np.int64)]
 
 
 def r_set(x, N: int, spec: EnsembleSpec) -> list[FrequencyVector]:
@@ -304,5 +231,5 @@ def lln_tail(
         raise ValueError(f"delta must be positive, got {delta!r}")
     if ctx is None:
         ctx = solve_pstar(spec)
-    lp = _log_mass(spec, N, ctx.pstar.p, lambda dist: dist > delta)
+    lp = log_mass(spec, N, ctx.pstar.p, lambda dist: dist > delta)
     return 0.0 if lp == NEG_INF else math.exp(lp)

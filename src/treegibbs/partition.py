@@ -14,20 +14,19 @@ the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
 The feasible profiles form an integer lattice of dimension K-2 (K the
 number of classes).  ``lattice_rows`` walks it as rows, on each of which
 the classes above 2 are fixed and m_2 runs over an interval, in batches of
-at most ``ROW_BATCH_BYTES``; ``lattice_blocks`` yields the points of every
-row in int64 blocks of at most ``LATTICE_BLOCK_BYTES``.  ``row_cuts`` keeps
+at most ``LATTICE_BYTES``; ``lattice_blocks`` yields the points of every
+row in int64 blocks of at most ``LATTICE_BYTES``.  By the LDP almost none
+of the lattice carries measurable mass at finite N.  ``ProfileCut`` keeps
 each row's interval within ``CUT_SLACK`` nats and ln(points) of the largest
-log weight (``cut_level``); the ball and tail sums of ``ldp`` fold it into
-running log-sum-exps and the sampler draws from it, in memory bounded in N.
-``integer_lattice`` joins the blocks into one matrix, under a cap of
-``DEFAULT_MAX_PROFILES`` rows, for the callers that need every profile at
-once.  Among them is the exact law of chi, which normalizes itself:
-``exact_chi_law`` enumerates the feasible profiles, and the log-sum-exp of
-their log weights is ln Z_N.
-
-``log_partition_value`` gives ln Z_N alone, for ``log_prob_profile`` and
-the ``partition`` suite of ``oracle-check``: the log-sum-exp of every
-row's interval above the cut, which drops under e^-CUT_SLACK of Z_N.
+log weight, and every exact sum over the lattice folds only that: ln Z_N
+(``log_partition_value``), the ball and tail masses behind ``ldp``
+(``log_mass``, which certifies the cut against both of its sums and widens
+it when it must), and the draw of rare-class profiles (``_sample_cut``),
+all in memory bounded in N.  ``integer_lattice`` joins the blocks into one
+matrix, under a cap of ``MAX_LATTICE_BYTES``, for the callers that need
+every profile at once.  Among them is the exact law of chi, which
+normalizes itself: ``exact_chi_law`` enumerates the feasible profiles, and
+the log-sum-exp of their log weights is ln Z_N.
 
 ``build_dp`` keeps the per-vertex dynamic program over the remaining budget
 as the tests' independent reference for ln Z_N; no library path calls it.
@@ -64,21 +63,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .combinatorics import NEG_INF, log_factorial, log_factorials, log_sum
 from .ensembles import CountVector, EnsembleSpec, Kind, is_feasible
 from .errors import LatticeTooLarge, NoFeasibleTree, SumMismatch
 
-#: Default ceiling on the profiles that ``integer_lattice`` materializes for
-#: ``exact_chi_law``, ``rate.manifold_grid`` and ``ldp.r_set_counts``; the
-#: ball and tail sums of ``ldp`` stream ``lattice_rows`` and have no cap.
-DEFAULT_MAX_PROFILES = 10_000_000
+#: Ceiling on the bytes of one batch of ``lattice_rows`` and of one int64
+#: block of ``lattice_blocks``: 1 MB.
+LATTICE_BYTES = 2**20
 
-#: Ceiling on the bytes of one int64 block of ``lattice_blocks``: 1 MB.
-LATTICE_BLOCK_BYTES = 2**20
-
-#: Ceiling on the bytes of one batch of ``lattice_rows``: 1 MB.
-ROW_BATCH_BYTES = 2**20
+#: Ceiling on the bytes of the int64 matrix that ``integer_lattice``
+#: materializes for ``exact_chi_law`` and ``rate.manifold_grid``: 256 MB.
+#: The streamed sums and the rate grid of the commands have no cap.
+MAX_LATTICE_BYTES = 2**28
 
 #: Ceiling on the cells of one proposal matrix in ``sample_profiles``
 #: (rows times classes, int64): 32 MB whatever the size of the request.
@@ -204,7 +200,15 @@ class DpTable:
 def build_dp(spec: EnsembleSpec, N: int) -> DpTable:
     """Build the forward table in O(D * N * budget) time, O(N * budget) space."""
     budget = shifted_budget(spec, N)
-    W = kernels.dp_forward(class_log_weights(spec), N, budget)
+    logw = class_log_weights(spec)
+    W = np.full((N + 1, budget + 1), NEG_INF)
+    W[0, 0] = 0.0
+    shifted = np.empty(budget + 1)
+    for i in range(1, N + 1):
+        for k in range(min(logw.size - 1, budget) + 1):
+            shifted[:k] = NEG_INF
+            shifted[k:] = W[i - 1, : budget + 1 - k] + logw[k]
+            np.logaddexp(W[i], shifted, out=W[i])
     W.setflags(write=False)
     return DpTable(n_vertices=N, budget=budget, W=W)
 
@@ -266,8 +270,8 @@ class LatticeRows:
     def points(self, a: np.ndarray, b: np.ndarray):
         """Yield the points with a[i] <= m_2 <= b[i] on each row i (none
         where b[i] < a[i]), row by row with m_2 ascending, in int64 blocks of
-        at most ``LATTICE_BLOCK_BYTES`` bytes."""
-        max_rows = max(1, LATTICE_BLOCK_BYTES // (8 * self.ncls))
+        at most ``LATTICE_BYTES`` bytes."""
+        max_rows = max(1, LATTICE_BYTES // (8 * self.ncls))
         counts = np.maximum(b - a + 1, 0)
         ends = np.cumsum(counts)
         starts = ends - counts
@@ -289,7 +293,7 @@ class LatticeRows:
 
 def lattice_rows(k_min: int, k_max: int, total: int, weighted_total: int):
     """Yield the rows of the lattice of ``lattice_blocks`` in batches
-    (``LatticeRows``) of at most ``ROW_BATCH_BYTES`` bytes, empty rows left
+    (``LatticeRows``) of at most ``LATTICE_BYTES`` bytes, empty rows left
     out.
 
     Writing j for the shifted class k - k_min, the walk is depth-first over
@@ -310,7 +314,7 @@ def lattice_rows(k_min: int, k_max: int, total: int, weighted_total: int):
                 np.array([total], dtype=np.int64), np.array([R], dtype=np.int64), one, one,
             )
         return
-    cap = max(1, ROW_BATCH_BYTES // (8 * (ncls + 1)))
+    cap = max(1, LATTICE_BYTES // (8 * (ncls + 1)))
     parts: list[tuple] = []
     count = 0
     # Children are pushed in reverse so that they pop in increasing order.
@@ -347,13 +351,13 @@ def lattice_blocks(k_min: int, k_max: int, total: int, weighted_total: int):
     This is every row of ``lattice_rows`` in full, in its order: ascending
     lexicographic order of (m_{K-1}, ..., m_2), K the number of classes.
     Each block is an (M, k_max - k_min + 1) matrix of at most
-    ``LATTICE_BLOCK_BYTES`` bytes, and may span rows.
+    ``LATTICE_BYTES`` bytes, and may span rows.
     """
     for rows in lattice_rows(k_min, k_max, total, weighted_total):
         yield from rows.points(rows.lo, rows.hi)
 
 
-#: Nats by which the profiles that ``cut_level``'s cut drops from a sum stay
+#: Nats by which the profiles that ``ProfileCut`` drops from a sum stay
 #: below it: e^-40 < 2^-57, under the rounding of a double.
 CUT_SLACK = 40.0
 
@@ -457,61 +461,122 @@ def _first(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo
 
 
-def row_cuts(spec: EnsembleSpec, N: int):
-    """Yield a ``_RowCut`` per batch of ``lattice_rows`` of the feasible profiles."""
-    for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
-        yield _RowCut(spec, N, rows)
+class ProfileCut:
+    """The feasible profiles of (spec, N) whose log weight reaches the cut
+    tau = L - ln(points) - ``CUT_SLACK``, L the largest profile log weight.
 
+    Construction is one walk of ``lattice_rows``, which sets ``points`` (the
+    lattice size), ``top`` (L) and ``tau``; all the profiles below tau
+    together weigh under points e^tau = e^(L - CUT_SLACK).  Each call of
+    ``blocks`` is one more walk.  Raises NoFeasibleTree when no profile is
+    feasible.
+    """
 
-def cut_level(spec: EnsembleSpec, N: int) -> tuple[int, float, float]:
-    """One walk of ``row_cuts``: the number of feasible profiles, their
-    largest log weight L, and the cut tau = L - ln(points) - ``CUT_SLACK``,
-    below which all profiles together weigh under e^(L - CUT_SLACK).
-    Raises NoFeasibleTree when no profile is feasible."""
-    points, top = 0, NEG_INF
-    for cut in row_cuts(spec, N):
-        points += cut.rows.size
-        top = max(top, float(cut.top.max()))
-    if not points:
-        raise NoFeasibleTree(f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}")
-    return points, top, top - math.log(points) - CUT_SLACK
+    def __init__(self, spec: EnsembleSpec, N: int) -> None:
+        self.spec, self.N = spec, N
+        points, top = 0, NEG_INF
+        for cut in self._rows():
+            points += cut.rows.size
+            top = max(top, float(cut.top.max()))
+        if not points:
+            raise NoFeasibleTree(f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}")
+        self.points, self.top = points, top
+        self.tau = top - math.log(points) - CUT_SLACK
+
+    def _rows(self):
+        spec, N = self.spec, self.N
+        for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
+            yield _RowCut(spec, N, rows)
+
+    def blocks(self, low: float | None = None):
+        """Yield the profiles with log weight >= tau or, given ``low``, the
+        shell low <= lw < tau, in the int64 blocks of ``LatticeRows.points``
+        (row by row, m_2 ascending; the shell's lower part of a batch's rows
+        before its upper part)."""
+        for cut in self._rows():
+            first, last = cut.interval(self.tau)
+            if low is None:
+                yield from cut.rows.points(first, last)
+            else:
+                low_first, low_last = cut.interval(low)
+                yield from cut.rows.points(low_first, first - 1)
+                yield from cut.rows.points(last + 1, low_last)
 
 
 def log_partition_value(spec: EnsembleSpec, N: int) -> float:
     """ln Z_N, the log-sum-exp of the profile log weights above the cut of
-    ``cut_level``.  The profiles it drops weigh under points e^tau =
-    e^(L - CUT_SLACK) <= e^-CUT_SLACK Z_N together, below the rounding of
-    the result.  Raises NoFeasibleTree when no profile is feasible."""
-    _, _, tau = cut_level(spec, N)
+    ``ProfileCut``: two walks of the rows.  The profiles it drops weigh
+    under e^(L - CUT_SLACK) <= e^-CUT_SLACK Z_N together, below the
+    rounding of the result.  Raises NoFeasibleTree when no profile is
+    feasible."""
     total = _RunningLogSum()
-    for cut in row_cuts(spec, N):
-        for block in cut.rows.points(*cut.interval(tau)):
-            total.add(profile_log_weights(spec, N, block))
+    for block in ProfileCut(spec, N).blocks():
+        total.add(profile_log_weights(spec, N, block))
     return total.log()
 
 
-def integer_lattice(
-    k_min: int,
-    k_max: int,
-    total: int,
-    weighted_total: int,
-    *,
-    max_points: int = DEFAULT_MAX_PROFILES,
-) -> np.ndarray:
+def log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
+    """ln P_N{select(|chi/N - center|_1)}, ``select`` mapping the distances
+    of a block's profiles to a mask.
+
+    Two walks of the rows fold the profiles above the cut of ``ProfileCut``
+    into the selected sum S and the rest C.  Every profile left out has log
+    weight below tau, so the cut is certified when dropped e^tau <=
+    e^-CUT_SLACK of both S and C.  If not, a third walk folds the shell down
+    to min(ln S, ln C) - ln(dropped) - CUT_SLACK (-inf when a side is
+    empty: the full fold), which certifies the sums that result.  The
+    result is exact to rounding.
+
+    Raises NoFeasibleTree when no profile is feasible; -inf when none is
+    selected.
+    """
+    cut = ProfileCut(spec, N)
+    dropped = cut.points  # every profile, until folded
+    s, c = _RunningLogSum(), _RunningLogSum()  # the selected profiles, the rest
+
+    def fold(blocks):
+        nonlocal dropped
+        for block in blocks:
+            dropped -= block.shape[0]
+            lw = profile_log_weights(spec, N, block)
+            dist = block / N
+            dist -= center
+            chosen = select(np.abs(dist, out=dist).sum(axis=1))
+            s.add(lw[chosen])
+            c.add(lw[~chosen])
+            del block, lw, dist, chosen  # freed before the walk builds the next block
+
+    fold(cut.blocks())
+    floor = min(s.log(), c.log()) - CUT_SLACK
+    if dropped and not math.log(dropped) + cut.tau <= floor:
+        fold(cut.blocks(floor - math.log(dropped) if floor > NEG_INF else NEG_INF))
+    if s.top == NEG_INF:
+        return NEG_INF
+    if c.top == NEG_INF:
+        return 0.0
+    # ln S - ln(S + C) = -ln(1 + C/S): exact to rounding whether the
+    # selected mass is near 1 or tiny.  The tops are profile log weights, of
+    # order N; their difference is taken first so that no rounding at that
+    # scale enters the result.
+    log_ratio = (c.top - s.top) + math.log(c.total / s.total)
+    return -float(np.logaddexp(0.0, log_ratio))
+
+
+def integer_lattice(k_min: int, k_max: int, total: int, weighted_total: int) -> np.ndarray:
     """The blocks of ``lattice_blocks`` joined into one (M, k_max - k_min + 1)
     int64 matrix, in the same order.
 
-    Raises LatticeTooLarge when there are more than ``max_points`` rows.
+    Raises LatticeTooLarge when the matrix would pass ``MAX_LATTICE_BYTES``.
     The lattice has dimension D-2 for labeled profiles and D-1 for plane
     profiles, so its size grows like N^(D-2) or N^(D-1).
     """
     blocks: list[np.ndarray] = []
-    count = 0
+    nbytes = 0
     for block in lattice_blocks(k_min, k_max, total, weighted_total):
-        count += block.shape[0]
-        if count > max_points:
+        nbytes += block.nbytes
+        if nbytes > MAX_LATTICE_BYTES:
             raise LatticeTooLarge(
-                f"profile lattice exceeds the cap of {max_points} points"
+                f"profile lattice exceeds the cap of {MAX_LATTICE_BYTES} bytes"
             )
         blocks.append(block)
     if not blocks:
@@ -519,13 +584,9 @@ def integer_lattice(
     return np.concatenate(blocks)
 
 
-def enumerate_profiles(
-    spec: EnsembleSpec, N: int, *, max_profiles: int = DEFAULT_MAX_PROFILES
-) -> np.ndarray:
+def enumerate_profiles(spec: EnsembleSpec, N: int) -> np.ndarray:
     """All feasible class profiles for (spec, N) as an (M, n_classes) matrix."""
-    return integer_lattice(
-        spec.k_min, spec.D, N, spec.kind.class_sum(N), max_points=max_profiles
-    )
+    return integer_lattice(spec.k_min, spec.D, N, spec.kind.class_sum(N))
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,7 +623,7 @@ def exact_chi_law(spec: EnsembleSpec, N: int) -> ChiLaw:
     """Exact finite-N law of chi: every feasible profile with its log-probability.
 
     Raises NoFeasibleTree when no profile is feasible and LatticeTooLarge
-    when there are more than ``DEFAULT_MAX_PROFILES``.
+    when the profiles pass ``MAX_LATTICE_BYTES``.
     """
     profiles = enumerate_profiles(spec, N)
     if profiles.shape[0] == 0:
@@ -623,18 +684,17 @@ def sample_profiles(
 
 def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` profiles by inverse CDF over the profiles above the cut
-    of ``cut_level``: two more walks of ``row_cuts`` fold their weights
-    e^(lw - L) into running sums, first for the total and then to place the
-    sorted uniforms block by block, whose argsort undoes the sort."""
-    _, top, tau = cut_level(spec, N)
+    of ``ProfileCut``: two more walks fold their weights e^(lw - L) into
+    running sums, first for the total and then to place the sorted uniforms
+    block by block, whose argsort undoes the sort."""
+    cut = ProfileCut(spec, N)
 
     def cdf():  # the kept profiles and the running sums of e^(lw - L)
         seen = 0.0
-        for cut in row_cuts(spec, N):
-            for block in cut.rows.points(*cut.interval(tau)):
-                cum = seen + np.cumsum(np.exp(profile_log_weights(spec, N, block) - top))
-                seen = cum[-1]
-                yield block, cum
+        for block in cut.blocks():
+            cum = seen + np.cumsum(np.exp(profile_log_weights(spec, N, block) - cut.top))
+            seen = cum[-1]
+            yield block, cum
 
     total = max(cum[-1] for _, cum in cdf())  # the last running sum
     u = rng.random(size)

@@ -21,8 +21,13 @@ achievable range (labeled D = 2, plane D = 1, where M degenerates to a
 single point) the minimizer is the boundary vertex of M and the context
 carries a boundary flag instead of a tilt parameter.
 
-A brute-force lattice oracle (grid_minimize_J) cross-checks the tilt
-solution by direct minimization over a fine grid on M.
+The rate grid is the lattice of M at free-coordinate spacing
+1/resolution: the class profiles of ``resolution`` nodes on M, divided by
+``resolution``.  ``grid_inf_rate`` gives the ``inf_I`` column of ``lln``
+from it at ``GRID_RESOLUTION``, and the brute-force oracle
+``grid_minimize_J`` cross-checks the tilt solution on it; both stream one
+walk of ``partition.lattice_blocks``.  ``manifold_grid`` materializes the
+grid for the tests, under ``partition.MAX_LATTICE_BYTES``.
 """
 
 from __future__ import annotations
@@ -39,11 +44,11 @@ from .ensembles import (
     as_frequency,
 )
 from .errors import KindMismatch
-from .partition import integer_lattice, tilt, tilt_probs, word_log_weights
+from .partition import integer_lattice, lattice_blocks, tilt, tilt_probs, word_log_weights
 
-#: Default ceiling on the points of M enumerated by the lattice oracle
-#: (the lattice on M itself, not the free-coordinate box around it).
-DEFAULT_MAX_GRID = 20_000_000
+#: Free-coordinate spacing 1/GRID_RESOLUTION of the rate grid behind the
+#: ``inf_I`` column of ``lln``.
+GRID_RESOLUTION = 1000
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
@@ -215,31 +220,48 @@ def j_free_gradient(spec: EnsembleSpec, p) -> np.ndarray:
     return a_low * dJdp[0] + a_next * dJdp[1] + dJdp[2:]
 
 
-def manifold_grid(
-    spec: EnsembleSpec, resolution: int, *, max_points: int = DEFAULT_MAX_GRID
-) -> np.ndarray:
-    """Lattice of M at free-coordinate spacing 1/resolution.
-
-    The points are the class profiles of ``resolution`` nodes at mean class
-    ``spec.mean_target``, divided by ``resolution``; only points of M are
-    enumerated.  Returns an (M, n_classes) float matrix whose rows come in
-    ``integer_lattice`` order (``grid_minimize_J`` keeps the first of tied
-    rows); raises LatticeTooLarge when the lattice on M exceeds
-    ``max_points``.
-    """
+def _grid_lattice(spec: EnsembleSpec, resolution: int) -> tuple[int, int, int, int]:
+    """The ``partition.lattice_blocks`` arguments of the rate grid at
+    1/``resolution``: ``resolution`` nodes at mean class ``spec.mean_target``."""
     if resolution < 10:
         raise ValueError("resolution must be >= 10")
-    weighted_total = round(spec.mean_target * resolution)
-    lattice = integer_lattice(
-        spec.k_min, spec.D, resolution, weighted_total, max_points=max_points
-    )
-    return lattice / resolution
+    return spec.k_min, spec.D, resolution, spec.kind.manifold_total(resolution)
 
 
-def grid_minimize_J(
-    spec: EnsembleSpec, resolution: int, *, max_points: int = DEFAULT_MAX_GRID
-) -> FrequencyVector:
-    """Brute-force oracle for p*: best grid point of M at 1/resolution."""
-    pts = manifold_grid(spec, resolution, max_points=max_points)
-    vals = j_values(spec, pts)
-    return FrequencyVector(spec.kind, pts[int(np.argmin(vals))])
+def manifold_grid(spec: EnsembleSpec, resolution: int) -> np.ndarray:
+    """Lattice of M at free-coordinate spacing 1/resolution, materialized.
+
+    Only points of M are enumerated.  Returns an (M, n_classes) float matrix
+    whose rows come in ``partition.integer_lattice`` order, the order in
+    which ``grid_minimize_J`` and ``grid_inf_rate`` stream them; raises
+    LatticeTooLarge when the int64 lattice passes
+    ``partition.MAX_LATTICE_BYTES``.
+    """
+    return integer_lattice(*_grid_lattice(spec, resolution)) / resolution
+
+
+def grid_minimize_J(spec: EnsembleSpec, resolution: int) -> FrequencyVector:
+    """Brute-force oracle for p*: the first point of the rate grid at
+    1/resolution (in ``manifold_grid`` order) with the least J."""
+    best, point = np.inf, None
+    for block in lattice_blocks(*_grid_lattice(spec, resolution)):
+        grid = block / resolution
+        vals = j_values(spec, grid)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, point = vals[i], grid[i]
+    return FrequencyVector(spec.kind, point)
+
+
+def grid_inf_rate(ctx: RateContext, delta: float) -> float:
+    """inf I over the points of the rate grid at ``GRID_RESOLUTION`` farther
+    than ``delta`` (l1) from p*; +inf when there are none."""
+    spec = ctx.spec
+    best = np.inf
+    for block in lattice_blocks(*_grid_lattice(spec, GRID_RESOLUTION)):
+        grid = block / GRID_RESOLUTION
+        dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
+        outside = grid[dist > delta]
+        if outside.size:
+            best = min(best, float(j_values(spec, outside).min()))
+    return best - ctx.Jstar

@@ -51,7 +51,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import kernels
 from .ensembles import CountVector, EnsembleSpec, Kind
 from .errors import (
     BadLabel,
@@ -272,6 +271,13 @@ def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
 # cycle lemma
 
 
+def _lukasiewicz_starts(steps: np.ndarray) -> np.ndarray:
+    """Per row of step words summing to -1, the start of the unique rotation
+    that is a Lukasiewicz path: right after the first position attaining
+    the minimal prefix sum."""
+    return (np.cumsum(steps, axis=1).argmin(axis=1) + 1) % steps.shape[1]
+
+
 def cycle_lemma_rotation(word) -> int:
     """Start index of the unique rotation of ``word`` that is a valid
     Lukasiewicz path.
@@ -287,7 +293,7 @@ def cycle_lemma_rotation(word) -> int:
         raise ValueError("steps must be >= -1")
     if int(steps.sum()) != -1:
         raise BadStepSum(f"steps sum to {int(steps.sum())}, expected -1")
-    start = int(kernels.lukasiewicz_starts(steps[None, :])[0])
+    start = int(_lukasiewicz_starts(steps[None, :])[0])
     rotated = np.roll(steps, -start)
     walk = np.cumsum(rotated)
     assert walk[-1] == -1 and (walk[:-1] >= 0).all(), "cycle lemma rotation invalid"
@@ -350,7 +356,8 @@ def sample_plane_child_counts(
     step = group_rows(spec, N)
     for start in range(0, size, step):
         part = counts[start : start + step]
-        yield kernels.rotate_rows(part, kernels.lukasiewicz_starts(part - 1))
+        cols = (_lukasiewicz_starts(part - 1)[:, None] + np.arange(N)) % N
+        yield np.take_along_axis(part, cols, axis=1)
 
 
 def sample_plane_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> PlaneTree:

@@ -502,19 +502,19 @@ def test_lattice_commands_materialize_no_lattice(capsys, monkeypatch, argv):
 def test_grid_inf_rate_matches_the_materialized_grid(monkeypatch, spec):
     # blocks of 3 grid points; the oracle takes the minimum over the whole
     # rate.manifold_grid at the same resolution
-    monkeypatch.setattr(cli, "GRID_RESOLUTION", 60)
-    monkeypatch.setattr(partition, "LATTICE_BLOCK_BYTES", 3 * 8 * spec.n_classes)
+    monkeypatch.setattr(rate, "GRID_RESOLUTION", 60)
+    monkeypatch.setattr(partition, "LATTICE_BYTES", 3 * 8 * spec.n_classes)
     ctx = solve_pstar(spec)
     grid = rate.manifold_grid(spec, 60)
     values = rate.j_values(spec, grid) - ctx.Jstar
     dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
     for delta in (0.02, 0.3, 2.5):
         want = values[dist > delta].min() if (dist > delta).any() else math.inf
-        assert cli._grid_inf_rate(ctx, delta) == want
+        assert rate.grid_inf_rate(ctx, delta) == want
 
 
 def test_ldp_table_past_the_lattice_cap(capsys):
-    # 12,090,200 profiles, past partition.DEFAULT_MAX_PROFILES
+    # 12,090,200 profiles, 484 MB as int64: past partition.MAX_LATTICE_BYTES
     code, out, err = run_cli(
         capsys, "ldp-table", "--kind", "labeled", "--bound", "5", "--n-list", "1200",
         "--eps", "0.1",

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 
-from treegibbs import kernels
+from treegibbs import EnsembleSpec, kernels, treegen
+from treegibbs.partition import build_dp
 
 
 def _reference_dp(logw, n, budget):
-    # straightforward python reference, independent of both backends
+    # straightforward python reference
     K = len(logw) - 1
     W = [[float("-inf")] * (budget + 1) for _ in range(n + 1)]
     W[0][0] = 0.0
@@ -26,7 +27,8 @@ def _reference_dp(logw, n, budget):
 def test_dp_forward_matches_reference():
     rng = np.random.default_rng(0)
     logw = rng.normal(size=4)
-    got = kernels.dp_forward(logw, 12, 11)
+    # plane D=3 at beta=1 has class log weights -c(k), and budget N-1
+    got = build_dp(EnsembleSpec.plane(3, 1.0, tuple(-logw)), 12).W
     ref = _reference_dp(list(logw), 12, 11)
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
@@ -41,8 +43,9 @@ def test_rotation_gives_lukasiewicz_paths():
     keep = counts.sum(axis=1) == counts.shape[1] - 1
     counts = np.ascontiguousarray(counts[keep], dtype=np.int64)
     assert counts.shape[0] > 0
-    starts = kernels.lukasiewicz_starts(counts - 1)
-    walks = np.cumsum(kernels.rotate_rows(counts, starts) - 1, axis=1)
+    starts = treegen._lukasiewicz_starts(counts - 1)
+    cols = (starts[:, None] + np.arange(counts.shape[1])) % counts.shape[1]
+    walks = np.cumsum(np.take_along_axis(counts, cols, axis=1) - 1, axis=1)
     assert (walks[:, :-1] >= 0).all()
     np.testing.assert_array_equal(walks[:, -1], -1)
 

@@ -223,7 +223,7 @@ STREAMED_SPECS = [
 def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
     # Blocks of 3 profiles, so every sum folds across many blocks; the
     # reference sums the materialized law's log-probabilities.
-    monkeypatch.setattr(partition, "LATTICE_BLOCK_BYTES", 3 * 8 * spec.n_classes)
+    monkeypatch.setattr(partition, "LATTICE_BYTES", 3 * 8 * spec.n_classes)
     blocks = partition.lattice_blocks(spec.k_min, spec.D, N, spec.kind.class_sum(N))
     assert sum(1 for _ in blocks) >= 10
     law = exact_chi_law(spec, N)
@@ -257,9 +257,10 @@ def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
 
 
 def full_fold(spec, N, center, select):
-    """``ldp._log_mass`` with nothing cut (tau = -inf): every profile folded.
+    """``partition.log_mass`` with nothing cut (tau = -inf): every profile
+    folded.
 
-    The walk that sets tau, ``partition.cut_level``, reads
+    The walk that sets tau, ``partition.ProfileCut``, reads
     ``partition.CUT_SLACK``; a spy on the fold checks that every profile of
     the lattice reaches it, so the oracle cannot be the cut itself."""
     folded = []
@@ -271,8 +272,8 @@ def full_fold(spec, N, center, select):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "CUT_SLACK", math.inf)
-        mp.setattr(ldp, "profile_log_weights", fold)
-        got = ldp._log_mass(spec, N, center, select)
+        mp.setattr(partition, "profile_log_weights", fold)
+        got = partition.log_mass(spec, N, center, select)
     rows = partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N))
     assert sum(folded) == sum(batch.size for batch in rows)
     return got
@@ -333,7 +334,7 @@ def test_cut_fold_matches_the_full_fold(kind, D, beta, c_raw, N, mode, u, weight
     center = pick_center(spec, mode, u, weights)
     select = (lambda d: d > radius) if tail else (lambda d: d <= radius)
     want = full_fold(spec, N, center, select)
-    got = ldp._log_mass(spec, N, center, select)
+    got = partition.log_mass(spec, N, center, select)
     if want in (NEG_INF, 0.0):
         assert got == want
     else:
@@ -347,7 +348,7 @@ def test_cut_fold_keeps_a_tail_below_e_minus_300():
     pstar = solve_pstar(spec).pstar.p
     want = full_fold(spec, 60, pstar, lambda d: d > 0.8)
     assert -400 < want < -300
-    got = ldp._log_mass(spec, 60, pstar, lambda d: d > 0.8)
+    got = partition.log_mass(spec, 60, pstar, lambda d: d > 0.8)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -370,7 +371,7 @@ def test_row_cut_keeps_exactly_the_points_above_tau(kind, D, beta, c_raw, N, bat
         D = kind.mean
     spec = make_spec(kind, D, beta, c_raw)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(partition, "ROW_BATCH_BYTES", 8 * (spec.n_classes + 1) * batch_rows)
+        mp.setattr(partition, "LATTICE_BYTES", 8 * (spec.n_classes + 1) * batch_rows)
         batches = list(partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)))
     for rows in batches:
         cut = partition._RowCut(spec, N, rows)
@@ -398,7 +399,7 @@ def test_cut_fold_second_pass_and_kept_share(monkeypatch):
     # Counts, not timings: the lln tail of labeled D=4 at N=2000 is small
     # enough that the certificate sends the fold below tau (a third walk of
     # the rows), and the ball of plane D=4 at N=1600 folds under 10% of the
-    # lattice.
+    # lattice.  ln Z takes two walks, and the rare-class draw three.
     walks, folded = [], []
     lattice_rows, log_weights = partition.lattice_rows, partition.profile_log_weights
 
@@ -411,7 +412,7 @@ def test_cut_fold_second_pass_and_kept_share(monkeypatch):
         return log_weights(spec, N, block)
 
     monkeypatch.setattr(partition, "lattice_rows", walk)
-    monkeypatch.setattr(ldp, "profile_log_weights", fold)
+    monkeypatch.setattr(partition, "profile_log_weights", fold)
 
     spec = EnsembleSpec.labeled(4)
     assert 0 < lln_tail(spec, 2000, 0.1) < 1e-4
@@ -424,3 +425,13 @@ def test_cut_fold_second_pass_and_kept_share(monkeypatch):
     assert len(walks) == 2
     points = sum(rows.size for rows in lattice_rows(*walks[0]))
     assert sum(folded) < 0.1 * points
+
+    walks.clear()
+    partition.log_partition_value(spec, 1600)
+    assert len(walks) == 2
+
+    # degrees 2 and 4 carry tilt weight e^-20, and odd N needs one of them
+    walks.clear()
+    spec = EnsembleSpec(Kind.LABELED, 4, 1.0, (0.0, 20.0, 0.0, 20.0))
+    partition.sample_profiles(spec, 9, 50, rng_stream(5))
+    assert len(walks) == 3

@@ -255,7 +255,7 @@ def test_lattice_blocks_property(k_min, ncls, total, offset, block_rows, slack):
     weighted = max(0, low - 1) + offset % (high + 2 - max(0, low - 1))
     bound = 8 * ncls * block_rows + slack
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(partition, "LATTICE_BLOCK_BYTES", bound)
+        mp.setattr(partition, "LATTICE_BYTES", bound)
         blocks = list(lattice_blocks(k_min, k_max, total, weighted))
         joined = integer_lattice(k_min, k_max, total, weighted)
     assert all(b.dtype == np.int64 and b.shape[1] == ncls for b in blocks)
@@ -287,7 +287,7 @@ def test_lattice_rows_property(k_min, ncls, total, offset, batch_rows):
     low, high = k_min * total, k_max * total
     weighted = max(0, low - 1) + offset % (high + 2 - max(0, low - 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(partition, "ROW_BATCH_BYTES", 8 * (ncls + 1) * batch_rows)
+        mp.setattr(partition, "LATTICE_BYTES", 8 * (ncls + 1) * batch_rows)
         batches = list(partition.lattice_rows(k_min, k_max, total, weighted))
     assert all(0 < b.t.size <= batch_rows for b in batches)
     assert all((b.lo <= b.hi).all() for b in batches)
@@ -325,9 +325,25 @@ def test_enumerate_profiles_matches_independent_enumeration(spec, N):
     assert got == expected
 
 
-def test_enumerate_profiles_cap():
+def test_enumerate_profiles_cap(monkeypatch):
+    monkeypatch.setattr(partition, "MAX_LATTICE_BYTES", 10 * 8 * 5)  # 10 profiles
     with pytest.raises(LatticeTooLarge):
-        enumerate_profiles(EnsembleSpec.labeled(5), 200, max_profiles=10)
+        enumerate_profiles(EnsembleSpec.labeled(5), 200)
+
+
+def test_integer_lattice_cap_is_in_bytes(monkeypatch):
+    # blocks of 7 rows: a cap of exactly the matrix's bytes passes, and a
+    # lattice one block larger than the cap is refused
+    args = (0, 3, 40, 50)
+    monkeypatch.setattr(partition, "LATTICE_BYTES", 7 * 8 * 4)
+    blocks = list(lattice_blocks(*args))
+    whole = np.concatenate(blocks)
+    assert len(blocks) > 2
+    monkeypatch.setattr(partition, "MAX_LATTICE_BYTES", whole.nbytes)
+    np.testing.assert_array_equal(integer_lattice(*args), whole)
+    monkeypatch.setattr(partition, "MAX_LATTICE_BYTES", whole.nbytes - blocks[-1].nbytes)
+    with pytest.raises(LatticeTooLarge):
+        integer_lattice(*args)
 
 
 def test_rng_stream_reproducible_and_split():
@@ -434,7 +450,7 @@ def test_row_cut_draws_are_feasible_profiles_above_the_cut(kind, D, beta, c_raw,
     assert rows.shape == (size, spec.n_classes) and rows.min() >= 0
     np.testing.assert_array_equal(rows.sum(axis=1), np.full(size, N))
     np.testing.assert_array_equal(rows @ spec.classes(), np.full(size, spec.kind.class_sum(N)))
-    _, _, tau = partition.cut_level(spec, N)
+    tau = partition.ProfileCut(spec, N).tau
     assert partition.profile_log_weights(spec, N, rows).min() >= tau - 1e-9 * (1 + abs(tau))
 
 

@@ -23,6 +23,7 @@ from treegibbs import (
     tilt_frequencies,
     tilt_mean,
 )
+from treegibbs import partition
 from treegibbs.rate import from_free_coordinates, j_values, manifold_grid
 
 SQRT2 = math.sqrt(2.0)
@@ -162,10 +163,26 @@ def test_grid_minimizer_examples():
     np.testing.assert_array_equal(best.p, [0.0, 1.0])
 
 
-def test_grid_cap():
+def test_grid_cap(monkeypatch):
+    monkeypatch.setattr(partition, "MAX_LATTICE_BYTES", 10_000 * 8 * 5)  # 10,000 points
     with pytest.raises(LatticeTooLarge):
-        grid_minimize_J(EnsembleSpec.labeled(5), 1000, max_points=10_000)
-    grid_minimize_J(EnsembleSpec.labeled(5), 20, max_points=10_000)
+        manifold_grid(EnsembleSpec.labeled(5), 1000)
+    manifold_grid(EnsembleSpec.labeled(5), 20)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EnsembleSpec.labeled(2), EnsembleSpec.plane(1), EnsembleSpec.labeled(3),
+     EnsembleSpec(Kind.LABELED, 5, 0.5, (0.0, 0.3, 0.0, 1.0, 0.2)),
+     EnsembleSpec(Kind.PLANE, 4, 1.0, (0.0, 0.0, 0.0, 1.0, 2.0))],
+)
+def test_streamed_grid_minimizer_is_the_first_argmin(monkeypatch, spec):
+    # blocks of 3 grid points; the oracle is np.argmin, the first minimum,
+    # over the whole materialized grid
+    monkeypatch.setattr(partition, "LATTICE_BYTES", 3 * 8 * spec.n_classes)
+    grid = manifold_grid(spec, 60)
+    want = grid[int(np.argmin(j_values(spec, grid)))]
+    np.testing.assert_array_equal(grid_minimize_J(spec, 60).p, want)
 
 
 def _box_filter_grid(spec, resolution):
