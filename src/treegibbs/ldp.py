@@ -5,7 +5,7 @@ tail probabilities are ratios of two log-sum-exps of the profiles' log
 weights (the ball or tail, and the rest), which ``partition.log_mass``
 folds block by block over the certified cut of the profile lattice
 (``partition.ProfileCut``), the engine that ln Z_N and the rare-class
-sampler share.  Memory is bounded by the block and batch sizes.  Time
+sampler share.  Memory is bounded by ``partition.LATTICE_BYTES``.  Time
 grows like the kept profiles, about (N ln N)^(d/2) on a lattice of
 dimension d (D-2 for labeled, D-1 for plane profiles), plus the N^(d-1)
 rows.  Finite-size rates ``r_N = -(1/N) ln P(ball)`` are compared against
@@ -46,8 +46,8 @@ def log_prob_ball(spec: EnsembleSpec, N: int, center, eps: float) -> float:
 
     The center may be any vector in [0,1]^K, on or off the manifold.
     Returns -inf when no feasible profile falls inside the ball.  The
-    lattice is streamed, never held: memory stays within a few batches and
-    blocks of ``partition.LATTICE_BYTES`` at any N.
+    lattice is streamed, never held: one batch of its rows and one block of
+    their points hold at most ``partition.LATTICE_BYTES`` at any N.
     """
     if not eps > 0:  # NaN fails too
         raise ValueError(f"eps must be positive, got {eps!r}")

@@ -13,16 +13,18 @@ the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
 
 The feasible profiles form an integer lattice of dimension K-2 (K the
 number of classes).  ``lattice_rows`` walks it as rows, on each of which
-the classes above 2 are fixed and m_2 runs over an interval, in batches of
-at most ``LATTICE_BYTES``; ``lattice_blocks`` yields the points of every
-row in int64 blocks of at most ``LATTICE_BYTES``.  By the LDP almost none
-of the lattice carries measurable mass at finite N.  ``ProfileCut`` keeps
-each row's interval within ``CUT_SLACK`` nats and ln(points) of the largest
-log weight, and every exact sum over the lattice folds only that: ln Z_N
-(``log_partition_value``), the ball and tail masses behind ``ldp``
-(``log_mass``, which certifies the cut against both of its sums and widens
-it when it must), and the draw of rare-class profiles (``_sample_cut``),
-all in memory bounded in N.  ``integer_lattice`` joins the blocks into one
+the classes above 2 are fixed and m_2 runs over an interval, in batches;
+``LatticeRows.pairs`` yields their points as blocks of (row, m_2), and
+``lattice_blocks`` as int64 profiles.  Callers size both by what they hold
+per row and per point, so that a batch and a block hold at most
+``LATTICE_BYTES``.  By the LDP almost none of the lattice carries
+measurable mass at finite N.  ``ProfileCut`` keeps each row's interval
+within ``CUT_SLACK`` nats and ln(points) of the largest log weight, and
+every exact sum over the lattice folds only that, scoring each (row, m_2)
+in closed form: ln Z_N (``log_partition_value``), the ball and tail masses
+behind ``ldp`` (``log_mass``, which certifies the cut against both of its
+sums and widens it when it must), and the draw of rare-class profiles
+(``_sample_cut``).  ``integer_lattice`` joins the blocks into one
 matrix, under a cap of ``MAX_LATTICE_BYTES``, for the callers that need
 every profile at once.  Among them is the exact law of chi, which
 normalizes itself: ``exact_chi_law`` enumerates the feasible profiles, and
@@ -67,8 +69,9 @@ from .combinatorics import NEG_INF, log_factorial, log_factorials, log_sum
 from .ensembles import CountVector, EnsembleSpec, Kind, is_feasible
 from .errors import LatticeTooLarge, NoFeasibleTree, SumMismatch
 
-#: Ceiling on the bytes of one batch of ``lattice_rows`` and of one int64
-#: block of ``lattice_blocks``: 1 MB.
+#: Ceiling on what one batch of ``lattice_rows`` and one block of its points
+#: hold at once, temporaries included: 1 MB, half for each, at the bytes per
+#: row and per point that the caller states.
 LATTICE_BYTES = 2**20
 
 #: Ceiling on the bytes of the int64 matrix that ``integer_lattice``
@@ -267,34 +270,52 @@ class LatticeRows:
         """Lattice points on the rows."""
         return int((self.hi - self.lo + 1).sum())
 
-    def points(self, a: np.ndarray, b: np.ndarray):
+    def pairs(self, a: np.ndarray, b: np.ndarray, point_bytes: int):
         """Yield the points with a[i] <= m_2 <= b[i] on each row i (none
-        where b[i] < a[i]), row by row with m_2 ascending, in int64 blocks of
-        at most ``LATTICE_BYTES`` bytes."""
-        max_rows = max(1, LATTICE_BYTES // (8 * self.ncls))
+        where b[i] < a[i]), row by row with m_2 ascending, as blocks of row
+        indices i and m_2 values, each of at most LATTICE_BYTES / 2 at the
+        caller's ``point_bytes`` per point."""
+        size = max(1, LATTICE_BYTES // (2 * point_bytes))
         counts = np.maximum(b - a + 1, 0)
         ends = np.cumsum(counts)
         starts = ends - counts
         offset = starts - a  # m_2 = (point index in the batch) - offset[row]
-        for start in range(0, int(ends[-1]), max_rows):
-            stop = min(start + max_rows, int(ends[-1]))
+        for start in range(0, int(ends[-1]), size):
+            stop = min(start + size, int(ends[-1]))
             # the rows of points start..stop-1, and their points in it
             r0, r1 = np.searchsorted(ends, (start, stop - 1), side="right")
-            rows = slice(r0, r1 + 1)
-            n = np.minimum(ends[rows], stop) - np.maximum(starts[rows], start)
-            m2 = np.arange(start, stop, dtype=np.int64) - np.repeat(offset[rows], n)
-            t, r = np.repeat(self.t[rows], n), np.repeat(self.r[rows], n)
-            block = np.empty((m2.size, self.ncls), dtype=np.int64)
-            for k, col in enumerate((t - r + m2, r - 2 * m2, m2)[: self.ncls]):
-                block[:, k] = col
-            block[:, 3:] = np.repeat(self.upper[rows], n, axis=0)
-            yield block
+            n = np.minimum(ends[r0 : r1 + 1], stop) - np.maximum(starts[r0 : r1 + 1], start)
+            i = np.repeat(np.arange(r0, r1 + 1), n)
+            yield i, np.arange(start, stop, dtype=np.int64) - offset[i]
+
+    def points(self, a: np.ndarray, b: np.ndarray, point_bytes: int | None = None):
+        """The points of ``pairs`` as int64 profile blocks (``profiles``), by
+        default at the bytes of a block and the five columns that build it."""
+        for i, m2 in self.pairs(a, b, point_bytes or 8 * (self.ncls + 5)):
+            yield self.profiles(i, m2)
+
+    def columns(self, i, m2: np.ndarray):
+        """m_0, m_1 and m_2 of the points m_2 = ``m2`` on rows ``i``."""
+        t, r = self.t[i], self.r[i]
+        return t - r + m2, r - 2 * m2, m2
+
+    def profiles(self, i: np.ndarray, m2: np.ndarray) -> np.ndarray:
+        """The (m2.size, ncls) int64 profiles of the points m_2 = ``m2`` on
+        rows ``i``."""
+        block = np.empty((m2.size, self.ncls), dtype=np.int64)
+        for k, col in enumerate(self.columns(i, m2)[: self.ncls]):
+            block[:, k] = col
+        block[:, 3:] = self.upper[i]
+        return block
 
 
-def lattice_rows(k_min: int, k_max: int, total: int, weighted_total: int):
+def lattice_rows(
+    k_min: int, k_max: int, total: int, weighted_total: int, row_bytes: int | None = None
+):
     """Yield the rows of the lattice of ``lattice_blocks`` in batches
-    (``LatticeRows``) of at most ``LATTICE_BYTES`` bytes, empty rows left
-    out.
+    (``LatticeRows``) of at most LATTICE_BYTES / 2 at the ``row_bytes`` that
+    the caller holds per row (by default a row's own ncls + 1 columns),
+    empty rows left out.
 
     Writing j for the shifted class k - k_min, the walk is depth-first over
     the classes j >= 4; each of its leaves is a vector of rows, one per m_3.
@@ -305,16 +326,7 @@ def lattice_rows(k_min: int, k_max: int, total: int, weighted_total: int):
     R = weighted_total - k_min * total  # shifted weighted sum
     if total < 0 or R < 0:
         return
-    if ncls < 3:
-        # m0 = total - R, m1 = R
-        if R <= total and (ncls == 2 or R == 0):
-            one = np.array([0], dtype=np.int64)
-            yield LatticeRows(
-                ncls, np.empty((1, 0), dtype=np.int64),
-                np.array([total], dtype=np.int64), np.array([R], dtype=np.int64), one, one,
-            )
-        return
-    cap = max(1, LATTICE_BYTES // (8 * (ncls + 1)))
+    cap = max(1, LATTICE_BYTES // (2 * (row_bytes or 8 * (ncls + 1))))
     parts: list[tuple] = []
     count = 0
     # Children are pushed in reverse so that they pop in increasing order.
@@ -325,13 +337,15 @@ def lattice_rows(k_min: int, k_max: int, total: int, weighted_total: int):
             for m in range(min(rem_total, rem_r // j), -1, -1):
                 stack.append((j - 1, rem_total - m, rem_r - j * m, suffix + (m,)))
             continue
-        # With three classes m_3 is absent, and the leaf is one row.
+        # With three classes or fewer m_3 is absent, and the leaf is one row;
+        # below three m_2 is pinned to 0, and with one class m_1 too.
         m3 = np.arange(min(rem_total, rem_r // 3) + 1 if ncls > 3 else 1, dtype=np.int64)
         t, r = rem_total - m3, rem_r - 3 * m3
-        lo, hi = np.maximum(0, r - t), r // 2
+        lo = np.maximum(r - t, r if ncls == 1 else 0)
+        hi = r // 2 if ncls > 2 else 0 * r
         keep = lo <= hi
         if keep.any():
-            upper = np.empty((int(keep.sum()), ncls - 3), dtype=np.int64)
+            upper = np.empty((int(keep.sum()), max(ncls - 3, 0)), dtype=np.int64)
             if ncls > 3:
                 upper[:, 0] = m3[keep]
                 upper[:, 1:] = suffix[::-1]
@@ -339,22 +353,29 @@ def lattice_rows(k_min: int, k_max: int, total: int, weighted_total: int):
             count += upper.shape[0]
         while count >= cap or (count and not stack):
             cols = [np.concatenate(c) for c in zip(*parts)]
-            yield LatticeRows(ncls, *(c[:cap] for c in cols))
-            parts = [tuple(c[cap:] for c in cols)]
+            # copies, so that the batch's arrays die with the batch
+            parts = [tuple(c[cap:].copy() for c in cols)]
             count = max(count - cap, 0)
+            yield LatticeRows(ncls, *(c[:cap] for c in cols))
+            del cols
 
 
-def lattice_blocks(k_min: int, k_max: int, total: int, weighted_total: int):
+def lattice_blocks(
+    k_min: int, k_max: int, total: int, weighted_total: int, point_bytes: int | None = None
+):
     """Yield all integer vectors m >= 0 indexed by classes k_min..k_max with
     ``sum m = total`` and ``sum k m_k = weighted_total``, in int64 blocks.
 
     This is every row of ``lattice_rows`` in full, in its order: ascending
     lexicographic order of (m_{K-1}, ..., m_2), K the number of classes.
-    Each block is an (M, k_max - k_min + 1) matrix of at most
-    ``LATTICE_BYTES`` bytes, and may span rows.
+    Each block is an (M, ncls) matrix, ncls = k_max - k_min + 1, and may
+    span rows.  A batch of rows and a block hold at most ``LATTICE_BYTES``
+    together, ``point_bytes`` being what the caller holds per point (by
+    default those of ``LatticeRows.points``).
     """
-    for rows in lattice_rows(k_min, k_max, total, weighted_total):
-        yield from rows.points(rows.lo, rows.hi)
+    # a row holds its ncls + 1 columns and the four of LatticeRows.pairs
+    for rows in lattice_rows(k_min, k_max, total, weighted_total, 8 * (k_max - k_min + 6)):
+        yield from rows.points(rows.lo, rows.hi, point_bytes)
 
 
 #: Nats by which the profiles that ``ProfileCut`` drops from a sum stay
@@ -404,16 +425,17 @@ class _RowCut:
         a = np.zeros(max(spec.n_classes, 3))
         a[: spec.n_classes] = class_log_weights(spec)
         self.a = a
-        const = log_factorial(N) + (
-            log_factorial(N - 2) if spec.kind is Kind.LABELED else -math.log(N)
-        )
-        self.base = const - log_factorials(rows.upper).sum(axis=1) + rows.upper @ a[3:]
+        self.lf_n = log_factorial(N)
+        self.const = log_factorial(N - 2) if spec.kind is Kind.LABELED else -math.log(N)
+        # per row, the terms of the classes >= 3 in sum ln m_k! and in m . a
+        self.lf_upper = log_factorials(rows.upper).sum(axis=1)
+        self.a_upper = rows.upper @ a[3:]
         # first m_2 whose forward difference is <= 0; never evaluated at hi,
         # where m_1 < 2
         step = a[0] - 2.0 * a[1] + a[2]
 
         def falls(m2, i):
-            m0, m1 = rows.t[i] - rows.r[i] + m2, rows.r[i] - 2 * m2
+            m0, m1, _ = rows.columns(i, m2)
             return np.log(m1 * (m1 - 1.0)) - np.log((m0 + 1.0) * (m2 + 1.0)) + step <= 0
 
         self.peak = _first(falls, rows.lo, rows.hi)
@@ -421,13 +443,14 @@ class _RowCut:
 
     def log_weights(self, m2: np.ndarray, i) -> np.ndarray:
         """Log weights of the points m_2 = ``m2`` on rows ``i``: those of
-        ``profile_log_weights``, to rounding."""
-        t, r, a = self.rows.t[i], self.rows.r[i], self.a
-        m0, m1 = t - r + m2, r - 2 * m2
-        return (
-            self.base[i] - log_factorials(m0) - log_factorials(m1) - log_factorials(m2)
-            + a[0] * m0 + a[1] * m1 + a[2] * m2
-        )
+        ``profile_log_weights``, to rounding.  As there, the ln m_k! are
+        summed first and taken from ln N! once: one rounding at the scale of
+        ln N!, where taking them one by one would round at each step."""
+        m0, m1, m2 = self.rows.columns(i, m2)
+        a = self.a
+        lf = log_factorials(m0) + log_factorials(m1) + log_factorials(m2) + self.lf_upper[i]
+        linear = a[0] * m0 + a[1] * m1 + a[2] * m2 + self.a_upper[i]
+        return (self.lf_n - lf) + self.const + linear
 
     def interval(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the ends (first, last) of {m_2 : lw >= tau}; a row whose
@@ -468,7 +491,7 @@ class ProfileCut:
     Construction is one walk of ``lattice_rows``, which sets ``points`` (the
     lattice size), ``top`` (L) and ``tau``; all the profiles below tau
     together weigh under points e^tau = e^(L - CUT_SLACK).  Each call of
-    ``blocks`` is one more walk.  Raises NoFeasibleTree when no profile is
+    ``batches`` is one more walk.  Raises NoFeasibleTree when no profile is
     feasible.
     """
 
@@ -485,22 +508,27 @@ class ProfileCut:
 
     def _rows(self):
         spec, N = self.spec, self.N
-        for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
+        # per row: its ncls + 1 columns twice (the walk joins its leaves),
+        # then at most ncls + 4 arrays of the bisections or of a fold
+        row_bytes = 8 * (3 * spec.n_classes + 6)
+        for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N), row_bytes):
             yield _RowCut(spec, N, rows)
 
-    def blocks(self, low: float | None = None):
-        """Yield the profiles with log weight >= tau or, given ``low``, the
-        shell low <= lw < tau, in the int64 blocks of ``LatticeRows.points``
-        (row by row, m_2 ascending; the shell's lower part of a batch's rows
-        before its upper part)."""
+    def batches(self, low: float | None = None):
+        """Per batch of rows, yield its ``_RowCut`` and the blocks (row
+        indices, m_2 values) of ``LatticeRows.pairs`` of its profiles with
+        log weight >= tau or, given ``low``, of the shell low <= lw < tau
+        (the lower part of the rows before their upper part).  A fold holds
+        at most ten arrays of a block's length at once."""
         for cut in self._rows():
             first, last = cut.interval(self.tau)
             if low is None:
-                yield from cut.rows.points(first, last)
+                spans = [(first, last)]
             else:
                 low_first, low_last = cut.interval(low)
-                yield from cut.rows.points(low_first, first - 1)
-                yield from cut.rows.points(last + 1, low_last)
+                spans = [(low_first, first - 1), (last + 1, low_last)]
+            yield cut, (block for a, b in spans for block in cut.rows.pairs(a, b, 8 * 10))
+            del cut, first, last, spans
 
 
 def log_partition_value(spec: EnsembleSpec, N: int) -> float:
@@ -510,8 +538,9 @@ def log_partition_value(spec: EnsembleSpec, N: int) -> float:
     rounding of the result.  Raises NoFeasibleTree when no profile is
     feasible."""
     total = _RunningLogSum()
-    for block in ProfileCut(spec, N).blocks():
-        total.add(profile_log_weights(spec, N, block))
+    for cut, blocks in ProfileCut(spec, N).batches():
+        for i, m2 in blocks:
+            total.add(cut.log_weights(m2, i))
     return total.log()
 
 
@@ -534,22 +563,31 @@ def log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
     dropped = cut.points  # every profile, until folded
     s, c = _RunningLogSum(), _RunningLogSum()  # the selected profiles, the rest
 
-    def fold(blocks):
+    def fold(batches):
         nonlocal dropped
-        for block in blocks:
-            dropped -= block.shape[0]
-            lw = profile_log_weights(spec, N, block)
-            dist = block / N
-            dist -= center
-            chosen = select(np.abs(dist, out=dist).sum(axis=1))
-            s.add(lw[chosen])
-            c.add(lw[~chosen])
-            del block, lw, dist, chosen  # freed before the walk builds the next block
+        for rows_cut, blocks in batches:
+            rows = rows_cut.rows
+            # per row, |m_j/N - center_j| of the classes j >= 3
+            upper = np.abs(rows.upper / N - center[3:])
+            for i, m2 in blocks:
+                dropped -= m2.size
+                lw = rows_cut.log_weights(m2, i)
+                # summed in class order, as along a row of a profile matrix
+                dist = np.zeros(m2.size)
+                for k, m in enumerate(rows.columns(i, m2)[: rows.ncls]):
+                    dist += np.abs(m / N - center[k])
+                for term in upper.T:
+                    dist += term[i]
+                chosen = select(dist)
+                s.add(lw[chosen])
+                c.add(lw[~chosen])
+                del i, m2, lw, dist, chosen  # freed before the next block is built
+            del rows_cut, blocks, rows, upper
 
-    fold(cut.blocks())
+    fold(cut.batches())
     floor = min(s.log(), c.log()) - CUT_SLACK
     if dropped and not math.log(dropped) + cut.tau <= floor:
-        fold(cut.blocks(floor - math.log(dropped) if floor > NEG_INF else NEG_INF))
+        fold(cut.batches(floor - math.log(dropped) if floor > NEG_INF else NEG_INF))
     if s.top == NEG_INF:
         return NEG_INF
     if c.top == NEG_INF:
@@ -686,23 +724,26 @@ def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator)
     """Draw ``size`` profiles by inverse CDF over the profiles above the cut
     of ``ProfileCut``: two more walks fold their weights e^(lw - L) into
     running sums, first for the total and then to place the sorted uniforms
-    block by block, whose argsort undoes the sort."""
+    block by block, whose argsort undoes the sort.  Only the drawn points
+    are built into profiles."""
     cut = ProfileCut(spec, N)
 
-    def cdf():  # the kept profiles and the running sums of e^(lw - L)
+    def cdf():  # the kept points and the running sums of e^(lw - L)
         seen = 0.0
-        for block in cut.blocks():
-            cum = seen + np.cumsum(np.exp(profile_log_weights(spec, N, block) - cut.top))
-            seen = cum[-1]
-            yield block, cum
+        for rows_cut, blocks in cut.batches():
+            for i, m2 in blocks:
+                cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.top))
+                seen = cum[-1]
+                yield rows_cut.rows, i, m2, cum
 
-    total = max(cum[-1] for _, cum in cdf())  # the last running sum
+    total = max(cum[-1] for *_, cum in cdf())  # the last running sum
     u = rng.random(size)
     targets = np.sort(u) * total  # each below total, as u < 1
     drawn, placed = [], 0
-    for block, cum in cdf():
+    for rows, i, m2, cum in cdf():
         below = np.searchsorted(targets, cum)  # targets below each running sum
-        drawn.append(np.repeat(block, np.diff(below, prepend=placed), axis=0))
+        pick = np.repeat(np.arange(m2.size), np.diff(below, prepend=placed))
+        drawn.append(rows.profiles(i[pick], m2[pick]))
         placed = below[-1]
     return np.concatenate(drawn)[np.argsort(np.argsort(u))]
 

@@ -26,8 +26,10 @@ The rate grid is the lattice of M at free-coordinate spacing
 ``resolution``.  ``grid_inf_rate`` gives the ``inf_I`` column of ``lln``
 from it at ``GRID_RESOLUTION``, and the brute-force oracle
 ``grid_minimize_J`` cross-checks the tilt solution on it; both stream one
-walk of ``partition.lattice_blocks``.  ``manifold_grid`` materializes the
-grid for the tests, under ``partition.MAX_LATTICE_BYTES``.
+walk of ``partition.lattice_blocks``, in blocks sized by the arrays that
+their loops hold per point, so that a batch of rows and a block of the grid
+stay within ``partition.LATTICE_BYTES``.  ``manifold_grid`` materializes
+the grid for the tests, under ``partition.MAX_LATTICE_BYTES``.
 """
 
 from __future__ import annotations
@@ -240,16 +242,25 @@ def manifold_grid(spec: EnsembleSpec, resolution: int) -> np.ndarray:
     return integer_lattice(*_grid_lattice(spec, resolution)) / resolution
 
 
+def _grid_blocks(spec: EnsembleSpec, resolution: int):
+    """The points of the rate grid at 1/``resolution``, streamed as int64
+    blocks of ``partition.lattice_blocks``, sized by what a grid loop holds
+    per point: about four block-sized arrays (the block, its grid and two
+    temporaries of the distance or of J)."""
+    return lattice_blocks(*_grid_lattice(spec, resolution), 4 * 8 * spec.n_classes)
+
+
 def grid_minimize_J(spec: EnsembleSpec, resolution: int) -> FrequencyVector:
     """Brute-force oracle for p*: the first point of the rate grid at
     1/resolution (in ``manifold_grid`` order) with the least J."""
     best, point = np.inf, None
-    for block in lattice_blocks(*_grid_lattice(spec, resolution)):
+    for block in _grid_blocks(spec, resolution):
         grid = block / resolution
         vals = j_values(spec, grid)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best, point = vals[i], grid[i]
+        del block, grid, vals  # freed before the walk builds the next block
     return FrequencyVector(spec.kind, point)
 
 
@@ -258,10 +269,11 @@ def grid_inf_rate(ctx: RateContext, delta: float) -> float:
     than ``delta`` (l1) from p*; +inf when there are none."""
     spec = ctx.spec
     best = np.inf
-    for block in lattice_blocks(*_grid_lattice(spec, GRID_RESOLUTION)):
+    for block in _grid_blocks(spec, GRID_RESOLUTION):
         grid = block / GRID_RESOLUTION
         dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
         outside = grid[dist > delta]
         if outside.size:
             best = min(best, float(j_values(spec, outside).min()))
+        del block, grid, dist, outside  # freed before the walk builds the next block
     return best - ctx.Jstar

@@ -323,6 +323,27 @@ def test_sample_memory_is_bounded_in_bytes():
     assert peak <= bound, f"peak {peak} B > {bound} B"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("ldp-table", "--kind", "plane", "--bound", "4", "--beta", "1", "--energy", "0,0,0,1,2",
+      "--n-list", "800", "--eps", "0.05"),
+     ("lln", "--kind", "labeled", "--bound", "4", "--n-list", "2000", "--delta", "0.1")],
+)
+def test_exact_memory_is_bounded_in_bytes(argv):
+    # The ball fold over 3.6M plane profiles, and the rate grid plus the
+    # tail fold of lln.  One batch of rows and one block of points hold at
+    # most LATTICE_BYTES together, temporaries included; the walk's next
+    # rows and the command's own objects stay within as much again.
+    # Nothing is (points, classes).
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * partition.LATTICE_BYTES, f"peak {peak} B"
+
+
 def test_sample_labeled_d2_paths(tmp_path):
     out = tmp_path / "trees.txt"
     assert (

@@ -261,18 +261,21 @@ def full_fold(spec, N, center, select):
     folded.
 
     The walk that sets tau, ``partition.ProfileCut``, reads
-    ``partition.CUT_SLACK``; a spy on the fold checks that every profile of
-    the lattice reaches it, so the oracle cannot be the cut itself."""
+    ``partition.CUT_SLACK``; a spy on the fold's points
+    (``LatticeRows.pairs``, which the fold scores) checks that every
+    profile of the lattice reaches it, so the oracle cannot be the cut
+    itself."""
     folded = []
-    log_weights = partition.profile_log_weights
+    pairs = partition.LatticeRows.pairs
 
-    def fold(spec, N, block):
-        folded.append(block.shape[0])
-        return log_weights(spec, N, block)
+    def fold(rows, a, b, point_bytes):
+        for i, m2 in pairs(rows, a, b, point_bytes):
+            folded.append(m2.size)
+            yield i, m2
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "CUT_SLACK", math.inf)
-        mp.setattr(partition, "profile_log_weights", fold)
+        mp.setattr(partition.LatticeRows, "pairs", fold)
         got = partition.log_mass(spec, N, center, select)
     rows = partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N))
     assert sum(folded) == sum(batch.size for batch in rows)
@@ -395,24 +398,51 @@ def test_row_cut_keeps_exactly_the_points_above_tau(kind, D, beta, c_raw, N, bat
                 np.testing.assert_array_equal(kept, np.arange(first[i], last[i] + 1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=KINDS,
+    D=st.integers(1, 6),
+    beta=st.floats(0.0, 30.0),
+    c_raw=ENERGIES,
+    N=st.integers(1, 40),
+    point_bytes=st.integers(1, 2**16),
+)
+@example(kind=Kind.PLANE, D=4, beta=1.0, c_raw=[0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0], N=400,
+         point_bytes=80)
+@example(kind=Kind.LABELED, D=3, beta=0.0, c_raw=[0.0] * 7, N=4000, point_bytes=80)
+def test_row_fold_log_weights_match_the_profiles(kind, D, beta, c_raw, N, point_bytes):
+    # The folds score (row, m_2) pairs in closed form; the reference builds
+    # each point's profile and scores it with profile_log_weights.
+    if D < kind.mean:
+        D = kind.mean
+    spec = make_spec(kind, D, beta, c_raw)
+    for rows in partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
+        cut = partition._RowCut(spec, N, rows)
+        for i, m2 in rows.pairs(rows.lo, rows.hi, point_bytes):
+            lw = cut.log_weights(m2, i)
+            want = partition.profile_log_weights(spec, N, rows.profiles(i, m2))
+            assert (np.abs(lw - want) <= 1e-13 * (1 + np.abs(want))).all()
+
+
 def test_cut_fold_second_pass_and_kept_share(monkeypatch):
     # Counts, not timings: the lln tail of labeled D=4 at N=2000 is small
     # enough that the certificate sends the fold below tau (a third walk of
     # the rows), and the ball of plane D=4 at N=1600 folds under 10% of the
     # lattice.  ln Z takes two walks, and the rare-class draw three.
     walks, folded = [], []
-    lattice_rows, log_weights = partition.lattice_rows, partition.profile_log_weights
+    lattice_rows, pairs = partition.lattice_rows, partition.LatticeRows.pairs
 
     def walk(*args):
         walks.append(args)
         return lattice_rows(*args)
 
-    def fold(spec, N, block):
-        folded.append(block.shape[0])
-        return log_weights(spec, N, block)
+    def fold(rows, a, b, point_bytes):
+        for i, m2 in pairs(rows, a, b, point_bytes):
+            folded.append(m2.size)
+            yield i, m2
 
     monkeypatch.setattr(partition, "lattice_rows", walk)
-    monkeypatch.setattr(partition, "profile_log_weights", fold)
+    monkeypatch.setattr(partition.LatticeRows, "pairs", fold)
 
     spec = EnsembleSpec.labeled(4)
     assert 0 < lln_tail(spec, 2000, 0.1) < 1e-4

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -269,6 +270,18 @@ def test_lattice_blocks_property(k_min, ncls, total, offset, block_rows, slack):
     assert {tuple(row) for row in rows.tolist()} == set(
         iter_profiles(k_min, k_max, total, weighted)
     )
+
+
+def test_a_row_batch_dies_with_the_batch(monkeypatch):
+    # The walk keeps no view of a batch it has yielded: once the caller
+    # drops a batch and asks for the next, the batch's arrays are freed.
+    monkeypatch.setattr(partition, "LATTICE_BYTES", 2 * 8 * 6 * 50)  # 50 rows or fewer
+    walk = partition.lattice_rows(0, 4, 60, 59)  # plane D=4, N=60: 165 rows
+    batch = next(walk)
+    freed = [weakref.ref(column.base) for column in (batch.upper, batch.t, batch.hi)]
+    del batch
+    next(walk)
+    assert all(ref() is None for ref in freed)
 
 
 @settings(max_examples=200, deadline=None)
