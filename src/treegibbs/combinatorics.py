@@ -3,13 +3,8 @@
 Tree counts overflow 64-bit integers long before the sizes we care about
 (N ~ a few thousand), so every count lives in log space from the start.
 A quantity ``x >= 0`` is represented by ``ln x`` as a plain float, with
-``-inf`` encoding zero; the ``LogReal`` alias marks that convention in
-signatures.
-
-The closed-form count of labeled trees with degree sequence d_1..d_N is
-``multinomial(N - 2; d_1 - 1, ..., d_N - 1)`` when ``sum d = 2N - 2``, zero
-otherwise.  The counts by profile are ``partition.profile_log_weights`` at
-beta = 0, for whole rows of profiles.
+``-inf`` encoding zero.  The counts by profile are
+``partition.profile_log_weights`` at beta = 0, for whole rows of profiles.
 """
 
 from __future__ import annotations
@@ -19,11 +14,6 @@ import math
 import operator
 
 import numpy as np
-
-from .ensembles import CountVector
-from .errors import SumMismatch
-
-LogReal = float
 
 NEG_INF = float("-inf")
 
@@ -60,7 +50,7 @@ def _ensure_table(m: int) -> None:
         )
 
 
-def log_factorial(m: int) -> LogReal:
+def log_factorial(m: int) -> float:
     """ln(m!) for a nonnegative integer m."""
     m = int(m)
     if m < 0:
@@ -78,16 +68,7 @@ def log_factorials(values) -> np.ndarray:
     return _lfact_table[arr]
 
 
-def log_add(a: LogReal, b: LogReal) -> LogReal:
-    """ln(e^a + e^b), stable, with -inf as the additive identity."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    return float(np.logaddexp(a, b))
-
-
-def log_sum(values) -> LogReal:
+def log_sum(values) -> float:
     """ln sum(e^v) over an array, max-shifted; -inf for an empty/zero sum."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
@@ -96,36 +77,3 @@ def log_sum(values) -> LogReal:
     if m == NEG_INF:
         return NEG_INF
     return float(m + np.log(np.exp(arr - m).sum()))
-
-
-def _counts_array(n) -> np.ndarray:
-    if isinstance(n, CountVector):
-        return n.as_array()
-    return np.asarray(n, dtype=np.int64)
-
-
-def log_multinomial(N: int, n) -> LogReal:
-    """ln of the multinomial coefficient N! / prod_k n_k!.
-
-    Raises SumMismatch when the parts do not sum to N.
-    """
-    counts = _counts_array(n)
-    if counts.sum() != N:
-        raise SumMismatch(f"parts sum to {counts.sum()}, expected {N}")
-    return float(log_factorial(N) - log_factorials(counts).sum())
-
-
-def log_labeled_count_by_degrees(degrees) -> LogReal:
-    """ln of the number of labeled trees with the given degree sequence.
-
-    Returns -inf when the degree sum is not 2N - 2 (no such tree).
-    """
-    d = np.asarray(degrees, dtype=np.int64)
-    N = d.size
-    if N < 2:
-        raise ValueError("need at least 2 vertices")
-    if d.min() < 1:
-        raise ValueError("degrees must be >= 1")
-    if d.sum() != 2 * N - 2:
-        return NEG_INF
-    return float(log_factorial(N - 2) - log_factorials(d - 1).sum())

@@ -246,14 +246,6 @@ class FrequencyVector:
         return self
 
 
-def freq_from_counts(n: CountVector) -> FrequencyVector:
-    """Empirical frequencies ``n / N``.  Requires N >= 1."""
-    N = n.N
-    if N < 1:
-        raise ValueError("count vector is empty")
-    return FrequencyVector(n.kind, n.as_array() / float(N))
-
-
 def as_frequency(spec: EnsembleSpec, p) -> FrequencyVector:
     """Coerce an array-like (or pass through a FrequencyVector) for ``spec``."""
     fv = p if isinstance(p, FrequencyVector) else FrequencyVector(spec.kind, p)

@@ -4,10 +4,9 @@
 end: 2 (the default) for a bad request, 3 for a well-formed request that is
 infeasible or oversize (``NoFeasibleTree``, ``TooLarge``, and
 ``LatticeTooLarge``, which ``partition.integer_lattice`` raises past
-``partition.MAX_LATTICE_BYTES`` for the library's materializing callers;
-no command materializes a lattice that large).  The front end also exits 2
-on a bad option or a plain ``ValueError``, and 4 when ``oracle-check``
-finds a deviation.
+``partition.MAX_LATTICE_BYTES``; no command materializes a lattice).  The
+front end also exits 2 on a bad option or a plain ``ValueError``, and 4
+when ``oracle-check`` finds a deviation.
 """
 
 
@@ -56,10 +55,6 @@ class BadLabel(TreeGibbsError, ValueError):
 
 class NotATree(TreeGibbsError, ValueError):
     """Edge list is not a tree (wrong edge count, cycle, or disconnected)."""
-
-
-class BadStepSum(TreeGibbsError, ValueError):
-    """Step word does not sum to -1."""
 
 
 class TooLarge(TreeGibbsError, ValueError):

@@ -11,14 +11,6 @@ dimension d (D-2 for labeled, D-1 for plane profiles), plus the N^(d-1)
 rows.  Finite-size rates ``r_N = -(1/N) ln P(ball)`` are compared against
 the rate function.  The expected discrepancy decays like O(ln N / N) plus
 an O(eps) smearing from the ball radius.
-
-The coupling construction pairs the off-manifold empirical vector
-``x = chi/N`` with an on-manifold lattice point ``y = m/N`` drawn uniformly
-from the set R(x) of manifold lattice points at minimal l1 distance from x.
-For labeled ensembles with D >= 3 that distance is exactly 2/N (move one
-vertex up two classes); integer-lattice parity forces 2/N for plane
-ensembles as well, and for labeled D = 2 the manifold is a single point at
-distance 4/N.  The set size always satisfies 1 <= |R(x)| <= D^2.
 """
 
 from __future__ import annotations
@@ -26,18 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .combinatorics import NEG_INF
-from .ensembles import (
-    CountVector,
-    EnsembleSpec,
-    FrequencyVector,
-    as_frequency,
-    freq_from_counts,
-    is_feasible,
-)
-from .partition import log_mass, sample_profiles
+from .ensembles import EnsembleSpec, FrequencyVector, as_frequency
+from .partition import log_mass
 from .rate import RateContext, rate_value, solve_pstar
 
 
@@ -53,14 +36,6 @@ def log_prob_ball(spec: EnsembleSpec, N: int, center, eps: float) -> float:
         raise ValueError(f"eps must be positive, got {eps!r}")
     center_arr = as_frequency(spec, center).p
     return log_mass(spec, N, center_arr, lambda dist: dist <= eps)
-
-
-def finite_rate(spec: EnsembleSpec, N: int, p, eps: float) -> float:
-    """Finite-size rate -(1/N) ln P(ball); +inf when the ball has no mass."""
-    lp = log_prob_ball(spec, N, p, eps)
-    if lp == NEG_INF:
-        return float("inf")
-    return -lp / N
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,107 +83,6 @@ def convergence_table(
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# coupling
-
-
-def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
-    """Integer numerators m of the minimal-distance manifold lattice set R(n/N).
-
-    The manifold lattice at denominator N consists of integer vectors m >= 0
-    with ``sum m = N`` and ``sum k m_k`` equal to 2N (labeled) or N (plane).
-    A feasible profile n misses the weighted total by g = 2 (labeled) or 1
-    (plane), so candidates at l1 distance 2/N are single-unit transfers from
-    class b to class b + g.  Every tree has a vertex of the lowest class, so
-    the transfer from b = 0 exists whenever class g does; only labeled D = 2
-    has no class g, and its manifold lattice is the one point (0, N).
-    """
-    if not is_feasible(n, spec):
-        raise ValueError("r_set needs a feasible profile")
-    N = n.N
-    counts = n.as_array()
-    gap = spec.kind.manifold_total(N) - spec.kind.class_sum(N)
-    moves = []
-    for b in range(spec.n_classes - gap):
-        if counts[b] >= 1:
-            m = counts.copy()
-            m[b] -= 1
-            m[b + gap] += 1
-            moves.append(m)
-    return moves or [np.array([0, N], dtype=np.int64)]
-
-
-def r_set(x, N: int, spec: EnsembleSpec) -> list[FrequencyVector]:
-    """R(x) for x = n/N: manifold lattice points at minimal l1 distance.
-
-    ``x`` may be a FrequencyVector or the profile counts themselves.
-    """
-    if isinstance(x, CountVector):
-        n = x
-    else:
-        arr = as_frequency(spec, x).p * N
-        rounded = np.rint(arr)
-        if np.abs(arr - rounded).max() > 1e-6:
-            raise ValueError("x must be a lattice point n/N")
-        n = CountVector(spec.kind, tuple(int(v) for v in rounded))
-    members = r_set_counts(n, spec)
-    members.sort(key=lambda m: tuple(m))
-    return [FrequencyVector(spec.kind, m / float(N)) for m in members]
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingSample:
-    """One draw of the coupled pair (x, y) = (chi/N, nearest manifold point)."""
-
-    spec: EnsembleSpec
-    N: int
-    x_counts: CountVector
-    y_counts: tuple[int, ...]
-    distance: float
-    r_size: int
-
-    @property
-    def x(self) -> FrequencyVector:
-        return freq_from_counts(self.x_counts)
-
-    @property
-    def y(self) -> FrequencyVector:
-        return FrequencyVector(
-            self.spec.kind, np.asarray(self.y_counts, dtype=np.float64) / self.N
-        )
-
-
-def couple_samples(
-    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
-) -> list[CouplingSample]:
-    """Draw ``size`` coupled pairs: chi/N from the Gibbs measure, y uniformly
-    from R(chi/N); R(x) is computed once per distinct profile."""
-    profiles = sample_profiles(spec, N, size, rng)
-    picks = rng.random(size)
-    cache: dict[tuple[int, ...], list[np.ndarray]] = {}
-    out = []
-    for counts, u in zip(profiles, picks):
-        n = CountVector(spec.kind, tuple(int(v) for v in counts))
-        members = cache.get(n.counts)
-        if members is None:
-            members = r_set_counts(n, spec)
-            members.sort(key=lambda m: tuple(m))
-            cache[n.counts] = members
-        pick = members[min(int(u * len(members)), len(members) - 1)]
-        dist = int(np.abs(pick - n.as_array()).sum())
-        out.append(
-            CouplingSample(
-                spec=spec,
-                N=N,
-                x_counts=n,
-                y_counts=tuple(int(v) for v in pick),
-                distance=dist / N,
-                r_size=len(members),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

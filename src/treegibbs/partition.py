@@ -23,12 +23,11 @@ within ``CUT_SLACK`` nats and ln(points) of the largest log weight, and
 every exact sum over the lattice folds only that, scoring each (row, m_2)
 in closed form: ln Z_N (``log_partition_value``), the ball and tail masses
 behind ``ldp`` (``log_mass``, which certifies the cut against both of its
-sums and widens it when it must), and the draw of rare-class profiles
-(``_sample_cut``).  ``integer_lattice`` joins the blocks into one
-matrix, under a cap of ``MAX_LATTICE_BYTES``, for the callers that need
-every profile at once.  Among them is the exact law of chi, which
-normalizes itself: ``exact_chi_law`` enumerates the feasible profiles, and
-the log-sum-exp of their log weights is ln Z_N.
+sums and widens it when it must), the law of chi (``log_prob_profile``)
+and the draw of rare-class profiles (``_sample_cut``).  Each of them first
+refuses an energy table whose profile log weights overflow at N
+(``check_log_weights``).  ``integer_lattice`` joins the blocks into one
+matrix, under a cap of ``MAX_LATTICE_BYTES``; no command calls it.
 
 ``build_dp`` keeps the per-vertex dynamic program over the remaining budget
 as the tests' independent reference for ln Z_N; no library path calls it.
@@ -65,9 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import NEG_INF, log_factorial, log_factorials, log_sum
+from .combinatorics import NEG_INF, log_factorial, log_factorials
 from .ensembles import CountVector, EnsembleSpec, Kind, is_feasible
-from .errors import LatticeTooLarge, NoFeasibleTree, SumMismatch
+from .errors import BadEnergyTable, LatticeTooLarge, NoFeasibleTree, SumMismatch
 
 #: Ceiling on what one batch of ``lattice_rows`` and one block of its points
 #: hold at once, temporaries included: 1 MB, half for each, at the bytes per
@@ -75,8 +74,8 @@ from .errors import LatticeTooLarge, NoFeasibleTree, SumMismatch
 LATTICE_BYTES = 2**20
 
 #: Ceiling on the bytes of the int64 matrix that ``integer_lattice``
-#: materializes for ``exact_chi_law`` and ``rate.manifold_grid``: 256 MB.
-#: The streamed sums and the rate grid of the commands have no cap.
+#: materializes for ``enumerate_profiles`` and ``rate.manifold_grid``:
+#: 256 MB.  The streamed sums and the rate grid of the commands have no cap.
 MAX_LATTICE_BYTES = 2**28
 
 #: Ceiling on the cells of one proposal matrix in ``sample_profiles``
@@ -115,6 +114,14 @@ def shifted_budget(spec: EnsembleSpec, N: int) -> int:
             f"{spec.kind.value} ensembles need N >= {spec.k_min + 1}"
         )
     return budget
+
+
+def check_log_weights(spec: EnsembleSpec, N: int) -> None:
+    """Raise BadEnergyTable when a profile log weight, up to
+    N * |beta| * max |c(k)| in size, or the energy sum chi . c behind it,
+    overflows at N."""
+    if not math.isfinite(N * max(map(abs, spec.c)) * max(1.0, abs(spec.beta))):
+        raise BadEnergyTable(f"profile log weights overflow at N={N}, beta={spec.beta!r}")
 
 
 def word_log_weights(spec: EnsembleSpec) -> np.ndarray:
@@ -309,6 +316,18 @@ class LatticeRows:
         return block
 
 
+def _leaves(j: int, total: int, r: int, suffix: tuple):
+    """Depth-first over the shifted classes j, j-1, ..., 4 with m_j
+    ascending, each node's children made as the walk reaches them: per leaf,
+    the vertices and shifted class sum left for the classes <= 3, and the
+    counts (m_{K-1}, ..., m_4) that lead to it."""
+    if j <= 3:
+        yield total, r, suffix
+        return
+    for m in range(min(total, r // j) + 1):
+        yield from _leaves(j - 1, total - m, r - j * m, suffix + (m,))
+
+
 def lattice_rows(
     k_min: int, k_max: int, total: int, weighted_total: int, row_bytes: int | None = None
 ):
@@ -318,9 +337,11 @@ def lattice_rows(
     empty rows left out.
 
     Writing j for the shifted class k - k_min, the walk is depth-first over
-    the classes j >= 4; each of its leaves is a vector of rows, one per m_3.
-    Rows come in ascending lexicographic order of (m_{K-1}, ..., m_3), K the
-    number of classes.
+    the classes j >= 4 (``_leaves``); each of its leaves is a range of rows,
+    one per m_3, built in pieces that fill the batch and no more.  Rows come
+    in ascending lexicographic order of (m_{K-1}, ..., m_3), K the number of
+    classes.  Besides the batch, the walk holds its rows' pieces and one
+    node per class.
     """
     ncls = k_max - k_min + 1
     R = weighted_total - k_min * total  # shifted weighted sum
@@ -329,35 +350,41 @@ def lattice_rows(
     cap = max(1, LATTICE_BYTES // (2 * (row_bytes or 8 * (ncls + 1))))
     parts: list[tuple] = []
     count = 0
-    # Children are pushed in reverse so that they pop in increasing order.
-    stack = [(ncls - 1, total, R, ())]
-    while stack:
-        j, rem_total, rem_r, suffix = stack.pop()
-        if j > 3:
-            for m in range(min(rem_total, rem_r // j), -1, -1):
-                stack.append((j - 1, rem_total - m, rem_r - j * m, suffix + (m,)))
-            continue
+    for rem_total, rem_r, suffix in _leaves(ncls - 1, total, R, ()):
         # With three classes or fewer m_3 is absent, and the leaf is one row;
         # below three m_2 is pinned to 0, and with one class m_1 too.
-        m3 = np.arange(min(rem_total, rem_r // 3) + 1 if ncls > 3 else 1, dtype=np.int64)
-        t, r = rem_total - m3, rem_r - 3 * m3
-        lo = np.maximum(r - t, r if ncls == 1 else 0)
-        hi = r // 2 if ncls > 2 else 0 * r
-        keep = lo <= hi
-        if keep.any():
-            upper = np.empty((int(keep.sum()), max(ncls - 3, 0)), dtype=np.int64)
-            if ncls > 3:
-                upper[:, 0] = m3[keep]
-                upper[:, 1:] = suffix[::-1]
-            parts.append((upper, t[keep], r[keep], lo[keep], hi[keep]))
-            count += upper.shape[0]
-        while count >= cap or (count and not stack):
-            cols = [np.concatenate(c) for c in zip(*parts)]
-            # copies, so that the batch's arrays die with the batch
-            parts = [tuple(c[cap:].copy() for c in cols)]
-            count = max(count - cap, 0)
-            yield LatticeRows(ncls, *(c[:cap] for c in cols))
-            del cols
+        top = min(rem_total, rem_r // 3) if ncls > 3 else 0
+        start = 0
+        while start <= top:
+            m3 = np.arange(start, min(top + 1, start + cap - count), dtype=np.int64)
+            start += m3.size
+            t, r = rem_total - m3, rem_r - 3 * m3
+            lo = np.maximum(r - t, r if ncls == 1 else 0)
+            hi = r // 2 if ncls > 2 else 0 * r
+            keep = lo <= hi
+            if keep.any():
+                upper = np.empty((int(keep.sum()), max(ncls - 3, 0)), dtype=np.int64)
+                if ncls > 3:
+                    upper[:, 0] = m3[keep]
+                    upper[:, 1:] = suffix[::-1]
+                parts.append((upper, t[keep], r[keep], lo[keep], hi[keep]))
+                count += upper.shape[0]
+                del upper
+            del m3, t, r, lo, hi, keep  # none held while a batch is out
+            if count == cap:
+                yield _joined(ncls, parts)
+                count = 0
+    if count:
+        yield _joined(ncls, parts)
+
+
+def _joined(ncls: int, parts: list[tuple]) -> LatticeRows:
+    """One batch of rows from its pieces, in their order, emptying
+    ``parts``: the walk keeps no piece of a batch it has yielded, and the
+    batch's columns are new arrays, which die with it."""
+    columns = [np.concatenate(c) for c in zip(*parts)]
+    parts.clear()
+    return LatticeRows(ncls, *columns)
 
 
 def lattice_blocks(
@@ -491,11 +518,13 @@ class ProfileCut:
     Construction is one walk of ``lattice_rows``, which sets ``points`` (the
     lattice size), ``top`` (L) and ``tau``; all the profiles below tau
     together weigh under points e^tau = e^(L - CUT_SLACK).  Each call of
-    ``batches`` is one more walk.  Raises NoFeasibleTree when no profile is
-    feasible.
+    ``batches`` is one more walk.  Raises BadEnergyTable when the log
+    weights overflow at N (``check_log_weights``) and NoFeasibleTree when no
+    profile is feasible.
     """
 
     def __init__(self, spec: EnsembleSpec, N: int) -> None:
+        check_log_weights(spec, N)
         self.spec, self.N = spec, N
         points, top = 0, NEG_INF
         for cut in self._rows():
@@ -541,6 +570,8 @@ def log_partition_value(spec: EnsembleSpec, N: int) -> float:
     for cut, blocks in ProfileCut(spec, N).batches():
         for i, m2 in blocks:
             total.add(cut.log_weights(m2, i))
+            del i, m2  # freed before the next block is built
+        del cut, blocks
     return total.log()
 
 
@@ -627,55 +658,6 @@ def enumerate_profiles(spec: EnsembleSpec, N: int) -> np.ndarray:
     return integer_lattice(spec.k_min, spec.D, N, spec.kind.class_sum(N))
 
 
-@dataclass(frozen=True, eq=False)
-class ChiLaw:
-    """Exact law of the class-count vector chi under the Gibbs measure.
-
-    ``profiles`` holds every feasible profile; ``logp`` the matching exact
-    log-probabilities.  The law normalizes itself: ``logp`` is each
-    profile's log weight less the log-sum-exp of all of them, which is
-    ln Z_N.
-    """
-
-    spec: EnsembleSpec
-    N: int
-    profiles: np.ndarray
-    logp: np.ndarray
-
-    def __len__(self) -> int:
-        return self.profiles.shape[0]
-
-    def items(self):
-        for row, lp in zip(self.profiles, self.logp):
-            yield CountVector(self.spec.kind, tuple(int(v) for v in row)), float(lp)
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        """Map profile tuple -> probability."""
-        return {
-            tuple(int(v) for v in row): float(np.exp(lp))
-            for row, lp in zip(self.profiles, self.logp)
-        }
-
-
-def exact_chi_law(spec: EnsembleSpec, N: int) -> ChiLaw:
-    """Exact finite-N law of chi: every feasible profile with its log-probability.
-
-    Raises NoFeasibleTree when no profile is feasible and LatticeTooLarge
-    when the profiles pass ``MAX_LATTICE_BYTES``.
-    """
-    profiles = enumerate_profiles(spec, N)
-    if profiles.shape[0] == 0:
-        raise NoFeasibleTree(
-            f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}"
-        )
-    lw = profile_log_weights(spec, N, profiles)
-    # The shift is exact near the max, where the mass is, and leaves a
-    # normalizer of order ln(profiles): logp has no rounding at the scale of
-    # ln Z_N.
-    lw -= lw.max()
-    return ChiLaw(spec=spec, N=N, profiles=profiles, logp=lw - log_sum(lw))
-
-
 def sample_profiles(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -699,6 +681,7 @@ def sample_profiles(
     """
     if size < 1:
         raise ValueError("size must be >= 1")
+    check_log_weights(spec, N)
     budget = shifted_budget(spec, N)
     q, _ = tilt(spec, spec.kind.class_sum(N) / N)
     shifted = np.arange(spec.n_classes)
@@ -735,8 +718,12 @@ def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator)
                 cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.top))
                 seen = cum[-1]
                 yield rows_cut.rows, i, m2, cum
+                del i, m2, cum  # freed before the next block is built
+            del rows_cut, blocks
 
-    total = max(cum[-1] for *_, cum in cdf())  # the last running sum
+    for block in cdf():
+        total = block[-1][-1]  # the last running sum
+        del block
     u = rng.random(size)
     targets = np.sort(u) * total  # each below total, as u < 1
     drawn, placed = [], 0
@@ -745,6 +732,7 @@ def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator)
         pick = np.repeat(np.arange(m2.size), np.diff(below, prepend=placed))
         drawn.append(rows.profiles(i[pick], m2[pick]))
         placed = below[-1]
+        del rows, i, m2, cum, below, pick
     return np.concatenate(drawn)[np.argsort(np.argsort(u))]
 
 

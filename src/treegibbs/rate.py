@@ -24,12 +24,12 @@ carries a boundary flag instead of a tilt parameter.
 The rate grid is the lattice of M at free-coordinate spacing
 1/resolution: the class profiles of ``resolution`` nodes on M, divided by
 ``resolution``.  ``grid_inf_rate`` gives the ``inf_I`` column of ``lln``
-from it at ``GRID_RESOLUTION``, and the brute-force oracle
-``grid_minimize_J`` cross-checks the tilt solution on it; both stream one
-walk of ``partition.lattice_blocks``, in blocks sized by the arrays that
-their loops hold per point, so that a batch of rows and a block of the grid
-stay within ``partition.LATTICE_BYTES``.  ``manifold_grid`` materializes
-the grid for the tests, under ``partition.MAX_LATTICE_BYTES``.
+from it at ``GRID_RESOLUTION``, streamed over one walk of
+``partition.lattice_blocks`` in blocks sized by the arrays that its loop
+holds per point (``_grid_blocks``), so that a batch of rows and a block of
+the grid stay within ``partition.LATTICE_BYTES``.  ``manifold_grid``
+materializes the grid, under ``partition.MAX_LATTICE_BYTES``; no command
+calls it.
 """
 
 from __future__ import annotations
@@ -38,15 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import log_factorials
-from .ensembles import (
-    EnsembleSpec,
-    FrequencyVector,
-    Kind,
-    as_frequency,
-)
-from .errors import KindMismatch
-from .partition import integer_lattice, lattice_blocks, tilt, tilt_probs, word_log_weights
+from .ensembles import EnsembleSpec, FrequencyVector, as_frequency
+from .partition import integer_lattice, lattice_blocks, tilt, word_log_weights
 
 #: Free-coordinate spacing 1/GRID_RESOLUTION of the rate grid behind the
 #: ``inf_I`` column of ``lln``.
@@ -60,33 +53,6 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
     np.log(v, out=out, where=mask)
     np.multiply(out, v, out=out, where=mask)
     return out
-
-
-def entropy(p) -> float:
-    """Shannon entropy -sum p_k ln p_k with the 0 ln 0 = 0 convention."""
-    arr = p.p if isinstance(p, FrequencyVector) else np.asarray(p, dtype=np.float64)
-    if np.any(arr < -1e-12):
-        raise ValueError("entropy needs nonnegative entries")
-    return float(-_xlogx(np.clip(arr, 0.0, None)).sum())
-
-
-def energy_mean(p, c) -> float:
-    """Mean energy E(p) = sum p_k c(k)."""
-    arr = p.p if isinstance(p, FrequencyVector) else np.asarray(p, dtype=np.float64)
-    cv = np.asarray(c, dtype=np.float64)
-    if arr.size != cv.size:
-        raise ValueError("frequency and energy vectors differ in length")
-    return float(arr @ cv)
-
-
-def g_term(p: FrequencyVector) -> float:
-    """Combinatorial term G(p) = sum p_k ln((k-1)!), labeled kind only.
-
-    Identically zero when D <= 2 since ln 0! = ln 1! = 0.
-    """
-    if p.kind is not Kind.LABELED:
-        raise KindMismatch("G(p) is only defined for labeled ensembles")
-    return float(p.p @ log_factorials(p.classes() - 1))
 
 
 def j_values(spec: EnsembleSpec, pmat: np.ndarray) -> np.ndarray:
@@ -108,18 +74,6 @@ def J_value(p, spec: EnsembleSpec) -> float:
     fv = as_frequency(spec, p)
     fv.require_on_manifold()
     return float(j_values(spec, fv.p))
-
-
-def tilt_frequencies(x: float, spec: EnsembleSpec) -> FrequencyVector:
-    """Normalized tilt member p_k(x) ~ w_k x^k; generally off-manifold."""
-    if not x > 0:  # NaN fails too
-        raise ValueError(f"tilt parameter must be positive, got {x!r}")
-    return FrequencyVector(spec.kind, tilt_probs(spec, float(np.log(x))))
-
-
-def tilt_mean(x: float, spec: EnsembleSpec) -> float:
-    """Mean class under p(x); strictly increasing in x."""
-    return tilt_frequencies(x, spec).mean_class()
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,52 +128,7 @@ def rate_value(p, ctx: RateContext) -> float:
 
 
 # ---------------------------------------------------------------------------
-# manifold parameterization and the grid oracle
-
-# M is parameterized by the free coordinates p_k for k >= k_min + 2; the two
-# lowest classes follow from the constraints:
-#   p_{k_min} = sum (k - k_min - 1) u_k,   p_{k_min+1} = 1 - sum (k - k_min) u_k
-
-
-def free_classes(spec: EnsembleSpec) -> np.ndarray:
-    return np.arange(spec.k_min + 2, spec.D + 1)
-
-
-def _pinned_coefficients(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """d p_{k_min} / d u_k and d p_{k_min+1} / d u_k over the free classes."""
-    shifted = (free_classes(spec) - spec.k_min).astype(np.float64)
-    return shifted - 1.0, -shifted
-
-
-def from_free_coordinates(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
-    """Manifold points from free coordinates; rows may have negative pinned
-    entries when u leaves the feasible polytope."""
-    u = np.asarray(u, dtype=np.float64)
-    single = u.ndim == 1
-    if single:
-        u = u[None, :]
-    a_low, a_next = _pinned_coefficients(spec)
-    out = np.empty((u.shape[0], spec.n_classes))
-    out[:, 0] = u @ a_low
-    out[:, 1] = 1.0 + u @ a_next
-    out[:, 2:] = u
-    return out[0] if single else out
-
-
-def j_free_gradient(spec: EnsembleSpec, p) -> np.ndarray:
-    """Analytic gradient of J in the free-coordinate chart of M.
-
-    Requires an interior point (all p_k > 0).  dJ/du_j collects the chain
-    rule through the two pinned coordinates.
-    """
-    fv = as_frequency(spec, p)
-    fv.require_on_manifold()
-    arr = fv.p
-    if np.any(arr <= 0.0):
-        raise ValueError("gradient needs an interior point (all p_k > 0)")
-    dJdp = np.log(arr) + 1.0 + spec.beta * spec.energies() + word_log_weights(spec)
-    a_low, a_next = _pinned_coefficients(spec)
-    return a_low * dJdp[0] + a_next * dJdp[1] + dJdp[2:]
+# the rate grid
 
 
 def _grid_lattice(spec: EnsembleSpec, resolution: int) -> tuple[int, int, int, int]:
@@ -235,9 +144,8 @@ def manifold_grid(spec: EnsembleSpec, resolution: int) -> np.ndarray:
 
     Only points of M are enumerated.  Returns an (M, n_classes) float matrix
     whose rows come in ``partition.integer_lattice`` order, the order in
-    which ``grid_minimize_J`` and ``grid_inf_rate`` stream them; raises
-    LatticeTooLarge when the int64 lattice passes
-    ``partition.MAX_LATTICE_BYTES``.
+    which ``grid_inf_rate`` streams them; raises LatticeTooLarge when the
+    int64 lattice passes ``partition.MAX_LATTICE_BYTES``.
     """
     return integer_lattice(*_grid_lattice(spec, resolution)) / resolution
 
@@ -248,20 +156,6 @@ def _grid_blocks(spec: EnsembleSpec, resolution: int):
     per point: about four block-sized arrays (the block, its grid and two
     temporaries of the distance or of J)."""
     return lattice_blocks(*_grid_lattice(spec, resolution), 4 * 8 * spec.n_classes)
-
-
-def grid_minimize_J(spec: EnsembleSpec, resolution: int) -> FrequencyVector:
-    """Brute-force oracle for p*: the first point of the rate grid at
-    1/resolution (in ``manifold_grid`` order) with the least J."""
-    best, point = np.inf, None
-    for block in _grid_blocks(spec, resolution):
-        grid = block / resolution
-        vals = j_values(spec, grid)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best, point = vals[i], grid[i]
-        del block, grid, vals  # freed before the walk builds the next block
-    return FrequencyVector(spec.kind, point)
 
 
 def grid_inf_rate(ctx: RateContext, delta: float) -> float:

@@ -1,12 +1,12 @@
-"""Concrete tree construction: exact Gibbs samplers, codecs, enumerators.
+"""Concrete tree construction: exact Gibbs samplers, word -> tree maps, enumerators.
 
 Labeled trees are stored as canonical sorted edge lists over labels 1..N.
 They are built from words of length N-2 over 1..N in which vertex v
 appears deg(v) - 1 times, by the Foata-Fuchs-type bijection ``word_edges``
 (D. Foata & A. Fuchs, "Rearrangements de fonctions et denombrement",
 J. Combin. Theory 8, 1970), which decodes a whole block of words in a fixed
-number of array passes.  ``prufer_decode`` and ``prufer_encode`` are the
-single-tree Prufer codec, another bijection with the same degree rule.
+number of array passes.  ``prufer_decode`` is the single-tree Prufer
+decoder, another bijection with the same degree rule.
 Plane trees are stored as preorder child-count sequences: a sequence
 c_1..c_N is valid exactly when the partial sums of (c_i - 1) stay >= 0
 before the last position and end at -1 (a Lukasiewicz path).
@@ -22,9 +22,10 @@ multinomial, laid out and uniformly permuted):
   which is exactly the multinomial tree count, and the composite law is the
   Gibbs measure (whichever such bijection maps words to trees).
 * plane: rotate the child-count sequence, already uniformly permuted, to
-  its unique valid Lukasiewicz rotation (cycle lemma).  Each valid word has
-  exactly N distinct rotations, so conditional uniformity is preserved and
-  the composite law is again exactly Gibbs.
+  its unique valid Lukasiewicz rotation (cycle lemma), which starts right
+  after the first minimum of its prefix sums (``_lukasiewicz_starts``).
+  Each valid word has exactly N distinct rotations, so conditional
+  uniformity is preserved and the composite law is again exactly Gibbs.
 
 The class sequences of a batch are drawn at once, one byte per vertex below
 D = 128; the samplers then yield the words or rotations in row groups of
@@ -52,14 +53,7 @@ from typing import Iterator
 import numpy as np
 
 from .ensembles import CountVector, EnsembleSpec, Kind
-from .errors import (
-    BadLabel,
-    BadStepSum,
-    DegreeBoundExceeded,
-    KindMismatch,
-    NotATree,
-    TooLarge,
-)
+from .errors import BadLabel, DegreeBoundExceeded, KindMismatch, NotATree, TooLarge
 from .partition import sample_class_sequences
 
 MAX_ENUM_LABELED = 8
@@ -134,7 +128,7 @@ class PlaneTree:
 
 
 # ---------------------------------------------------------------------------
-# word -> tree map and Prufer codec
+# word -> tree map and Prufer decoder
 
 
 def code_occurrences(codes: np.ndarray) -> np.ndarray:
@@ -217,56 +211,6 @@ def prufer_decode(seq) -> LabeledTree:
     return LabeledTree(N, tuple(edges))
 
 
-def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
-    """Inverse of prufer_decode; raises NotATree for invalid edge lists."""
-    N = tree.n_vertices
-    if len(tree.edges) != N - 1:
-        raise NotATree(f"{len(tree.edges)} edges for {N} vertices")
-    adj: list[set[int]] = [set() for _ in range(N + 1)]
-    for u, v in tree.edges:
-        if v in adj[u]:
-            raise NotATree(f"duplicate edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
-    # connectivity via union-find
-    parent = list(range(N + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in tree.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise NotATree(f"edge ({u}, {v}) closes a cycle")
-        parent[ru] = rv
-    if N == 2:
-        return ()
-    deg = [len(adj[v]) for v in range(N + 1)]
-    ptr = 1
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    code = []
-    for _ in range(N - 2):
-        nb = next(iter(adj[leaf]))
-        code.append(nb)
-        adj[nb].discard(leaf)
-        adj[leaf].clear()
-        deg[nb] -= 1
-        deg[leaf] = 0
-        if deg[nb] == 1 and nb < ptr:
-            leaf = nb
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    return tuple(code)
-
-
 # ---------------------------------------------------------------------------
 # cycle lemma
 
@@ -276,28 +220,6 @@ def _lukasiewicz_starts(steps: np.ndarray) -> np.ndarray:
     that is a Lukasiewicz path: right after the first position attaining
     the minimal prefix sum."""
     return (np.cumsum(steps, axis=1).argmin(axis=1) + 1) % steps.shape[1]
-
-
-def cycle_lemma_rotation(word) -> int:
-    """Start index of the unique rotation of ``word`` that is a valid
-    Lukasiewicz path.
-
-    ``word`` is a sequence of integer steps >= -1 summing to -1; the valid
-    rotation starts right after the first position attaining the minimal
-    prefix sum.  Already-valid words return 0.
-    """
-    steps = np.asarray([int(v) for v in word], dtype=np.int64)
-    if steps.size == 0:
-        raise BadStepSum("empty step word")
-    if steps.min() < -1:
-        raise ValueError("steps must be >= -1")
-    if int(steps.sum()) != -1:
-        raise BadStepSum(f"steps sum to {int(steps.sum())}, expected -1")
-    start = int(_lukasiewicz_starts(steps[None, :])[0])
-    rotated = np.roll(steps, -start)
-    walk = np.cumsum(rotated)
-    assert walk[-1] == -1 and (walk[:-1] >= 0).all(), "cycle lemma rotation invalid"
-    return start
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +260,6 @@ def sample_prufer_codes(
         yield rng.permuted(words, axis=1, out=words)
 
 
-def sample_labeled_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> LabeledTree:
-    """One exact draw from the labeled-tree Gibbs measure."""
-    [words] = sample_prufer_codes(spec, N, 1, rng)
-    return LabeledTree(N, tuple(map(tuple, word_edges(words)[0].tolist())))
-
-
 def sample_plane_child_counts(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
@@ -358,12 +274,6 @@ def sample_plane_child_counts(
         part = counts[start : start + step]
         cols = (_lukasiewicz_starts(part - 1)[:, None] + np.arange(N)) % N
         yield np.take_along_axis(part, cols, axis=1)
-
-
-def sample_plane_tree(spec: EnsembleSpec, N: int, rng: np.random.Generator) -> PlaneTree:
-    """One exact draw from the plane-tree Gibbs measure."""
-    [rows] = sample_plane_child_counts(spec, N, 1, rng)
-    return PlaneTree(tuple(int(v) for v in rows[0]))
 
 
 # ---------------------------------------------------------------------------

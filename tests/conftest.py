@@ -16,6 +16,7 @@ import math
 import numpy as np
 from scipy.stats import chi2
 
+from oracles import cycle_lemma_rotation, from_free_coordinates, prufer_encode
 from treegibbs import (
     EnsembleSpec,
     Kind,
@@ -23,11 +24,9 @@ from treegibbs import (
     NoFeasibleTree,
     PlaneTree,
     chi_of,
-    cycle_lemma_rotation,
     energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
-    prufer_encode,
     rng_stream,
 )
 from treegibbs.combinatorics import log_factorial
@@ -223,8 +222,6 @@ def random_manifold_point(
     spec: EnsembleSpec, rng: np.random.Generator, interior_floor: float = 0.0
 ) -> np.ndarray:
     """Rejection-sample a point of M through the free-coordinate chart."""
-    from treegibbs.rate import from_free_coordinates
-
     n_free = spec.n_classes - 2
     if n_free == 0:
         p = np.zeros(spec.n_classes)

@@ -20,28 +20,31 @@ from conftest import (
     joined,
     log_count_by_profile,
 )
+from oracles import (
+    chi_law,
+    couple_samples,
+    cycle_lemma_rotation,
+    from_free_coordinates,
+    grid_minimize_J,
+    j_free_gradient,
+    prufer_encode,
+)
 from treegibbs import (
     CountVector,
     EnsembleSpec,
     FrequencyVector,
     Kind,
-    couple_samples,
-    cycle_lemma_rotation,
     enumerate_plane_trees,
-    exact_chi_law,
-    finite_rate,
-    grid_minimize_J,
-    j_free_gradient,
     lln_tail,
+    log_prob_ball,
     prufer_decode,
-    prufer_encode,
     rate_value,
     rng_stream,
     sample_plane_child_counts,
     sample_prufer_codes,
     solve_pstar,
 )
-from treegibbs.rate import from_free_coordinates, j_values, manifold_grid
+from treegibbs.rate import j_values, manifold_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -237,7 +240,7 @@ def test_criterion_5_ldp_convergence():
         for target in targets:
             fv = FrequencyVector(spec.kind, target)
             assert fv.on_manifold()
-            r = finite_rate(spec, 2000, fv, 0.02)
+            r = -log_prob_ball(spec, 2000, fv, 0.02) / 2000
             dist = np.abs(grid - target[None, :]).sum(axis=1)
             inf_ball = float(rates[dist <= 0.02].min())
             worst = max(worst, abs(r - inf_ball))
@@ -246,7 +249,7 @@ def test_criterion_5_ldp_convergence():
     spec = EnsembleSpec.labeled(3)
     ctx = solve_pstar(spec)
     schedule = [100, 200, 400, 800, 1600, 3200]
-    series = [finite_rate(spec, n, ctx.pstar, 0.05) for n in schedule]
+    series = [-log_prob_ball(spec, n, ctx.pstar, 0.05) / n for n in schedule]
     assert all(b < a for a, b in zip(series, series[1:]))
     assert series[-1] <= 0.01
     print(f"\n[criterion 5] PASS - |r_N - inf ball I| worst = {worst:.4f} at N=2000; rate at p* decreasing to {series[-1]:.2e} at N=3200")
@@ -307,7 +310,7 @@ def test_criterion_7_coupling():
         assert (y >= 0).all() and y.sum() == N
         assert sum(k * int(v) for k, v in zip((1, 2, 3), y)) == 2 * N
         observed[s.x_counts.counts] = observed.get(s.x_counts.counts, 0) + 1
-    expected = exact_chi_law(spec, N).as_dict()
+    expected = chi_law(spec, N)
     stat, critical = chi_square_check(observed, expected, draws)
     assert stat < critical
 

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_text, reference_sample_text
+from oracles import prufer_encode
 from treegibbs import (
+    CountVector,
     EnsembleSpec,
     Kind,
     LabeledTree,
     PlaneTree,
-    prufer_encode,
     solve_pstar,
 )
 from treegibbs import cli, ldp, partition, rate, treegen
@@ -141,6 +142,41 @@ def test_oracle_check_at_large_beta(capsys):
                              "--beta", "800", "--energy", "0,1,0", "--n", "7")
     assert code == 0, err
     assert out.strip().endswith("oracle-check OK")
+
+
+ORACLE_PLANE = ("oracle-check", "--kind", "plane", "--bound", "3", "--beta", "1",
+                "--energy", "0,0,0,1", "--n", "10")
+#: The least likely of its 12 profiles: 7 leaves and 3 nodes of 3 children.
+RAREST = (7, 0, 0, 3)
+
+
+@pytest.mark.parametrize("fault", ["shifted", "missing-profile", "scaled"])
+def test_oracle_check_fails_on_a_wrong_chi_law(capsys, monkeypatch, fault):
+    # shifted: the cut's law read 1e-6 high in the log.  missing-profile:
+    # the trees of one profile are not enumerated, so the cut puts mass on a
+    # profile the trees miss, and the suite reports that mass, 1 - (mass of
+    # the enumerated profiles).  scaled: the law read 2e-9 low in the log,
+    # which moves no profile's probability (at most 0.29 here) by 1e-9; only
+    # the total, 1 - 2e-9, shows it.
+    spec = EnsembleSpec.plane(3, 1.0, (0.0, 0.0, 0.0, 1.0))
+    read, enumerate_trees = cli.log_prob_profile, cli.enumerate_plane_trees
+    if fault == "missing-profile":
+        monkeypatch.setattr(cli, "enumerate_plane_trees", lambda N, D: (
+            tree for tree in enumerate_trees(N, D) if cli.chi_of(tree, spec).counts != RAREST))
+    else:
+        shift = 1e-6 if fault == "shifted" else -2e-9
+        monkeypatch.setattr(cli, "log_prob_profile", lambda *args: read(*args) + shift)
+    code, out, _ = run_cli(capsys, *ORACLE_PLANE)
+    lines = out.splitlines()
+    assert code == 4
+    assert lines[0].endswith(" PASS")  # the tree counts
+    assert lines[2].startswith("chi-law max_deviation=") and lines[2].endswith(" FAIL")
+    assert lines[3] == "oracle-check FAIL"
+    if fault == "missing-profile":
+        missing = math.exp(read(spec, 10, CountVector(Kind.PLANE, RAREST)))
+        assert abs(float(lines[2].split()[1].split("=")[1]) / missing - 1) <= 1e-9
+    if fault == "scaled":
+        assert lines[1].endswith(" PASS")  # ln Z, read unshifted
 
 
 def test_sample_deterministic(tmp_path, capsys):
@@ -506,7 +542,7 @@ def test_lattice_commands_materialize_no_lattice(capsys, monkeypatch, argv):
         raise AssertionError("lattice materialized")
 
     for module in (partition, ldp, rate, cli):
-        for name in ("exact_chi_law", "integer_lattice", "manifold_grid"):
+        for name in ("integer_lattice", "manifold_grid"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     code, out, err = run_cli(capsys, *argv)

@@ -13,10 +13,14 @@ from treegibbs import (
     chi_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
-    freq_from_counts,
     is_feasible,
     validate_spec,
 )
+
+
+def frequencies(n: CountVector) -> FrequencyVector:
+    """The empirical frequencies n / N."""
+    return FrequencyVector(n.kind, n.as_array() / n.N)
 
 
 def test_validate_spec_minimal_labeled():
@@ -65,11 +69,11 @@ def test_is_feasible_kind_mismatch():
 
 
 def test_freq_from_counts_examples():
-    f = freq_from_counts(CountVector(Kind.LABELED, (2, 2)))
+    f = frequencies(CountVector(Kind.LABELED, (2, 2)))
     np.testing.assert_allclose(f.p, [0.5, 0.5])
-    f = freq_from_counts(CountVector(Kind.LABELED, (2, 0, 2)))
+    f = frequencies(CountVector(Kind.LABELED, (2, 0, 2)))
     np.testing.assert_allclose(f.p, [0.5, 0.0, 0.5])
-    f = freq_from_counts(CountVector(Kind.PLANE, (1, 3, 0)))
+    f = frequencies(CountVector(Kind.PLANE, (1, 3, 0)))
     np.testing.assert_allclose(f.p, [0.25, 0.75, 0.0])
 
 
@@ -79,7 +83,7 @@ def test_every_enumerated_labeled_chi_is_feasible(N):
     for tree in enumerate_labeled_trees(N):
         chi = chi_of(tree, spec)
         assert is_feasible(chi, spec)
-        f = freq_from_counts(chi)
+        f = frequencies(chi)
         assert abs(f.mass() - 1.0) <= 1e-15
         assert abs(f.mean_class() - (2.0 - 2.0 / N)) <= 1e-12
 
@@ -90,7 +94,7 @@ def test_every_enumerated_plane_chi_is_feasible(N):
     for tree in enumerate_plane_trees(N, spec.D):
         chi = chi_of(tree, spec)
         assert is_feasible(chi, spec)
-        f = freq_from_counts(chi)
+        f = frequencies(chi)
         assert abs(f.mass() - 1.0) <= 1e-15
         assert abs(f.mean_class() - (1.0 - 1.0 / N)) <= 1e-12
 
@@ -129,6 +133,6 @@ def test_immutability():
     spec = EnsembleSpec.labeled(3)
     with pytest.raises(AttributeError):
         spec.D = 4
-    f = freq_from_counts(CountVector(Kind.LABELED, (2, 2)))
+    f = frequencies(CountVector(Kind.LABELED, (2, 2)))
     with pytest.raises(ValueError):
         f.p[0] = 0.9

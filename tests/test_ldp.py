@@ -6,19 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chi_square_check, iter_profiles
+from oracles import chi_law, couple_samples, r_set
 from treegibbs import (
     CountVector,
     EnsembleSpec,
     FrequencyVector,
     Kind,
     convergence_table,
-    couple_samples,
-    exact_chi_law,
-    finite_rate,
     lln_tail,
     log_prob_ball,
     log_sum,
-    r_set,
     rng_stream,
     solve_pstar,
 )
@@ -53,17 +50,17 @@ def test_log_prob_ball_matches_high_precision_value():
 def test_finite_rate_trivia():
     spec = EnsembleSpec(Kind.PLANE, 2, 0.9, (0.2, 0.0, -0.1))
     ctx = solve_pstar(spec)
-    assert abs(finite_rate(spec, 40, ctx.pstar, 2.0)) <= 1e-12
+    assert abs(-log_prob_ball(spec, 40, ctx.pstar, 2.0) / 40) <= 1e-12
     lab2 = EnsembleSpec.labeled(2)
     center = FrequencyVector(Kind.LABELED, np.array([0.0, 1.0]))
     for N in (8, 16, 32):
-        assert abs(finite_rate(lab2, N, center, 4.0 / N + 1e-12)) <= 1e-12
+        assert abs(-log_prob_ball(lab2, N, center, 4.0 / N + 1e-12) / N) <= 1e-12
 
 
 def test_finite_rate_vanishes_at_pstar():
     spec = EnsembleSpec.labeled(3)
     ctx = solve_pstar(spec)
-    rates = [finite_rate(spec, N, ctx.pstar, 0.05) for N in (100, 200, 400, 800)]
+    rates = [-log_prob_ball(spec, N, ctx.pstar, 0.05) / N for N in (100, 200, 400, 800)]
     assert all(b < a for a, b in zip(rates, rates[1:]))
     assert rates[-1] < 0.01
 
@@ -92,7 +89,7 @@ def test_finite_rate_brackets_rate_function():
     N, eps = 2000, 0.02
     theta = 0.2
     target = FrequencyVector(Kind.LABELED, np.array([theta, 1 - 2 * theta, theta]))
-    r = finite_rate(spec, N, target, eps)
+    r = -log_prob_ball(spec, N, target, eps) / N
     grid = manifold_grid(spec, 200_000)
     rates = j_values(spec, grid) - ctx.Jstar
     dist = np.abs(grid - target.p[None, :]).sum(axis=1)
@@ -143,12 +140,11 @@ def test_r_set_accepts_frequency_vectors():
 )
 def test_r_set_is_minimal_distance_set(spec, N):
     lattice = np.array(iter_profiles(spec.k_min, spec.D, N, spec.kind.manifold_total(N)))
-    law = exact_chi_law(spec, N)
-    for profile in law.profiles:
+    for profile in chi_law(spec, N):
         got = {tuple((m.p * N + 0.5).astype(int)) for m in r_set(
-            CountVector(spec.kind, tuple(int(v) for v in profile)), N, spec
+            CountVector(spec.kind, profile), N, spec
         )}
-        dist = np.abs(lattice - profile[None, :]).sum(axis=1)
+        dist = np.abs(lattice - np.array(profile)[None, :]).sum(axis=1)
         best = dist.min()
         expected = {tuple(row) for row in lattice[dist == best]}
         assert got == expected
@@ -190,7 +186,7 @@ def test_coupling_marginal_matches_chi_law():
     observed: dict[tuple[int, ...], int] = {}
     for s in samples:
         observed[s.x_counts.counts] = observed.get(s.x_counts.counts, 0) + 1
-    expected = exact_chi_law(spec, N).as_dict()
+    expected = chi_law(spec, N)
     stat, critical = chi_square_check(observed, expected, draws)
     assert stat < critical
 
@@ -226,7 +222,8 @@ def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
     monkeypatch.setattr(partition, "LATTICE_BYTES", 3 * 8 * spec.n_classes)
     blocks = partition.lattice_blocks(spec.k_min, spec.D, N, spec.kind.class_sum(N))
     assert sum(1 for _ in blocks) >= 10
-    law = exact_chi_law(spec, N)
+    law = chi_law(spec, N)
+    profiles, logp = np.array(list(law)), np.log(list(law.values()))
     ctx = solve_pstar(spec)
     pstar = ctx.pstar.p
     # off the mode along (1, -2, 1, 0, ...), which keeps sum p and sum k p
@@ -235,10 +232,10 @@ def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
     off_mode = pstar + 0.3 * pstar[1] * direction
 
     def dist(center):
-        return np.abs(law.profiles / N - center[None, :]).sum(axis=1)
+        return np.abs(profiles / N - center[None, :]).sum(axis=1)
 
     for center, eps in ((pstar, 0.15), (off_mode, 0.08)):
-        want = log_sum(law.logp[dist(center) <= eps])
+        want = log_sum(logp[dist(center) <= eps])
         got = log_prob_ball(spec, N, center, eps)
         assert abs(got - want) <= 1e-13 * abs(want)
     assert log_prob_ball(spec, N, off_mode, 0.08) < log_prob_ball(spec, N, pstar, 0.08)
@@ -246,7 +243,7 @@ def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
     assert log_prob_ball(spec, N, pstar + 0.5 / N, 1e-9) == NEG_INF
 
     for delta in (0.1, 0.4):
-        want = math.exp(log_sum(law.logp[dist(pstar) > delta]))
+        want = math.exp(log_sum(logp[dist(pstar) > delta]))
         got = lln_tail(spec, N, delta, ctx=ctx)
         assert 0.0 < got < 1.0 and abs(got - want) <= 1e-13 * want
     assert lln_tail(spec, N, 2.5, ctx=ctx) == 0.0

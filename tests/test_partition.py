@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     iter_feasible_profiles,
     iter_profiles,
 )
+from oracles import chi_law
 from treegibbs import (
     BadEnergyTable,
     CountVector,
@@ -25,15 +27,16 @@ from treegibbs import (
     LatticeTooLarge,
     NoFeasibleTree,
     SumMismatch,
-    exact_chi_law,
+    lln_tail,
     log_partition_value,
+    log_prob_ball,
     log_prob_profile,
     log_sum,
     rng_stream,
     sample_class_sequences,
     sample_profiles,
 )
-from treegibbs import partition
+from treegibbs import cli, partition
 from treegibbs.partition import (
     build_dp,
     class_log_weights,
@@ -142,19 +145,17 @@ def test_log_prob_profile_examples():
 
 def test_chi_law_degenerate_labeled_d2():
     for N in (2, 5, 9):
-        law = exact_chi_law(EnsembleSpec.labeled(2), N)
-        assert len(law) == 1
-        ((profile, logp),) = list(law.items())
-        assert profile.counts == (2, N - 2)
-        assert abs(logp) <= 1e-12
+        law = chi_law(EnsembleSpec.labeled(2), N)
+        assert list(law) == [(2, N - 2)]
+        assert abs(law[(2, N - 2)] - 1.0) <= 1e-12
 
 
 def test_chi_law_small_examples():
-    law = exact_chi_law(EnsembleSpec.labeled(3), 4).as_dict()
+    law = chi_law(EnsembleSpec.labeled(3), 4)
     assert set(law) == {(2, 2, 0), (3, 0, 1)}
     assert abs(law[(2, 2, 0)] - 0.75) <= 1e-12
     assert abs(law[(3, 0, 1)] - 0.25) <= 1e-12
-    law = exact_chi_law(EnsembleSpec.plane(2), 4).as_dict()
+    law = chi_law(EnsembleSpec.plane(2), 4)
     assert set(law) == {(2, 1, 1), (1, 3, 0)}
     assert abs(law[(2, 1, 1)] - 0.75) <= 1e-12
     assert abs(law[(1, 3, 0)] - 0.25) <= 1e-12
@@ -164,7 +165,7 @@ def test_chi_law_small_examples():
 def test_chi_law_matches_enumeration(spec):
     N = 6
     expected = gibbs_profile_law(spec, N)
-    got = exact_chi_law(spec, N).as_dict()
+    got = chi_law(spec, N)
     assert set(got) == set(expected)
     for key, prob in expected.items():
         assert abs(got[key] - prob) <= 1e-9
@@ -216,6 +217,27 @@ def test_spec_refuses_an_overflowing_class_weight():
     # beta * c(2) overflows, which would weigh every labeled path at 0
     with pytest.raises(BadEnergyTable, match="overflows"):
         EnsembleSpec(Kind.LABELED, 2, 1e300, (0.0, 1e300))
+
+
+def test_every_lattice_entry_point_refuses_overflowing_log_weights(capsys):
+    # every beta * c(k) is finite, but a profile log weight, up to
+    # N * 1e306, is not: unchecked, ln Z and the ball and tail masses come
+    # out nan, and the draw fails inside numpy
+    spec = EnsembleSpec(Kind.LABELED, 3, -1e306, (0.0, 1.0, 0.0))
+    N = 1001
+    calls = [
+        lambda: log_partition_value(spec, N),
+        lambda: log_prob_ball(spec, N, (0.3, 0.4, 0.3), 0.05),
+        lambda: lln_tail(spec, N, 0.1),
+        lambda: sample_profiles(spec, N, 10, rng_stream(1)),
+    ]
+    for call in calls:
+        with pytest.raises(BadEnergyTable, match="overflow at N=1001"):
+            call()
+    argv = ["ldp-table", "--kind", "labeled", "--bound", "3", "--beta=-1e306",
+            "--energy", "0,1,0", "--n-list", "1001"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: profile log weights overflow at N=1001")
 
 
 def test_integer_lattice_matches_brute_force():
@@ -278,10 +300,58 @@ def test_a_row_batch_dies_with_the_batch(monkeypatch):
     monkeypatch.setattr(partition, "LATTICE_BYTES", 2 * 8 * 6 * 50)  # 50 rows or fewer
     walk = partition.lattice_rows(0, 4, 60, 59)  # plane D=4, N=60: 165 rows
     batch = next(walk)
-    freed = [weakref.ref(column.base) for column in (batch.upper, batch.t, batch.hi)]
+    freed = [weakref.ref(column if column.base is None else column.base)
+             for column in (batch.upper, batch.t, batch.hi)]
     del batch
     next(walk)
     assert all(ref() is None for ref in freed)
+
+
+PLANE_D4 = EnsembleSpec(Kind.PLANE, 4, 1.0, (0.0, 0.0, 0.0, 1.0, 2.0))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that Python and numpy allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_walk_alone_is_bounded_in_bytes(monkeypatch):
+    # Plane D=4 at the bytes per row of ProfileCut.  The walk makes a node's
+    # children as it reaches them and cuts a leaf's m_3 range into pieces
+    # that fill a batch, so its memory does not grow with N: at N = 12,800 a
+    # leaf has up to 4266 rows, more than a batch holds.
+    walk, args = partition.lattice_rows, []
+    monkeypatch.setattr(partition, "lattice_rows", lambda *a: args.append(a) or walk(*a))
+    partition.ProfileCut(PLANE_D4, 40)
+    row_bytes = args[0][4]
+
+    def walk_alone(N):
+        for rows in walk(0, 4, N, N - 1, row_bytes):
+            del rows
+
+    small, large = (traced_peak(lambda: walk_alone(N)) for N in (800, 12_800))
+    assert max(small, large) <= 2 * partition.LATTICE_BYTES
+    assert abs(large - small) <= 0.25 * small, (small, large)
+
+
+@pytest.mark.parametrize("draw", [False, True], ids=["log-partition", "cut-draw"])
+def test_cut_folds_are_bounded_in_bytes(draw):
+    # ln Z and a 1000-profile rare-class draw over the cut at plane D=4,
+    # N=1600: each folds one block of one batch at a time and frees it
+    # before the walk builds the next.
+    N = 1600
+    rng = rng_stream(1)  # numpy.random imported before tracing
+    partition.log_partition_value(PLANE_D4, N)  # the factorial table grown
+    if draw:
+        peak = traced_peak(lambda: partition._sample_cut(PLANE_D4, N, 1000, rng))
+    else:
+        peak = traced_peak(lambda: partition.log_partition_value(PLANE_D4, N))
+    assert peak <= 2 * partition.LATTICE_BYTES, f"peak {peak} B"
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,7 +491,7 @@ def fallback_fit(monkeypatch, spec, N, draws, seed):
     observed: dict[tuple[int, ...], int] = {}
     for row in rows.tolist():
         observed[tuple(row)] = observed.get(tuple(row), 0) + 1
-    expected = exact_chi_law(spec, N).as_dict()
+    expected = chi_law(spec, N)
     return chi_square_check(observed, expected, draws), expected
 
 
@@ -497,6 +567,6 @@ def test_backward_sampling_marginal_matches_chi_law(spec):
     for row in rows:
         key = tuple(np.bincount(row - spec.k_min, minlength=spec.n_classes).tolist())
         observed[key] = observed.get(key, 0) + 1
-    expected = exact_chi_law(spec, N).as_dict()
+    expected = chi_law(spec, N)
     stat, critical = chi_square_check(observed, expected, draws)
     assert stat < critical, f"chi-square {stat:.2f} >= {critical:.2f}"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_manifold_point
+from oracles import entropy, from_free_coordinates, g_term, grid_minimize_J, j_free_gradient
 from treegibbs import (
     EnsembleSpec,
     FrequencyVector,
@@ -13,18 +14,12 @@ from treegibbs import (
     LatticeTooLarge,
     OffManifold,
     J_value,
-    energy_mean,
-    entropy,
-    g_term,
-    grid_minimize_J,
-    j_free_gradient,
     rate_value,
     solve_pstar,
-    tilt_frequencies,
-    tilt_mean,
 )
 from treegibbs import partition
-from treegibbs.rate import from_free_coordinates, j_values, manifold_grid
+from treegibbs.partition import tilt_probs
+from treegibbs.rate import j_values, manifold_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,6 +31,11 @@ def test_entropy_examples():
 
 
 def test_energy_mean_examples():
+    # the mean energy E(p) = p . c is the beta-slope of J
+    def energy_mean(p, c):
+        spec = EnsembleSpec.plane(len(c) - 1, 1.0, c)
+        return float(j_values(spec, p) - j_values(EnsembleSpec.plane(len(c) - 1), p))
+
     assert energy_mean((0.2, 0.8), (0.0, 0.0)) == 0.0
     assert energy_mean((0.0, 1.0), (5.0, 7.0)) == 7.0
     assert abs(energy_mean((0.25, 0.5, 0.25), (1.0, 2.0, 3.0)) - 2.0) <= 1e-12
@@ -65,15 +65,18 @@ def test_J_value_examples():
 
 def test_tilt_examples():
     lab3 = EnsembleSpec.labeled(3)
-    p = tilt_frequencies(SQRT2, lab3)
-    np.testing.assert_allclose(p.p, [0.292893, 0.414214, 0.292893], atol=1e-6)
+    p = tilt_probs(lab3, math.log(SQRT2))
+    np.testing.assert_allclose(p, [0.292893, 0.414214, 0.292893], atol=1e-6)
     plane = EnsembleSpec.plane(2)
-    np.testing.assert_allclose(tilt_frequencies(1.0, plane).p, [1 / 3] * 3, atol=1e-12)
-    tiny = tilt_frequencies(1e-200, lab3)
-    np.testing.assert_allclose(tiny.p, [1.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(tilt_probs(plane, 0.0), [1 / 3] * 3, atol=1e-12)
+    tiny = tilt_probs(lab3, math.log(1e-200))
+    np.testing.assert_allclose(tiny, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_tilt_mean_examples():
+    def tilt_mean(x, spec):
+        return float(spec.classes() @ tilt_probs(spec, math.log(x)))
+
     plane = EnsembleSpec.plane(2)
     assert abs(tilt_mean(1.0, plane) - 1.0) <= 1e-12
     lab3 = EnsembleSpec.labeled(3)

@@ -16,9 +16,9 @@ from conftest import (
     tree_key,
     word_tree,
 )
+from oracles import BadStepSum, cycle_lemma_rotation, prufer_encode
 from treegibbs import (
     BadLabel,
-    BadStepSum,
     CountVector,
     DegreeBoundExceeded,
     EnsembleSpec,
@@ -28,17 +28,13 @@ from treegibbs import (
     PlaneTree,
     TooLarge,
     chi_of,
-    cycle_lemma_rotation,
     energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
     prufer_decode,
-    prufer_encode,
     rng_stream,
     sample_class_sequences,
-    sample_labeled_tree,
     sample_plane_child_counts,
-    sample_plane_tree,
     sample_prufer_codes,
 )
 from treegibbs import treegen
@@ -322,7 +318,8 @@ def test_labeled_sampler_degenerate_d2():
     spec = EnsembleSpec.labeled(2)
     rng = rng_stream(5)
     for _ in range(10):
-        tree = sample_labeled_tree(spec, 5, rng)
+        [words] = sample_prufer_codes(spec, 5, 1, rng)
+        tree = LabeledTree(5, tuple(map(tuple, word_edges(words)[0].tolist())))
         degs = sorted(tree.degrees())
         assert degs == [1, 1, 2, 2, 2]  # always a path
 
@@ -331,7 +328,8 @@ def test_plane_sampler_degenerate_d1():
     spec = EnsembleSpec.plane(1)
     rng = rng_stream(5)
     for N in (1, 4, 7):
-        tree = sample_plane_tree(spec, N, rng)
+        [rows] = sample_plane_child_counts(spec, N, 1, rng)
+        tree = PlaneTree(tuple(int(v) for v in rows[0]))
         assert tree.child_counts == (1,) * (N - 1) + (0,)
 
 
