@@ -18,15 +18,17 @@ into blocks of ``SAMPLE_CELLS // max(N, n_classes)`` trees (at least one),
 n_classes being the number of degree classes, with one RNG stream per block
 index, so the trees of a shorter run are a prefix of those of a longer one.
 A block's (trees, N) class table, one byte per entry below D = 128, holds
-at most 4 MB, and its (trees, n_classes) int64 profiles at most 32 MB, or
-one tree's worth once N or n_classes passes ``SAMPLE_CELLS``.  The rest is
-made one row group at a time (``treegen.group_rows``), whose values are
-bounded in bytes by ``treegen.WRITE_BLOCK_BYTES``: the words or rotations of
-the group, then its text.  ``sample`` prints labeled trees as the sorted edge
-lists of their words under the Foata-Fuchs-type word -> tree map
-(``treegen.word_edges``; D. Foata & A. Fuchs, J. Combin. Theory 8, 1970),
-and encodes the text of both kinds with one table-driven gather per group
-(``treegen.write_sample``, one call per command).
+at most 4 MB, and its kept (trees, n_classes) int64 profiles at most 32 MB,
+or one tree's worth once N or n_classes passes ``SAMPLE_CELLS``; the
+proposals behind the profiles are drawn, and the table is permuted, in
+int64 chunks of ``partition.LATTICE_BYTES``.  The rest is made one row
+group at a time (``treegen.group_rows``), and ``treegen.WRITE_BLOCK_BYTES``
+bounds in bytes all that a group holds, from its words or rotations to its
+text.  ``sample`` prints labeled trees as the sorted edge lists of their
+words under the Foata-Fuchs-type word -> tree map (``treegen.word_edges``;
+D. Foata & A. Fuchs, J. Combin. Theory 8, 1970), and encodes the text of
+both kinds with table-driven gathers (``treegen.write_sample``, one call
+per command).
 
 Exit codes: 0 success, 2 configuration error (among them an energy table
 whose profile log weights overflow at the requested N), 3 infeasible or
@@ -38,7 +40,7 @@ profile lattice or the rate grid, so none is refused for their size:
 profiles that carry mass (``partition``), ``lln`` takes its ``inf_I``
 column from the rate grid of ``rate.grid_inf_rate``, and ``oracle-check``
 reads the law of chi from the same cut, one enumerated profile at a time
-(``partition.log_prob_profile``).
+against one ln Z_N (``partition.log_prob_profile``).
 """
 
 from __future__ import annotations
@@ -319,13 +321,15 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     suites = [("profile-counts", dev_counts)]
 
     log_z = log_sum(list(log_weights.values()))
-    suites.append(("partition", abs(log_partition_value(spec, N) - log_z)))
+    log_z_cut = log_partition_value(spec, N)
+    suites.append(("partition", abs(log_z_cut - log_z)))
 
-    # the law of chi from the cut engine, one enumerated profile at a time;
-    # its total over them must be 1, which also catches mass on a profile
-    # the trees miss and a deviation spread too thin to show in any one
+    # the law of chi from the cut engine, one enumerated profile at a time
+    # against its one ln Z; its total over them must be 1, which also
+    # catches mass on a profile the trees miss and a deviation spread too
+    # thin to show in any one
     law = {
-        chi: math.exp(log_prob_profile(spec, N, CountVector(spec.kind, chi)))
+        chi: math.exp(log_prob_profile(spec, N, CountVector(spec.kind, chi), log_z_cut))
         for chi in log_weights
     }
     dev_law = max(abs(math.exp(lw - log_z) - law[chi]) for chi, lw in log_weights.items())

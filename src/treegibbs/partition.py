@@ -12,48 +12,42 @@ the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
 (degree sum 2N-2) and ``N-1`` for plane trees.
 
 The feasible profiles form an integer lattice of dimension K-2 (K the
-number of classes).  ``lattice_rows`` walks it as rows, on each of which
-the classes above 2 are fixed and m_2 runs over an interval, in batches;
+number of classes).  ``lattice_rows`` walks it in batches of rows, on each
+of which the classes above 2 are fixed and m_2 runs over an interval;
 ``LatticeRows.pairs`` yields their points as blocks of (row, m_2), and
-``lattice_blocks`` as int64 profiles.  Callers size both by what they hold
-per row and per point, so that a batch and a block hold at most
-``LATTICE_BYTES``.  By the LDP almost none of the lattice carries
-measurable mass at finite N.  ``ProfileCut`` keeps each row's interval
-within ``CUT_SLACK`` nats and ln(points) of the largest log weight, and
-every exact sum over the lattice folds only that, scoring each (row, m_2)
-in closed form: ln Z_N (``log_partition_value``), the ball and tail masses
-behind ``ldp`` (``log_mass``, which certifies the cut against both of its
-sums and widens it when it must), the law of chi (``log_prob_profile``)
-and the draw of rare-class profiles (``_sample_cut``).  Each of them first
-refuses an energy table whose profile log weights overflow at N
-(``check_log_weights``).  ``integer_lattice`` joins the blocks into one
-matrix, under a cap of ``MAX_LATTICE_BYTES``; no command calls it.
+``lattice_blocks`` as int64 profiles, a batch and a block holding at most
+``LATTICE_BYTES`` at the bytes per row and point that the caller states.
+By the LDP almost none of the lattice carries measurable mass at finite N.
+``ProfileCut`` keeps each row's interval within ``CUT_SLACK`` nats and
+ln(points) of the largest log weight, and every exact sum over the lattice
+folds only that, scoring each (row, m_2) in closed form: ln Z_N
+(``log_partition_value``), the ball and tail masses behind ``ldp``
+(``log_mass``, which certifies the cut against both of its sums and widens
+it when it must), the law of chi (``log_prob_profile``) and the draw of
+rare-class profiles (``_sample_cut``), each after ``check_log_weights``
+refuses log weights that overflow at N.  ``integer_lattice`` joins the
+blocks into one matrix under ``MAX_LATTICE_BYTES``; no command calls it.
 
-``build_dp`` keeps the per-vertex dynamic program over the remaining budget
-as the tests' independent reference for ln Z_N; no library path calls it.
-``W[i][s]`` is the log weight of the length-i class words with shifted
-class sum s, stored on ``0..budget``.  Reading the final cell
-``W[N][budget]`` (``DpTable.log_final``) gives
+``build_dp``, which no library path calls, keeps the per-vertex dynamic
+program as the tests' independent reference: ``W[i][s]`` is the log weight
+of the length-i class words with shifted class sum s, and ln Z_N is
+``W[N][N-2] + ln (N-2)!`` (labeled) or ``W[N][N-1] - ln N`` (plane).
 
-* labeled:  ``ln Z_N = W[N][N-2] + ln (N-2)!``
-* plane:    ``ln Z_N = W[N][N-1] - ln N``.
+Sampling needs no table.  Under Multinomial(N, q) at the tilt q_k ~ w_k x^k
+(``tilt``) a profile n weighs its Gibbs weight times x^S, S its class sum,
+so conditioning on S = budget leaves the Gibbs law of chi at any x
+(Devroye, "Simulating size-constrained Galton-Watson trees", SIAM J.
+Comput. 41(1), 2012).  ``sample_profiles`` draws at the x whose mean class
+is budget/N and keeps the proposals that hit the budget, or, when hardly
+any do, draws by inverse CDF over the row cut, exact up to the
+e^-CUT_SLACK of mass that it drops.  ``sample_class_sequences`` lays each
+profile out as a class row and permutes it uniformly: the entry point of
+both tree samplers.  Both hold at most ``LATTICE_BYTES`` of int64 beside
+their result.
 
-Sampling needs no table.  The tilt ``q_k ~ w_k x^k`` (``tilt``) turns the
-per-vertex weights into a probability vector; under Multinomial(N, q) the
-weight of a profile n is its Gibbs weight times ``x^S``, with S the class
-sum, so conditioning on S = budget leaves exactly the Gibbs law of chi at
-any x.  ``sample_profiles`` draws at the x whose mean class is budget/N and
-keeps the proposals that hit the budget; ``sample_class_sequences`` lays
-each kept profile out as a class row and permutes it uniformly, which is
-the entry point of both tree samplers.  This is Devroye's reduction
-("Simulating size-constrained Galton-Watson trees", SIAM J. Comput. 41(1),
-2012).  When a class the budget needs has so small a tilt weight that
-hardly any proposal is kept, the profiles are drawn instead by inverse CDF
-over the row cut, exact up to the e^-CUT_SLACK of mass that it drops.
-
-Randomness contract: every sampler takes a ``numpy.random.Generator``.
+Randomness contract: every sampler takes a ``numpy.random.Generator``, and
 ``rng_stream(seed, block)`` derives independent, reproducible streams from
-a 64-bit seed and a block index; all draws are then determined by
+a 64-bit seed and a block index, so all draws are determined by
 ``(seed, block, draw index)``.
 """
 
@@ -78,8 +72,9 @@ LATTICE_BYTES = 2**20
 #: 256 MB.  The streamed sums and the rate grid of the commands have no cap.
 MAX_LATTICE_BYTES = 2**28
 
-#: Ceiling on the cells of one proposal matrix in ``sample_profiles``
-#: (rows times classes, int64): 32 MB whatever the size of the request.
+#: Ceiling on the cells (rows times classes) of one batch of proposals in
+#: ``sample_profiles``.  It shapes the stream, not the memory: a batch is
+#: drawn and filtered in chunks of ``LATTICE_BYTES``.
 PROPOSAL_CELLS = 2**22
 
 #: Proposals per kept profile past which ``sample_profiles`` stops rejecting
@@ -238,8 +233,9 @@ def profile_log_weights(spec: EnsembleSpec, N: int, profiles: np.ndarray) -> np.
     return lnc - np.log(N) + gibbs
 
 
-def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector) -> float:
-    """Exact ln P_N{chi = n}; -inf for infeasible profiles.
+def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector, log_z=None) -> float:
+    """Exact ln P_N{chi = n}, against ``log_z`` when given and otherwise
+    ``log_partition_value``; -inf for infeasible profiles.
 
     Raises KindMismatch or ValueError when ``n`` does not fit the spec
     (``is_feasible``) and SumMismatch when it does not account for all N
@@ -251,7 +247,7 @@ def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector) -> float:
     if not feasible:
         return NEG_INF
     lw = profile_log_weights(spec, N, n.as_array()[None, :])[0]
-    return float(lw - log_partition_value(spec, N))
+    return float(lw - (log_partition_value(spec, N) if log_z is None else log_z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -665,19 +661,20 @@ def sample_profiles(
 
     Row m of the (size, n_classes) result counts the vertices per shifted
     class in draw m.  Proposals are Multinomial(N, q) at the tilt q whose
-    mean shifted class is budget/N, and a proposal is kept when its shifted
-    class sum is the budget.  By the local CLT about 1/(sigma sqrt(2 pi N)) of
-    them are kept (sigma^2 the class variance under q).  That guess sizes the
-    first batch and then counts as one hit among 1/guess proposals in the
-    running acceptance estimate that sizes the later ones.
+    mean shifted class is budget/N, kept when their shifted class sum is the
+    budget: by the local CLT about 1/(sigma sqrt(2 pi N)) of them, sigma^2
+    the class variance under q.  That guess sizes the first batch, then
+    counts as one hit among 1/guess proposals in the running acceptance
+    estimate that sizes the later ones.  A batch is drawn and filtered in
+    chunks of ``LATTICE_BYTES``; ``rng.multinomial`` draws row after row, so
+    neither the kept rows nor the stream after them depend on the chunks.
 
-    The guess fails when the classes that carry the tilt cannot make up the
-    budget alone, so every kept row needs a class of tiny (or underflowed)
-    weight: labeled D=3 with degree 2 suppressed at odd N, say.  Once the
-    estimate falls below 1 in ``MAX_PROPOSALS_PER_HIT``, the remaining rows
-    are drawn by ``_sample_cut``, in the log domain at any lattice size and
-    exact up to the e^-CUT_SLACK of mass that the row cut drops, which is
-    below the resolution of a double uniform.
+    The guess fails when the tilt's classes cannot make up the budget alone
+    and every kept row needs a class of tiny (or underflowed) weight:
+    labeled D=3 with degree 2 suppressed at odd N, say.  Once the estimate
+    falls below 1 in ``MAX_PROPOSALS_PER_HIT``, the remaining rows are drawn
+    by ``_sample_cut``, exact up to the e^-CUT_SLACK of mass that the row
+    cut drops, below the resolution of a double uniform.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -687,19 +684,20 @@ def sample_profiles(
     shifted = np.arange(spec.n_classes)
     var = float(q @ (shifted - q @ shifted) ** 2)
     guess = min(1.0, 1.0 / math.sqrt(2.0 * math.pi * N * var)) if var > 0 else 1.0
-    max_rows = max(1, PROPOSAL_CELLS // spec.n_classes)
+    chunk = max(1, LATTICE_BYTES // (8 * spec.n_classes + 9))  # rows, sums, mask
     kept, need, drawn, hits = [], size, 0, 0
     while need:
         accept = guess * (hits + 1) / (guess * drawn + 1)
         if accept * MAX_PROPOSALS_PER_HIT < 1:
             kept.append(_sample_cut(spec, N, need, rng))
             break
-        rows = min(max_rows, math.ceil(1.2 * need / accept) + 16)
-        proposals = rng.multinomial(N, q, size=rows)
-        found = proposals[proposals @ shifted == budget]
-        kept.append(found[:need])
-        drawn, hits = drawn + rows, hits + found.shape[0]
-        need -= kept[-1].shape[0]
+        rows = min(max(1, PROPOSAL_CELLS // spec.n_classes), math.ceil(1.2 * need / accept) + 16)
+        for start in range(0, rows, chunk):
+            found = rng.multinomial(N, q, size=min(chunk, rows - start))
+            found = found[found @ shifted == budget]
+            kept.append(found[:need])
+            hits, need = hits + found.shape[0], need - kept[-1].shape[0]
+        drawn += rows
     return np.concatenate(kept)
 
 
@@ -739,18 +737,20 @@ def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator)
 def sample_class_sequences(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``size`` class sequences (unshifted classes) exactly.
-
-    Entry (m, i) is the class of vertex i in draw m.  Each row is the
-    profile of ``sample_profiles`` laid out in class order and then permuted
-    uniformly, so it is distributed proportionally to the product of
-    per-class Gibbs weights conditioned on the feasible class sum.  The
-    (size, N) result has the smallest signed integer type that holds D (one
-    byte per vertex below D = 128); ``rng.permuted`` draws the same
-    permutation for every integer type.
-    """
+    """Draw ``size`` class sequences (unshifted classes) exactly: row m is
+    profile m of ``sample_profiles`` laid out in class order and permuted
+    uniformly, so its law is the product of per-class Gibbs weights
+    conditioned on the feasible class sum.  The (size, N) result has the
+    smallest signed integer type that holds D (one byte per vertex below
+    D = 128); it is permuted through an int64 buffer, on which
+    ``rng.permuted`` runs faster and draws the same permutation."""
     profiles = sample_profiles(spec, N, size, rng)
     classes = spec.classes().astype(np.min_scalar_type(-spec.D - 1))  # holds -1..D
     rows = np.repeat(np.tile(classes, size), profiles.ravel()).reshape(size, N)
-    return rng.permuted(rows, axis=1, out=rows)
+    step = max(1, LATTICE_BYTES // (8 * N))  # rows per int64 buffer
+    for start in range(0, size, step):
+        buffer = rows[start : start + step].astype(np.int64)
+        rows[start : start + step] = rng.permuted(buffer, axis=1, out=buffer)
+        del buffer  # freed before the next is made
+    return rows
 

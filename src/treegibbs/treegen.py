@@ -29,19 +29,23 @@ multinomial, laid out and uniformly permuted):
 
 The class sequences of a batch are drawn at once, one byte per vertex below
 D = 128; the samplers then yield the words or rotations in row groups of
-``group_rows`` trees, each made when it is taken, so a batch never holds
-more than one group's int64 rows.  ``rng.permuted`` draws row after row, so
-the words do not depend on the group size.
+``group_rows`` trees, each made when it is taken and freed before the next
+is made.  ``rng.permuted`` draws row after row, so the words do not depend
+on the group size.
 
 Text serialization: a labeled tree is its sorted edge list, one ``u v`` line
 per edge; a plane tree is one line of space-separated child counts.  Both are
 newline-terminated ASCII.  ``write_sample`` writes the row groups without
 tree objects or per-tree formatting: per group, labeled words are decoded to
-edge arrays by ``word_edges``, and the values are encoded with one gather
-from a table of digit-and-separator cells (the labeled separators end each
-tree in a blank line), one ``tobytes`` and one deletion of the padding
-bytes.  ``WRITE_BLOCK_BYTES`` bounds a group's values in bytes.
-``to_text`` is the single-tree form of the same text.
+int32 edge arrays by ``word_edges``, and the values are encoded, in pieces
+of at most a quarter of ``WRITE_BLOCK_BYTES``, with one gather from a table
+of digit-and-separator cells (the labeled separators end each tree in a
+blank line), one ``tobytes`` and one deletion of the padding bytes.
+``WRITE_BLOCK_BYTES`` bounds in bytes all that a group holds, from its
+words to its text, at the bytes per value that were traced for each stage
+(``group_rows``).  One tree larger than that holds about 30 (labeled) or 9
+(plane) bytes per vertex, beside a text table of three or two cells per
+label.  ``to_text`` is the single-tree form of the same text.
 """
 
 from __future__ import annotations
@@ -156,28 +160,44 @@ def word_edges(words: np.ndarray) -> np.ndarray:
     child depends on an earlier one, so a whole block decodes in a fixed
     number of array passes.  Row r of the (B, N-1, 2) result lists the edges
     as (min, max) pairs in increasing order, as ``LabeledTree`` stores them.
+    Labels, positions and the result are int32 while B (N+1) < 2^31 (int64
+    beyond), and the edges are sorted as unsigned keys min << 16 | max while
+    N < 2^16 (shifted by 32 in 64 bits beyond): at most 22 bytes per vertex
+    at the peak.
     """
     B, N = words.shape[0], words.shape[1] + 2
-    s = np.empty((B, N - 1), dtype=np.int64)
+    index = np.int32 if B * (N + 1) < 2**31 else np.int64  # labels, positions
+    s = np.empty((B, N - 1), dtype=index)
     s[:, 0] = N
     s[:, 1:] = words
     # first[r, v]: first position of label v in row r of s, N - 1 if absent
-    flat = s + np.arange(B, dtype=np.int64)[:, None] * (N + 1)
-    first = np.full(B * (N + 1), N - 1, dtype=np.int64)
-    np.minimum.at(first, flat.ravel(), np.tile(np.arange(N - 1), B))
+    flat = s + (np.arange(B, dtype=index) * (N + 1))[:, None]
+    first = np.full(B * (N + 1), N - 1, dtype=index)
+    np.minimum.at(first, flat.ravel(), np.tile(np.arange(N - 1, dtype=index), B))
     take_leaf = np.ones((B, N - 1), dtype=bool)
-    take_leaf[:, :-1] = first[flat[:, 1:]] != np.arange(1, N - 1)
+    take_leaf[:, :-1] = first[flat[:, 1:]] != np.arange(1, N - 1, dtype=index)
+    del flat
     child = np.empty_like(s)
     child[:, :-1] = s[:, 1:]
     first[:: N + 1] = 0  # label 0 is no vertex
     # the absent labels, row by row in increasing order, fill the leaf slots
-    child[take_leaf] = np.flatnonzero(first == N - 1) % (N + 1)
-    key = np.minimum(s, child)
-    key *= N + 1
-    key += np.maximum(s, child)
+    leaves = np.flatnonzero(first == N - 1)
+    del first
+    leaves %= N + 1
+    child[take_leaf] = leaves
+    del take_leaf, leaves
+    # sort keys min << shift | max, unsigned: 32 bits while labels fit in 16
+    unsigned, shift = (np.uint32, 16) if N < 2**16 and index is np.int32 else (np.uint64, 32)
+    key = np.minimum(s, child, dtype=unsigned, casting="unsafe")
+    np.maximum(s, child, out=s)
+    del child
+    key <<= shift
+    np.bitwise_or(key, s, out=key, dtype=unsigned, casting="unsafe")
+    del s
     key.sort(axis=1)
-    edges = np.empty((B, N - 1, 2), dtype=np.int64)
-    np.divmod(key, N + 1, out=(edges[:, :, 0], edges[:, :, 1]))
+    edges = np.empty((B, N - 1, 2), dtype=index)
+    np.right_shift(key, shift, out=edges[:, :, 0], casting="unsafe")
+    np.bitwise_and(key, (1 << shift) - 1, out=edges[:, :, 1], casting="unsafe")
     return edges
 
 
@@ -215,11 +235,14 @@ def prufer_decode(seq) -> LabeledTree:
 # cycle lemma
 
 
-def _lukasiewicz_starts(steps: np.ndarray) -> np.ndarray:
-    """Per row of step words summing to -1, the start of the unique rotation
-    that is a Lukasiewicz path: right after the first position attaining
-    the minimal prefix sum."""
-    return (np.cumsum(steps, axis=1).argmin(axis=1) + 1) % steps.shape[1]
+def _lukasiewicz_starts(counts: np.ndarray) -> np.ndarray:
+    """Per row of child counts whose steps c - 1 sum to -1, the start of the
+    unique rotation that is a Lukasiewicz path: right after the first
+    position attaining the minimal prefix sum of the steps."""
+    walks = counts.astype(np.int32)  # |prefix sums| < N
+    walks -= 1
+    np.cumsum(walks, axis=1, out=walks)
+    return (walks.argmin(axis=1) + 1) % counts.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +275,12 @@ def sample_prufer_codes(
     _require_kind(spec, Kind.LABELED, "labeled sampling")
     degrees = sample_class_sequences(spec, N, size, rng)
     step = group_rows(spec, N)
-    labels = np.arange(1, N + 1, dtype=np.int64)
     for start in range(0, size, step):
         part = degrees[start : start + step]
-        words = np.repeat(np.tile(labels, part.shape[0]), (part - 1).ravel())
+        words = np.repeat(np.tile(np.arange(1, N + 1), part.shape[0]), (part - 1).ravel())
         words = words.reshape(part.shape[0], N - 2)
         yield rng.permuted(words, axis=1, out=words)
+        del words  # freed before the next group is made
 
 
 def sample_plane_child_counts(
@@ -272,20 +295,41 @@ def sample_plane_child_counts(
     step = group_rows(spec, N)
     for start in range(0, size, step):
         part = counts[start : start + step]
-        cols = (_lukasiewicz_starts(part - 1)[:, None] + np.arange(N)) % N
-        yield np.take_along_axis(part, cols, axis=1)
+        starts = _lukasiewicz_starts(part).astype(np.int32)
+        cols = starts[:, None] + np.arange(N, dtype=np.int32)
+        cols %= N
+        rotated = np.take_along_axis(part, cols, axis=1)
+        del cols
+        yield rotated
+        del rotated  # freed before the next group is made
 
 
 # ---------------------------------------------------------------------------
 # batch text writer
 
-#: Ceiling on the bytes that one row group of the samplers spends on its
-#: values as ``write_sample`` encodes it: eight per value for its int64 form
-#: and one per text cell of its digits and separator.  2 MB holds 74
-#: labeled trees at N = 1000, enough to amortize the per-call cost of the
-#: array steps (larger budgets ran no faster there); past N of about 7*10^4
-#: (labeled) or 2*10^5 (plane) a group is one tree.
-WRITE_BLOCK_BYTES = 2**21
+#: Ceiling on the bytes that one row group of the samplers holds at its
+#: peak, from laying out its words or rotations to writing its text, the
+#: text table included (``group_rows``).  At N = 1000 a group holds 28
+#: labeled or 81 plane trees; from N of about 10^4 (labeled) or 4*10^4
+#: (plane) it is one tree, whose text is still written in pieces of a
+#: quarter of the budget.
+WRITE_BLOCK_BYTES = 2**20
+
+#: Bytes that a row group's arrays hold at their peak per text value, by
+#: kind, with two values more per tree for its per-row arrays, traced with
+#: tracemalloc over N = 2..20000: the int64 words, their class tally and
+#: their decode by ``word_edges`` (labeled), or the int8 counts, their
+#: int32 rotation and class tally (plane), then the int32 table indices.
+_VALUE_BYTES = {Kind.LABELED: 11, Kind.PLANE: 8}
+
+#: Copies of a text cell that ``write_sample`` holds at once per value of a
+#: text piece: the gathered cells, their bytes, the text without padding
+#: and its encoding by ``out``, of which at most three live together.
+_CELL_COPIES = 3
+
+#: Bytes that ``write_sample`` holds per call beside its arrays' data:
+#: numpy's casting and indexing buffers and the array objects.
+_CALL_BYTES = 2**17
 
 #: Separators written after a value, by kind: labeled rows are ``u v`` edge
 #: lines with a blank line after the last edge, plane rows are one
@@ -293,21 +337,30 @@ WRITE_BLOCK_BYTES = 2**21
 _SEPARATORS = {Kind.LABELED: (b" ", b"\n", b"\n\n"), Kind.PLANE: (b" ", b"\n")}
 
 
-def _text_shape(spec: EnsembleSpec, N: int) -> tuple[int, int]:
-    """Values per tree in its text, and the largest of them: the 2(N-1)
-    edge ends over labels up to N (labeled), or the N child counts up to D
-    (plane)."""
-    if spec.kind is Kind.LABELED:
-        return 2 * (N - 1), N
-    return N, spec.D
+def _text_shape(spec: EnsembleSpec, N: int) -> tuple[int, int, int]:
+    """Values per tree in its text, the largest of them, and the bytes of a
+    text cell: the 2(N-1) edge ends over labels up to N (labeled), or the N
+    child counts up to D (plane); a cell holds a value's digits and its
+    widest separator."""
+    n_values, top = (2 * (N - 1), N) if spec.kind is Kind.LABELED else (N, spec.D)
+    return n_values, top, len(str(top)) + max(map(len, _SEPARATORS[spec.kind]))
+
+
+def _piece_values(spec: EnsembleSpec, N: int) -> int:
+    """Values whose text ``write_sample`` gathers at once: a quarter of
+    ``WRITE_BLOCK_BYTES`` at ``_CELL_COPIES`` cells per value."""
+    return max(1, WRITE_BLOCK_BYTES // (4 * _CELL_COPIES * _text_shape(spec, N)[2]))
 
 
 def group_rows(spec: EnsembleSpec, N: int) -> int:
-    """Trees per row group of the samplers: as many as spend at most
-    ``WRITE_BLOCK_BYTES`` over their text values, and at least one."""
-    n_values, top = _text_shape(spec, N)
-    cell = len(str(top)) + max(map(len, _SEPARATORS[spec.kind]))
-    return max(1, WRITE_BLOCK_BYTES // (n_values * (8 + cell)))
+    """Trees per row group of the samplers: as many as hold at most
+    ``WRITE_BLOCK_BYTES`` at ``_VALUE_BYTES``, beside what ``write_sample``
+    holds once: the text table, one text piece and ``_CALL_BYTES``; and at
+    least one."""
+    n_values, top, cell = _text_shape(spec, N)
+    cells = len(_SEPARATORS[spec.kind]) * (top + 1)  # of the text table
+    once = _CALL_BYTES + cell * (cells + _CELL_COPIES * _piece_values(spec, N))
+    return max(1, (WRITE_BLOCK_BYTES - once) // (_VALUE_BYTES[spec.kind] * (n_values + 2)))
 
 
 def _text_table(top: int, seps: tuple[bytes, ...]) -> np.ndarray:
@@ -322,10 +375,11 @@ def _text_table(top: int, seps: tuple[bytes, ...]) -> np.ndarray:
     table = np.zeros((len(seps), top + 1, digits + sep_width), dtype=np.uint8)
     ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     for col in range(digits):
-        # the digit at ``place`` runs through 0..9 in runs of ``place`` values
+        # the digit at ``place`` runs through 0..9 in runs of ``place``
+        # values: top // place + 1 runs reach ``top``, no more are made
         place = 10 ** (digits - 1 - col)
-        cycles = top // (10 * place) + 1
-        column = np.tile(np.repeat(ascii_digits, place), cycles)[: top + 1]
+        runs = np.tile(ascii_digits, top // (10 * place) + 1)[: top // place + 1]
+        column = np.repeat(runs, place)[: top + 1]
         if place > 1:
             column[:place] = 0  # leading zeros
         table[:, :, col] = column
@@ -356,28 +410,34 @@ def write_sample(spec: EnsembleSpec, groups, out) -> np.ndarray:
     rows = next(groups)
     labeled = spec.kind is Kind.LABELED
     N = rows.shape[1] + 2 if labeled else rows.shape[1]
-    n_values, top = _text_shape(spec, N)
-    seps = _SEPARATORS[spec.kind]
-    table = _text_table(top, seps)
-    offsets = np.zeros(n_values, dtype=np.int64)
-    if labeled:
-        offsets[1::2] = top + 1  # a newline after each edge
-    offsets[-1] = (len(seps) - 1) * (top + 1)
+    n_values, top, _ = _text_shape(spec, N)
+    table = _text_table(top, _SEPARATORS[spec.kind])
+    piece = _piece_values(spec, N)
 
     def encode(part: np.ndarray) -> np.ndarray:
         # a frame of its own: a group's arrays die before the next draw
         if labeled:
-            classes = code_occurrences(part)[:, 1:]
-            values = word_edges(part).reshape(part.shape[0], n_values)
+            # column 0 of the occurrences counts label 0, which no row holds
+            counts = np.bincount(code_occurrences(part).ravel(), minlength=spec.n_classes)
+            counts[0] -= part.shape[0]
+            index = word_edges(part).reshape(part.shape[0], n_values)
+            index[:, 1::2] += top + 1  # a newline after each edge
         else:
-            classes = values = part
-        cells = table[values + offsets]
-        out.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
-        return np.bincount(classes.ravel(), minlength=spec.n_classes)
+            counts = np.bincount(part.ravel(), minlength=spec.n_classes)
+            index = part.astype(np.int32)
+        index[:, -1] += top + 1  # the separator that ends a tree
+        # the text in pieces of the group's values, row after row
+        index = index.reshape(-1)
+        for start in range(0, index.size, piece):
+            text = table[index[start : start + piece]].tobytes()
+            out.write(text.translate(None, b"\0").decode("ascii"))
+            del text  # freed before the next piece is gathered
+        return counts
 
     totals = np.zeros(spec.n_classes, dtype=np.int64)
     for rows in chain([rows], groups):
         totals += encode(rows)
+        del rows  # freed before the next group is drawn
     return totals
 
 

@@ -4,11 +4,13 @@ None of these is on a command's path.  They are the materialized law of
 chi, the closed-form tree counts, the Prufer encoder, the cycle lemma for
 one step word, the brute-force minimizer of J on the rate grid, the
 free-coordinate chart of the manifold M with the analytic gradient of J,
-and the coupling of the LDP proof.
+the coupling of the LDP proof, and the profile sampler's rejection loop
+with each batch of proposals drawn as one matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,17 @@ from treegibbs import (
 )
 from treegibbs.combinatorics import log_factorials
 from treegibbs.ensembles import as_frequency
-from treegibbs.partition import enumerate_profiles, profile_log_weights, word_log_weights
+from treegibbs.partition import (
+    MAX_PROPOSALS_PER_HIT,
+    PROPOSAL_CELLS,
+    _sample_cut,
+    check_log_weights,
+    enumerate_profiles,
+    profile_log_weights,
+    shifted_budget,
+    tilt,
+    word_log_weights,
+)
 from treegibbs.rate import _grid_blocks
 from treegibbs.treegen import _lukasiewicz_starts
 
@@ -154,7 +166,7 @@ def cycle_lemma_rotation(word) -> int:
         raise ValueError("steps must be >= -1")
     if int(steps.sum()) != -1:
         raise BadStepSum(f"steps sum to {int(steps.sum())}, expected -1")
-    start = int(_lukasiewicz_starts(steps[None, :])[0])
+    start = int(_lukasiewicz_starts(steps[None, :] + 1)[0])
     walk = np.cumsum(np.roll(steps, -start))
     assert walk[-1] == -1 and (walk[:-1] >= 0).all(), "cycle lemma rotation invalid"
     return start
@@ -346,3 +358,32 @@ def couple_samples(
             )
         )
     return out
+
+
+def one_shot_sample_profiles(
+    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``partition.sample_profiles`` with each batch of proposals drawn and
+    filtered as one matrix: the rejection loop before its batches were cut
+    into chunks of ``LATTICE_BYTES``, which must keep the same rows and
+    leave ``rng`` in the same state."""
+    check_log_weights(spec, N)
+    budget = shifted_budget(spec, N)
+    q, _ = tilt(spec, spec.kind.class_sum(N) / N)
+    shifted = np.arange(spec.n_classes)
+    var = float(q @ (shifted - q @ shifted) ** 2)
+    guess = min(1.0, 1.0 / math.sqrt(2.0 * math.pi * N * var)) if var > 0 else 1.0
+    max_rows = max(1, PROPOSAL_CELLS // spec.n_classes)
+    kept, need, drawn, hits = [], size, 0, 0
+    while need:
+        accept = guess * (hits + 1) / (guess * drawn + 1)
+        if accept * MAX_PROPOSALS_PER_HIT < 1:
+            kept.append(_sample_cut(spec, N, need, rng))
+            break
+        rows = min(max_rows, math.ceil(1.2 * need / accept) + 16)
+        proposals = rng.multinomial(N, q, size=rows)
+        found = proposals[proposals @ shifted == budget]
+        kept.append(found[:need])
+        drawn, hits = drawn + rows, hits + found.shape[0]
+        need -= kept[-1].shape[0]
+    return np.concatenate(kept)

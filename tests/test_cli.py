@@ -150,6 +150,27 @@ ORACLE_PLANE = ("oracle-check", "--kind", "plane", "--bound", "3", "--beta", "1"
 RAREST = (7, 0, 0, 3)
 
 
+@pytest.mark.parametrize("kind", ["labeled", "plane"])
+def test_oracle_check_folds_ln_z_once(capsys, monkeypatch, kind):
+    # the partition suite's ln Z is the one every profile's law is read
+    # against; 12 (plane) or 7 (labeled) profiles make no more folds
+    calls: list[int] = []
+    fold = partition.log_partition_value
+
+    def spy(spec, N):
+        calls.append(N)
+        return fold(spec, N)
+
+    monkeypatch.setattr(partition, "log_partition_value", spy)
+    monkeypatch.setattr(cli, "log_partition_value", spy)
+    argv = ORACLE_PLANE if kind == "plane" else ORACLE_PLANE[:2] + (
+        "labeled", "--bound", "3", "--beta", "1", "--energy", "0,0,1", "--n", "7")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out.strip().endswith("oracle-check OK")
+    assert calls == [int(argv[-1])]
+
+
 @pytest.mark.parametrize("fault", ["shifted", "missing-profile", "scaled"])
 def test_oracle_check_fails_on_a_wrong_chi_law(capsys, monkeypatch, fault):
     # shifted: the cut's law read 1e-6 high in the log.  missing-profile:

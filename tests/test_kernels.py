@@ -43,7 +43,7 @@ def test_rotation_gives_lukasiewicz_paths():
     keep = counts.sum(axis=1) == counts.shape[1] - 1
     counts = np.ascontiguousarray(counts[keep], dtype=np.int64)
     assert counts.shape[0] > 0
-    starts = treegen._lukasiewicz_starts(counts - 1)
+    starts = treegen._lukasiewicz_starts(counts)
     cols = (starts[:, None] + np.arange(counts.shape[1])) % counts.shape[1]
     walks = np.cumsum(np.take_along_axis(counts, cols, axis=1) - 1, axis=1)
     assert (walks[:, :-1] >= 0).all()

@@ -17,6 +17,7 @@ from conftest import (
     iter_feasible_profiles,
     iter_profiles,
 )
+import oracles
 from oracles import chi_law
 from treegibbs import (
     BadEnergyTable,
@@ -570,3 +571,41 @@ def test_backward_sampling_marginal_matches_chi_law(spec):
     expected = chi_law(spec, N)
     stat, critical = chi_square_check(observed, expected, draws)
     assert stat < critical, f"chi-square {stat:.2f} >= {critical:.2f}"
+
+
+@pytest.mark.parametrize(
+    "spec,N,size,proposal_cells",
+    [
+        # labeled D=3 at N=1000: 2000 profiles from a first batch of about
+        # 1.4e5 proposals, drawn in chunks of 2.6e4
+        (EnsembleSpec.labeled(3), 1000, 2000, None),
+        # a 60-row cap on a batch, so PROPOSAL_CELLS sizes every batch
+        (EnsembleSpec(Kind.PLANE, 4, 0.5, (0.2, 0.0, 0.1, -0.2, 0.4)), 300, 500, 60 * 5),
+        # degrees 2 and 4 at tilt weight e^-20 and odd N: the row-cut fallback
+        (EnsembleSpec(Kind.LABELED, 4, 1.0, (0.0, 20.0, 0.0, 20.0)), 9, 50, None),
+    ],
+    ids=["labeled-d3", "capped-batches", "cut-fallback"],
+)
+def test_chunked_proposals_keep_the_one_shot_stream(monkeypatch, spec, N, size,
+                                                    proposal_cells):
+    # rng.multinomial draws row after row, so chunks of a batch keep the
+    # rows and the generator state of drawing the batch at once
+    if proposal_cells:
+        monkeypatch.setattr(partition, "PROPOSAL_CELLS", proposal_cells)
+        monkeypatch.setattr(oracles, "PROPOSAL_CELLS", proposal_cells)
+        monkeypatch.setattr(partition, "LATTICE_BYTES", 7 * (8 * spec.n_classes + 9))
+    chunked, one_shot = rng_stream(5), rng_stream(5)
+    rows = sample_profiles(spec, N, size, chunked)
+    np.testing.assert_array_equal(rows, oracles.one_shot_sample_profiles(spec, N, size, one_shot))
+    assert chunked.bit_generator.state == one_shot.bit_generator.state
+
+
+def test_proposal_chunks_are_bounded_in_bytes():
+    # labeled D=3, N=1000, 2000 profiles: a first batch of about 1.4e5
+    # proposals, 4.5 MB with its class sums and mask at once, is drawn in
+    # chunks of LATTICE_BYTES
+    spec = EnsembleSpec.labeled(3)
+    rng = rng_stream(1)
+    sample_profiles(spec, 1000, 10, rng)  # the tilt's code warmed
+    peak = traced_peak(lambda: sample_profiles(spec, 1000, 2000, rng))
+    assert peak <= partition.LATTICE_BYTES + 8 * spec.n_classes * 2000 * 2, f"peak {peak} B"

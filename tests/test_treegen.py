@@ -1,11 +1,13 @@
 import io
 import itertools
 import math
+import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -453,3 +455,66 @@ def test_tree_key_is_the_prufer_bijection():
     trees = list(enumerate_labeled_trees(6))
     keys = {tree_key(t, spec) for t in trees}
     assert len(keys) == len(trees) == 6**4
+
+
+def traced_group_peak(spec, N, size, budget=None):
+    """Peak bytes that ``write_sample`` allocates while it draws and writes
+    ``size`` trees from the samplers, their class table drawn beforehand,
+    at a ``WRITE_BLOCK_BYTES`` of ``budget`` (the default when None)."""
+    draw = sample_prufer_codes if spec.kind is Kind.LABELED else sample_plane_child_counts
+    table = sample_class_sequences(spec, N, size, rng_stream(1))
+    saved = treegen.sample_class_sequences, treegen.WRITE_BLOCK_BYTES
+    treegen.sample_class_sequences = lambda *args: table
+    treegen.WRITE_BLOCK_BYTES = budget or saved[1]
+    try:
+        with open(os.devnull, "w", encoding="ascii") as out:
+            write_sample(spec, draw(spec, N, min(size, 2), rng_stream(3)), out)  # warmed
+            groups = draw(spec, N, size, rng_stream(2))
+            tracemalloc.start()
+            try:
+                write_sample(spec, groups, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    finally:
+        treegen.sample_class_sequences, treegen.WRITE_BLOCK_BYTES = saved
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(list(Kind)), N=st.integers(2, 2000),
+       budget=st.integers(2**12, 2**22))
+def test_a_row_group_holds_at_most_the_write_budget(kind, N, budget):
+    # From the words or rotations of a group of several trees to their
+    # text, everything that write_sample allocates, its text table
+    # included, stays within WRITE_BLOCK_BYTES (group_rows).
+    spec = EnsembleSpec.labeled(3) if kind is Kind.LABELED else EnsembleSpec.plane(3)
+    saved = treegen.WRITE_BLOCK_BYTES
+    treegen.WRITE_BLOCK_BYTES = budget
+    try:
+        rows = treegen.group_rows(spec, N)
+    finally:
+        treegen.WRITE_BLOCK_BYTES = saved
+    assume(rows > 1)
+    peak = traced_group_peak(spec, N, rows, budget)
+    assert peak <= budget, f"{rows} trees: peak {peak} B > {budget} B"
+
+
+#: Bytes per vertex that one tree past the write budget holds at its peak,
+#: beside its text table (``treegen.WRITE_BLOCK_BYTES``): the int64 word and
+#: its decode by ``word_edges`` (labeled), or the counts, their rotation
+#: and class tally (plane).
+ONE_TREE_BYTES = {Kind.LABELED: 32, Kind.PLANE: 10}
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_one_large_tree_is_bounded_per_vertex(kind):
+    # N = 10^5: one tree is a group of its own, and its text is written in
+    # pieces; the text table holds three (labeled) or two (plane) cells per
+    # value up to the largest, N or D.
+    N = 100_000
+    spec = EnsembleSpec.labeled(3) if kind is Kind.LABELED else EnsembleSpec.plane(3)
+    assert treegen.group_rows(spec, N) == 1
+    n_values, top, cell = treegen._text_shape(spec, N)
+    table = len(treegen._SEPARATORS[kind]) * (top + 1) * cell
+    peak = traced_group_peak(spec, N, 1)
+    assert peak <= ONE_TREE_BYTES[kind] * N + table, f"peak {peak} B"
