@@ -13,9 +13,10 @@ the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
 
 The feasible profiles form an integer lattice of dimension K-2 (K the
 number of classes).  ``lattice_rows`` walks it in batches of rows, on each
-of which the classes above 2 are fixed and m_2 runs over an interval;
-``LatticeRows.pairs`` yields their points as blocks of (row, m_2), and
-``lattice_blocks`` as int64 profiles, a batch and a block holding at most
+of which the classes above 2 are fixed and m_2 runs over an interval, and
+every consumer reads the points as blocks of (row, m_2) of
+``LatticeRows.pairs``, with their l1 distance to a center (``distance``)
+and the ``profiles`` of those it needs, a batch and a block holding at most
 ``LATTICE_BYTES`` at the bytes per row and point that the caller states.
 By the LDP almost none of the lattice carries measurable mass at finite N.
 ``ProfileCut`` keeps each row's interval within ``CUT_SLACK`` nats and
@@ -25,8 +26,8 @@ folds only that, scoring each (row, m_2) in closed form: ln Z_N
 (``log_mass``, which certifies the cut against both of its sums and widens
 it when it must), the law of chi (``log_prob_profile``) and the draw of
 rare-class profiles (``_sample_cut``), each after ``check_log_weights``
-refuses log weights that overflow at N.  ``integer_lattice`` joins the
-blocks into one matrix under ``MAX_LATTICE_BYTES``; no command calls it.
+refuses log weights that overflow at N.  ``integer_lattice`` builds all
+the profiles into one matrix under ``MAX_LATTICE_BYTES``; no command calls it.
 
 ``build_dp``, which no library path calls, keeps the per-vertex dynamic
 program as the tests' independent reference: ``W[i][s]`` is the log weight
@@ -291,12 +292,6 @@ class LatticeRows:
             i = np.repeat(np.arange(r0, r1 + 1), n)
             yield i, np.arange(start, stop, dtype=np.int64) - offset[i]
 
-    def points(self, a: np.ndarray, b: np.ndarray, point_bytes: int | None = None):
-        """The points of ``pairs`` as int64 profile blocks (``profiles``), by
-        default at the bytes of a block and the five columns that build it."""
-        for i, m2 in self.pairs(a, b, point_bytes or 8 * (self.ncls + 5)):
-            yield self.profiles(i, m2)
-
     def columns(self, i, m2: np.ndarray):
         """m_0, m_1 and m_2 of the points m_2 = ``m2`` on rows ``i``."""
         t, r = self.t[i], self.r[i]
@@ -310,6 +305,16 @@ class LatticeRows:
             block[:, k] = col
         block[:, 3:] = self.upper[i]
         return block
+
+    def distance(self, i: np.ndarray, m2: np.ndarray, center: np.ndarray, scale) -> np.ndarray:
+        """|m/scale - center|_1 of the ``profiles`` m, summed in class order:
+        below 8 classes that of ``ndarray.sum(axis=1)`` over their rows."""
+        dist = np.zeros(m2.size)
+        for k, m in enumerate(self.columns(i, m2)[: self.ncls]):
+            dist += np.abs(m / scale - center[k])
+        for k in range(3, self.ncls):
+            dist += np.abs(self.upper[i, k - 3] / scale - center[k])
+        return dist
 
 
 def _leaves(j: int, total: int, r: int, suffix: tuple):
@@ -327,10 +332,11 @@ def _leaves(j: int, total: int, r: int, suffix: tuple):
 def lattice_rows(
     k_min: int, k_max: int, total: int, weighted_total: int, row_bytes: int | None = None
 ):
-    """Yield the rows of the lattice of ``lattice_blocks`` in batches
-    (``LatticeRows``) of at most LATTICE_BYTES / 2 at the ``row_bytes`` that
-    the caller holds per row (by default a row's own ncls + 1 columns),
-    empty rows left out.
+    """Yield the rows of the lattice of integer m >= 0 over classes
+    k_min..k_max with ``sum m = total`` and ``sum k m_k = weighted_total``
+    in batches (``LatticeRows``) of at most LATTICE_BYTES / 2 at the
+    ``row_bytes`` that the caller holds per row (by default a row's own
+    ncls + 1 columns), empty rows left out.
 
     Writing j for the shifted class k - k_min, the walk is depth-first over
     the classes j >= 4 (``_leaves``); each of its leaves is a range of rows,
@@ -381,24 +387,6 @@ def _joined(ncls: int, parts: list[tuple]) -> LatticeRows:
     columns = [np.concatenate(c) for c in zip(*parts)]
     parts.clear()
     return LatticeRows(ncls, *columns)
-
-
-def lattice_blocks(
-    k_min: int, k_max: int, total: int, weighted_total: int, point_bytes: int | None = None
-):
-    """Yield all integer vectors m >= 0 indexed by classes k_min..k_max with
-    ``sum m = total`` and ``sum k m_k = weighted_total``, in int64 blocks.
-
-    This is every row of ``lattice_rows`` in full, in its order: ascending
-    lexicographic order of (m_{K-1}, ..., m_2), K the number of classes.
-    Each block is an (M, ncls) matrix, ncls = k_max - k_min + 1, and may
-    span rows.  A batch of rows and a block hold at most ``LATTICE_BYTES``
-    together, ``point_bytes`` being what the caller holds per point (by
-    default those of ``LatticeRows.points``).
-    """
-    # a row holds its ncls + 1 columns and the four of LatticeRows.pairs
-    for rows in lattice_rows(k_min, k_max, total, weighted_total, 8 * (k_max - k_min + 6)):
-        yield from rows.points(rows.lo, rows.hi, point_bytes)
 
 
 #: Nats by which the profiles that ``ProfileCut`` drops from a sum stay
@@ -514,7 +502,7 @@ class ProfileCut:
     Construction is one walk of ``lattice_rows``, which sets ``points`` (the
     lattice size), ``top`` (L) and ``tau``; all the profiles below tau
     together weigh under points e^tau = e^(L - CUT_SLACK).  Each call of
-    ``batches`` is one more walk.  Raises BadEnergyTable when the log
+    ``blocks`` is one more walk.  Raises BadEnergyTable when the log
     weights overflow at N (``check_log_weights``) and NoFeasibleTree when no
     profile is feasible.
     """
@@ -539,12 +527,11 @@ class ProfileCut:
         for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N), row_bytes):
             yield _RowCut(spec, N, rows)
 
-    def batches(self, low: float | None = None):
-        """Per batch of rows, yield its ``_RowCut`` and the blocks (row
-        indices, m_2 values) of ``LatticeRows.pairs`` of its profiles with
-        log weight >= tau or, given ``low``, of the shell low <= lw < tau
-        (the lower part of the rows before their upper part).  A fold holds
-        at most ten arrays of a block's length at once."""
+    def blocks(self, low: float | None = None):
+        """Yield (row cut, i, m2) per block of ``LatticeRows.pairs`` of the
+        profiles with lw >= tau or, given ``low``, of the shell low <= lw < tau
+        (per batch, the lower part of its rows first), the ``_RowCut`` being
+        their batch's.  A fold holds at most ten arrays of a block's length."""
         for cut in self._rows():
             first, last = cut.interval(self.tau)
             if low is None:
@@ -552,8 +539,10 @@ class ProfileCut:
             else:
                 low_first, low_last = cut.interval(low)
                 spans = [(low_first, first - 1), (last + 1, low_last)]
-            yield cut, (block for a, b in spans for block in cut.rows.pairs(a, b, 8 * 10))
-            del cut, first, last, spans
+            for a, b in spans:
+                for i, m2 in cut.rows.pairs(a, b, 8 * 10):
+                    yield cut, i, m2
+            del cut, first, last, spans  # freed before the walk builds the next batch
 
 
 def log_partition_value(spec: EnsembleSpec, N: int) -> float:
@@ -563,11 +552,9 @@ def log_partition_value(spec: EnsembleSpec, N: int) -> float:
     rounding of the result.  Raises NoFeasibleTree when no profile is
     feasible."""
     total = _RunningLogSum()
-    for cut, blocks in ProfileCut(spec, N).batches():
-        for i, m2 in blocks:
-            total.add(cut.log_weights(m2, i))
-            del i, m2  # freed before the next block is built
-        del cut, blocks
+    for cut, i, m2 in ProfileCut(spec, N).blocks():
+        total.add(cut.log_weights(m2, i))
+        del cut, i, m2  # freed before the next block is built
     return total.log()
 
 
@@ -590,31 +577,20 @@ def log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
     dropped = cut.points  # every profile, until folded
     s, c = _RunningLogSum(), _RunningLogSum()  # the selected profiles, the rest
 
-    def fold(batches):
+    def fold(blocks):
         nonlocal dropped
-        for rows_cut, blocks in batches:
-            rows = rows_cut.rows
-            # per row, |m_j/N - center_j| of the classes j >= 3
-            upper = np.abs(rows.upper / N - center[3:])
-            for i, m2 in blocks:
-                dropped -= m2.size
-                lw = rows_cut.log_weights(m2, i)
-                # summed in class order, as along a row of a profile matrix
-                dist = np.zeros(m2.size)
-                for k, m in enumerate(rows.columns(i, m2)[: rows.ncls]):
-                    dist += np.abs(m / N - center[k])
-                for term in upper.T:
-                    dist += term[i]
-                chosen = select(dist)
-                s.add(lw[chosen])
-                c.add(lw[~chosen])
-                del i, m2, lw, dist, chosen  # freed before the next block is built
-            del rows_cut, blocks, rows, upper
+        for rows_cut, i, m2 in blocks:
+            dropped -= m2.size
+            lw = rows_cut.log_weights(m2, i)
+            chosen = select(rows_cut.rows.distance(i, m2, center, N))
+            s.add(lw[chosen])
+            c.add(lw[~chosen])
+            del rows_cut, i, m2, lw, chosen  # freed before the next block is built
 
-    fold(cut.batches())
+    fold(cut.blocks())
     floor = min(s.log(), c.log()) - CUT_SLACK
     if dropped and not math.log(dropped) + cut.tau <= floor:
-        fold(cut.batches(floor - math.log(dropped) if floor > NEG_INF else NEG_INF))
+        fold(cut.blocks(floor - math.log(dropped) if floor > NEG_INF else NEG_INF))
     if s.top == NEG_INF:
         return NEG_INF
     if c.top == NEG_INF:
@@ -628,24 +604,29 @@ def log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
 
 
 def integer_lattice(k_min: int, k_max: int, total: int, weighted_total: int) -> np.ndarray:
-    """The blocks of ``lattice_blocks`` joined into one (M, k_max - k_min + 1)
-    int64 matrix, in the same order.
+    """The profiles of ``lattice_rows`` as one (M, ncls) int64 matrix in
+    walk order, ascending in (m_{K-1}, ..., m_2), K = ncls the class count.
 
     Raises LatticeTooLarge when the matrix would pass ``MAX_LATTICE_BYTES``.
     The lattice has dimension D-2 for labeled profiles and D-1 for plane
     profiles, so its size grows like N^(D-2) or N^(D-1).
     """
+    ncls = k_max - k_min + 1
+    # a point: its profile and the five columns that build it; a row: its
+    # ncls + 1 columns and the four of pairs
+    point_bytes = row_bytes = 8 * (ncls + 5)
     blocks: list[np.ndarray] = []
     nbytes = 0
-    for block in lattice_blocks(k_min, k_max, total, weighted_total):
-        nbytes += block.nbytes
-        if nbytes > MAX_LATTICE_BYTES:
-            raise LatticeTooLarge(
-                f"profile lattice exceeds the cap of {MAX_LATTICE_BYTES} bytes"
-            )
-        blocks.append(block)
+    for rows in lattice_rows(k_min, k_max, total, weighted_total, row_bytes):
+        for i, m2 in rows.pairs(rows.lo, rows.hi, point_bytes):
+            block = rows.profiles(i, m2)
+            nbytes += block.nbytes
+            if nbytes > MAX_LATTICE_BYTES:
+                raise LatticeTooLarge(
+                    f"profile lattice exceeds the cap of {MAX_LATTICE_BYTES} bytes")
+            blocks.append(block)
     if not blocks:
-        return np.empty((0, k_max - k_min + 1), dtype=np.int64)
+        return np.empty((0, ncls), dtype=np.int64)
     return np.concatenate(blocks)
 
 
@@ -711,13 +692,11 @@ def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator)
 
     def cdf():  # the kept points and the running sums of e^(lw - L)
         seen = 0.0
-        for rows_cut, blocks in cut.batches():
-            for i, m2 in blocks:
-                cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.top))
-                seen = cum[-1]
-                yield rows_cut.rows, i, m2, cum
-                del i, m2, cum  # freed before the next block is built
-            del rows_cut, blocks
+        for rows_cut, i, m2 in cut.blocks():
+            cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.top))
+            seen = cum[-1]
+            yield rows_cut.rows, i, m2, cum
+            del rows_cut, i, m2, cum  # freed before the next block is built
 
     for block in cdf():
         total = block[-1][-1]  # the last running sum

@@ -24,10 +24,9 @@ carries a boundary flag instead of a tilt parameter.
 The rate grid is the lattice of M at free-coordinate spacing
 1/resolution: the class profiles of ``resolution`` nodes on M, divided by
 ``resolution``.  ``grid_inf_rate`` gives the ``inf_I`` column of ``lln``
-from it at ``GRID_RESOLUTION``, streamed over one walk of
-``partition.lattice_blocks`` in blocks sized by the arrays that its loop
-holds per point (``_grid_blocks``), so that a batch of rows and a block of
-the grid stay within ``partition.LATTICE_BYTES``.  ``manifold_grid``
+from it at ``GRID_RESOLUTION`` in one walk of ``partition.lattice_rows``,
+in (row, m_2) blocks within ``partition.LATTICE_BYTES``: it builds the
+profiles of the points farther than delta from p* alone.  ``manifold_grid``
 materializes the grid, under ``partition.MAX_LATTICE_BYTES``; no command
 calls it.
 """
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import EnsembleSpec, FrequencyVector, as_frequency
-from .partition import integer_lattice, lattice_blocks, tilt, word_log_weights
+from .partition import integer_lattice, lattice_rows, tilt, word_log_weights
 
 #: Free-coordinate spacing 1/GRID_RESOLUTION of the rate grid behind the
 #: ``inf_I`` column of ``lln``.
@@ -56,15 +55,16 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
 
 
 def j_values(spec: EnsembleSpec, pmat: np.ndarray) -> np.ndarray:
-    """Vectorized J over rows of ``pmat`` (no manifold checks)."""
+    """Vectorized J over rows of ``pmat`` (no manifold checks); a row's value
+    depends on it alone (BLAS would round it by its place in ``pmat``)."""
     pmat = np.asarray(pmat, dtype=np.float64)
     single = pmat.ndim == 1
     if single:
         pmat = pmat[None, :]
     vals = (
         _xlogx(pmat).sum(axis=1)
-        + spec.beta * (pmat @ spec.energies())
-        + pmat @ word_log_weights(spec)
+        + spec.beta * np.einsum("ij,j->i", pmat, spec.energies())
+        + np.einsum("ij,j->i", pmat, word_log_weights(spec))
     )
     return vals[0] if single else vals
 
@@ -131,43 +131,32 @@ def rate_value(p, ctx: RateContext) -> float:
 # the rate grid
 
 
-def _grid_lattice(spec: EnsembleSpec, resolution: int) -> tuple[int, int, int, int]:
-    """The ``partition.lattice_blocks`` arguments of the rate grid at
-    1/``resolution``: ``resolution`` nodes at mean class ``spec.mean_target``."""
-    if resolution < 10:
-        raise ValueError("resolution must be >= 10")
-    return spec.k_min, spec.D, resolution, spec.kind.manifold_total(resolution)
-
-
 def manifold_grid(spec: EnsembleSpec, resolution: int) -> np.ndarray:
     """Lattice of M at free-coordinate spacing 1/resolution, materialized.
 
     Only points of M are enumerated.  Returns an (M, n_classes) float matrix
     whose rows come in ``partition.integer_lattice`` order, the order in
-    which ``grid_inf_rate`` streams them; raises LatticeTooLarge when the
+    which ``grid_inf_rate`` walks them; raises LatticeTooLarge when the
     int64 lattice passes ``partition.MAX_LATTICE_BYTES``.
     """
-    return integer_lattice(*_grid_lattice(spec, resolution)) / resolution
-
-
-def _grid_blocks(spec: EnsembleSpec, resolution: int):
-    """The points of the rate grid at 1/``resolution``, streamed as int64
-    blocks of ``partition.lattice_blocks``, sized by what a grid loop holds
-    per point: about four block-sized arrays (the block, its grid and two
-    temporaries of the distance or of J)."""
-    return lattice_blocks(*_grid_lattice(spec, resolution), 4 * 8 * spec.n_classes)
+    if resolution < 10:
+        raise ValueError("resolution must be >= 10")
+    total = spec.kind.manifold_total(resolution)
+    return integer_lattice(spec.k_min, spec.D, resolution, total) / resolution
 
 
 def grid_inf_rate(ctx: RateContext, delta: float) -> float:
     """inf I over the points of the rate grid at ``GRID_RESOLUTION`` farther
     than ``delta`` (l1) from p*; +inf when there are none."""
-    spec = ctx.spec
-    best = np.inf
-    for block in _grid_blocks(spec, GRID_RESOLUTION):
-        grid = block / GRID_RESOLUTION
-        dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
-        outside = grid[dist > delta]
-        if outside.size:
-            best = min(best, float(j_values(spec, outside).min()))
-        del block, grid, dist, outside  # freed before the walk builds the next block
+    spec, r, best = ctx.spec, GRID_RESOLUTION, np.inf
+    ncls, total = spec.n_classes, spec.kind.manifold_total(GRID_RESOLUTION)
+    # a row: its ncls + 1 columns, the four of pairs; a point: its pair, its
+    # distance and two temporaries, its profile, grid point and J temporary
+    for rows in lattice_rows(spec.k_min, spec.D, r, total, 8 * (ncls + 5)):
+        for i, m2 in rows.pairs(rows.lo, rows.hi, 8 * (3 * ncls + 5)):
+            far = rows.distance(i, m2, ctx.pstar.p, r) > delta
+            if far.any():
+                best = min(best, float(j_values(spec, rows.profiles(i[far], m2[far]) / r).min()))
+            del i, m2, far  # freed before the next block is built
+        del rows  # freed before the walk builds the next batch
     return best - ctx.Jstar

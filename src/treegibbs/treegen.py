@@ -423,7 +423,9 @@ def write_sample(spec: EnsembleSpec, groups, out) -> np.ndarray:
             index = word_edges(part).reshape(part.shape[0], n_values)
             index[:, 1::2] += top + 1  # a newline after each edge
         else:
-            counts = np.bincount(part.ravel(), minlength=spec.n_classes)
+            flat = part.reshape(-1)  # tallied in pieces: bincount casts to intp
+            counts = sum(np.bincount(flat[start : start + piece], minlength=spec.n_classes)
+                         for start in range(0, flat.size, piece))
             index = part.astype(np.int32)
         index[:, -1] += top + 1  # the separator that ends a tree
         # the text in pieces of the group's values, row after row

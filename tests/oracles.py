@@ -40,12 +40,12 @@ from treegibbs.partition import (
     _sample_cut,
     check_log_weights,
     enumerate_profiles,
+    lattice_rows,
     profile_log_weights,
     shifted_budget,
     tilt,
     word_log_weights,
 )
-from treegibbs.rate import _grid_blocks
 from treegibbs.treegen import _lukasiewicz_starts
 
 NEG_INF = float("-inf")
@@ -198,14 +198,17 @@ def g_term(p: FrequencyVector) -> float:
 def grid_minimize_J(spec: EnsembleSpec, resolution: int) -> FrequencyVector:
     """Brute-force minimizer of J: the first point of the rate grid at
     1/resolution (in ``rate.manifold_grid`` order) with the least J,
-    streamed in the blocks of ``rate.grid_inf_rate``."""
+    streamed over the walk of ``rate.grid_inf_rate`` in blocks of
+    ``LatticeRows.pairs``, each built into its grid points whole."""
     best, point = np.inf, None
-    for block in _grid_blocks(spec, resolution):
-        grid = block / resolution
-        vals = j_values(spec, grid)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best, point = vals[i], grid[i]
+    total = spec.kind.manifold_total(resolution)
+    for rows in lattice_rows(spec.k_min, spec.D, resolution, total):
+        for i, m2 in rows.pairs(rows.lo, rows.hi, 4 * 8 * spec.n_classes):
+            grid = rows.profiles(i, m2) / resolution
+            vals = j_values(spec, grid)
+            k = int(np.argmin(vals))
+            if vals[k] < best:
+                best, point = vals[k], grid[k]
     return FrequencyVector(spec.kind, point)
 
 

@@ -217,11 +217,11 @@ STREAMED_SPECS = [
 
 @pytest.mark.parametrize("spec,N", STREAMED_SPECS)
 def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
-    # Blocks of 3 profiles, so every sum folds across many blocks; the
+    # A byte bound of 3 profiles, so every sum folds across many blocks; the
     # reference sums the materialized law's log-probabilities.
     monkeypatch.setattr(partition, "LATTICE_BYTES", 3 * 8 * spec.n_classes)
-    blocks = partition.lattice_blocks(spec.k_min, spec.D, N, spec.kind.class_sum(N))
-    assert sum(1 for _ in blocks) >= 10
+    rows = partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N))
+    assert sum(1 for batch in rows for _ in batch.pairs(batch.lo, batch.hi, 8 * 10)) >= 10
     law = chi_law(spec, N)
     profiles, logp = np.array(list(law)), np.log(list(law.values()))
     ctx = solve_pstar(spec)
@@ -375,8 +375,8 @@ def test_row_cut_keeps_exactly_the_points_above_tau(kind, D, beta, c_raw, N, bat
         batches = list(partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)))
     for rows in batches:
         cut = partition._RowCut(spec, N, rows)
-        lw = partition.profile_log_weights(
-            spec, N, np.concatenate(list(rows.points(rows.lo, rows.hi))))
+        lw = partition.profile_log_weights(spec, N, np.concatenate(
+            [rows.profiles(i, m2) for i, m2 in rows.pairs(rows.lo, rows.hi, 8 * 10)]))
         per_row = np.split(lw, np.cumsum(rows.hi - rows.lo + 1)[:-1])
         scale = 1e-9 * (1.0 + np.abs(lw).max())
         for i, values in enumerate(per_row):

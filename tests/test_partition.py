@@ -36,6 +36,7 @@ from treegibbs import (
     rng_stream,
     sample_class_sequences,
     sample_profiles,
+    solve_pstar,
 )
 from treegibbs import cli, partition
 from treegibbs.partition import (
@@ -43,7 +44,7 @@ from treegibbs.partition import (
     class_log_weights,
     enumerate_profiles,
     integer_lattice,
-    lattice_blocks,
+    lattice_rows,
     tilt,
     tilt_probs,
 )
@@ -273,14 +274,17 @@ def test_integer_lattice_matches_brute_force():
 @example(k_min=0, ncls=3, total=12, offset=12, block_rows=2, slack=0)
 def test_lattice_blocks_property(k_min, ncls, total, offset, block_rows, slack):
     # weighted totals from one below the feasible range to one above it;
-    # blocks of block_rows rows, plus up to one row's worth of slack bytes
+    # the profiles of LatticeRows.pairs blocks at their own 8 * ncls bytes
+    # per point, under a bound of block_rows rows plus up to one row's worth
+    # of slack bytes
     k_max = k_min + ncls - 1
     low, high = k_min * total, k_max * total
     weighted = max(0, low - 1) + offset % (high + 2 - max(0, low - 1))
     bound = 8 * ncls * block_rows + slack
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "LATTICE_BYTES", bound)
-        blocks = list(lattice_blocks(k_min, k_max, total, weighted))
+        blocks = [rows.profiles(i, m2) for rows in lattice_rows(k_min, k_max, total, weighted)
+                  for i, m2 in rows.pairs(rows.lo, rows.hi, 8 * ncls)]
         joined = integer_lattice(k_min, k_max, total, weighted)
     assert all(b.dtype == np.int64 and b.shape[1] == ncls for b in blocks)
     assert all(0 < b.nbytes <= bound for b in blocks)
@@ -293,6 +297,32 @@ def test_lattice_blocks_property(k_min, ncls, total, offset, block_rows, slack):
     assert {tuple(row) for row in rows.tolist()} == set(
         iter_profiles(k_min, k_max, total, weighted)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(Kind)),
+    ncls=st.integers(2, 7),
+    total=st.integers(2, 40),
+    on_grid=st.booleans(),
+    weights=st.none() | st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+    point_bytes=st.integers(1, 2**10),
+)
+def test_distance_matches_the_profile_matrix(kind, ncls, total, on_grid, weights, point_bytes):
+    # The lattice of (spec, N) at scale N or the rate grid at scale r, about
+    # p* or a point of the simplex off it: LatticeRows.distance agrees bit
+    # for bit with the row sums of the profile matrix.
+    spec = EnsembleSpec.labeled(ncls) if kind is Kind.LABELED else EnsembleSpec.plane(ncls - 1)
+    if weights is None:
+        center = solve_pstar(spec).pstar.p
+    else:
+        w = np.asarray(weights[:ncls]) + 1e-3
+        center = w / w.sum()
+    weighted = kind.manifold_total(total) if on_grid else kind.class_sum(total)
+    for rows in lattice_rows(spec.k_min, spec.D, total, weighted):
+        for i, m2 in rows.pairs(rows.lo, rows.hi, point_bytes):
+            want = np.abs(rows.profiles(i, m2) / total - center).sum(axis=1)
+            np.testing.assert_array_equal(rows.distance(i, m2, center, total), want)
 
 
 def test_a_row_batch_dies_with_the_batch(monkeypatch):
@@ -377,7 +407,8 @@ def test_lattice_rows_property(k_min, ncls, total, offset, batch_rows):
     assert all((b.lo <= b.hi).all() for b in batches)
     keys = [tuple(row[::-1]) for b in batches for row in b.upper.tolist()]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    points = [tuple(p) for b in batches for blk in b.points(b.lo, b.hi) for p in blk.tolist()]
+    points = [tuple(p) for b in batches for i, m2 in b.pairs(b.lo, b.hi, 8 * (ncls + 5))
+              for p in b.profiles(i, m2).tolist()]
     assert sum(b.size for b in batches) == len(points)
     assert set(points) == set(iter_profiles(k_min, k_max, total, weighted))
 
@@ -416,11 +447,16 @@ def test_enumerate_profiles_cap(monkeypatch):
 
 
 def test_integer_lattice_cap_is_in_bytes(monkeypatch):
-    # blocks of 7 rows: a cap of exactly the matrix's bytes passes, and a
+    # the blocks that integer_lattice builds, seen by a spy on
+    # LatticeRows.profiles: a cap of exactly the matrix's bytes passes, and a
     # lattice one block larger than the cap is refused
     args = (0, 3, 40, 50)
     monkeypatch.setattr(partition, "LATTICE_BYTES", 7 * 8 * 4)
-    blocks = list(lattice_blocks(*args))
+    blocks, profiles = [], partition.LatticeRows.profiles
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition.LatticeRows, "profiles",
+                   lambda rows, i, m2: blocks.append(profiles(rows, i, m2)) or blocks[-1])
+        integer_lattice(*args)
     whole = np.concatenate(blocks)
     assert len(blocks) > 2
     monkeypatch.setattr(partition, "MAX_LATTICE_BYTES", whole.nbytes)

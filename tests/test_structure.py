@@ -14,7 +14,6 @@ LATTICE_NAMES = {
     "CUT_SLACK",
     "ProfileCut",
     "integer_lattice",
-    "lattice_blocks",
     "lattice_rows",
     "profile_log_weights",
 }

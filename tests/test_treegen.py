@@ -501,9 +501,11 @@ def test_a_row_group_holds_at_most_the_write_budget(kind, N, budget):
 
 #: Bytes per vertex that one tree past the write budget holds at its peak,
 #: beside its text table (``treegen.WRITE_BLOCK_BYTES``): the int64 word and
-#: its decode by ``word_edges`` (labeled), or the counts, their rotation
-#: and class tally (plane).
-ONE_TREE_BYTES = {Kind.LABELED: 32, Kind.PLANE: 10}
+#: its decode by ``word_edges`` (labeled), or the int32 rotation indices of
+#: the draw and the column range they are built from, 8.02 B traced at
+#: N = 10^5, under a class tally that casts the whole group to intp, which
+#: would hold 9.02 B (plane).
+ONE_TREE_BYTES = {Kind.LABELED: 32, Kind.PLANE: 9}
 
 
 @pytest.mark.parametrize("kind", list(Kind))
