@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_text, reference_sample_text
@@ -573,6 +573,25 @@ def test_lattice_commands_materialize_no_lattice(capsys, monkeypatch, argv):
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == n_list
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [EnsembleSpec.labeled(3), EnsembleSpec.labeled(5, 0.5, (0.0, 0.3, 0.0, 1.0, 0.2)),
+     EnsembleSpec.plane(4, 1.0, (0.0, 0.0, 0.0, 1.0, 2.0))],
+)
+def test_grid_inf_rate_matches_the_materialized_grid(monkeypatch, spec):
+    # blocks of 3 grid points; the oracle takes the minimum over the whole
+    # rate.manifold_grid at the same resolution
+    monkeypatch.setattr(rate, "GRID_RESOLUTION", 60)
+    monkeypatch.setattr(partition, "LATTICE_BYTES", 3 * 8 * spec.n_classes)
+    ctx = solve_pstar(spec)
+    grid = rate.manifold_grid(spec, 60)
+    values = rate.j_values(spec, grid) - ctx.Jstar
+    dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
+    for delta in (0.02, 0.3, 2.5):
+        want = values[dist > delta].min() if (dist > delta).any() else math.inf
+        assert rate.grid_inf_rate(ctx, delta) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(list(Kind)),
@@ -583,14 +602,7 @@ def test_lattice_commands_materialize_no_lattice(capsys, monkeypatch, argv):
     delta=st.floats(0.0, 2.5, exclude_min=True),
     lattice_bytes=st.integers(2**8, 2**14),
 )
-@example(kind=Kind.LABELED, D=3, beta=0.0, c_raw=[0.0] * 6, resolution=60, delta=0.02,
-         lattice_bytes=3 * 8 * 3)
-@example(kind=Kind.LABELED, D=5, beta=0.5, c_raw=[0.0, 0.3, 0.0, 1.0, 0.2, 0.0],
-         resolution=60, delta=0.3, lattice_bytes=3 * 8 * 5)
-@example(kind=Kind.PLANE, D=4, beta=1.0, c_raw=[0.0, 0.0, 0.0, 1.0, 2.0, 0.0],
-         resolution=60, delta=2.5, lattice_bytes=3 * 8 * 5)
-def test_grid_inf_rate_matches_the_materialized_grid(kind, D, beta, c_raw, resolution, delta,
-                                                     lattice_bytes):
+def test_grid_inf_rate_property(kind, D, beta, c_raw, resolution, delta, lattice_bytes):
     # Labeled D <= 5 and plane D <= 4 at beta * max|c| <= 5, the grid walked
     # in blocks of a few points; the oracle takes the minimum over the whole
     # rate.manifold_grid at the same resolution.
