@@ -21,7 +21,6 @@ from .errors import (
     BadEnergyTable,
     BadLabel,
     BoundTooSmall,
-    DegreeBoundExceeded,
     KindMismatch,
     LatticeTooLarge,
     NoFeasibleTree,
@@ -50,9 +49,6 @@ from .rate import (
 )
 from .treegen import (
     LabeledTree,
-    PlaneTree,
-    chi_of,
-    energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
     prufer_decode,

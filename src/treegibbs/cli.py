@@ -39,8 +39,11 @@ profile lattice or the rate grid, so none is refused for their size:
 ``sample``, ``ldp-table`` and ``lln`` stream both and fold or draw only the
 profiles that carry mass (``partition``), ``lln`` takes its ``inf_I``
 column from the rate grid of ``rate.grid_inf_rate``, and ``oracle-check``
-reads the law of chi from the same cut, one enumerated profile at a time
-against one ln Z_N (``partition.log_prob_profile``).
+reads the law of chi from the same cut, against one ln Z_N, at each profile
+of the enumerated trees (``partition.log_prob_profile``).  Those trees are
+arrays of edges or child counts (``treegen``'s enumerators), tallied by
+profile in one pass: each tree's classes are counted along its row, and a
+profile's log weight is ln(its tree count) - beta (profile . c).
 """
 
 from __future__ import annotations
@@ -66,10 +69,9 @@ from .partition import (
 )
 from .rate import grid_inf_rate, solve_pstar
 from .treegen import (
-    chi_of,
-    energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
+    row_counts,
     sample_plane_child_counts,
     sample_prufer_codes,
     write_sample,
@@ -297,30 +299,28 @@ def cmd_lln(cfg: RunConfig, out) -> int:
 def cmd_oracle_check(cfg: RunConfig, out) -> int:
     spec = cfg.spec()
     N = cfg.require_n()
-    # never empty: the path fits every valid D
+    # the classes of every enumerated tree: its degrees, counted from its
+    # edge ends (labeled), or its child counts (plane); never empty: the
+    # path fits every valid D
     if spec.kind is Kind.LABELED:
-        trees = [t for t in enumerate_labeled_trees(N) if t.degrees().max() <= spec.D]
+        edges = enumerate_labeled_trees(N)
+        classes = row_counts(edges.reshape(edges.shape[0], -1), N + 1)[:, 1:]
+        classes = classes[classes.max(axis=1) <= spec.D]
     else:
-        trees = list(enumerate_plane_trees(N, spec.D))
-
-    # per profile: its tree count and the log-sum-exp of its trees' log
-    # weights, which no beta underflows
-    profile_counts: dict[tuple[int, ...], int] = {}
-    log_weights: dict[tuple[int, ...], float] = {}
-    for tree in trees:
-        chi = chi_of(tree, spec).counts
-        profile_counts[chi] = profile_counts.get(chi, 0) + 1
-        log_weights[chi] = float(np.logaddexp(
-            log_weights.get(chi, -math.inf), -spec.beta * energy_of(tree, spec)
-        ))
+        classes = enumerate_plane_trees(N, spec.D)
+    # per profile: its tree count, and the log of its trees' summed weight,
+    # which no beta underflows
+    profiles, counts = np.unique(
+        row_counts(classes - spec.k_min, spec.n_classes), axis=0, return_counts=True
+    )
+    log_weights = np.log(counts) - spec.beta * (profiles @ spec.energies())
 
     # tree counts per profile: the profile log weights at beta = 0
     counting = replace(spec, beta=0.0)
-    log_counts = profile_log_weights(counting, N, np.array(list(profile_counts)))
-    dev_counts = float(np.abs(log_counts - np.log(list(profile_counts.values()))).max())
-    suites = [("profile-counts", dev_counts)]
+    log_counts = profile_log_weights(counting, N, profiles)
+    suites = [("profile-counts", float(np.abs(log_counts - np.log(counts)).max()))]
 
-    log_z = log_sum(list(log_weights.values()))
+    log_z = log_sum(log_weights)
     log_z_cut = log_partition_value(spec, N)
     suites.append(("partition", abs(log_z_cut - log_z)))
 
@@ -328,12 +328,12 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     # against its one ln Z; its total over them must be 1, which also
     # catches mass on a profile the trees miss and a deviation spread too
     # thin to show in any one
-    law = {
-        chi: math.exp(log_prob_profile(spec, N, CountVector(spec.kind, chi), log_z_cut))
-        for chi in log_weights
-    }
-    dev_law = max(abs(math.exp(lw - log_z) - law[chi]) for chi, lw in log_weights.items())
-    suites.append(("chi-law", max(dev_law, abs(math.fsum(law.values()) - 1.0))))
+    law = np.array([
+        math.exp(log_prob_profile(spec, N, CountVector(spec.kind, tuple(chi)), log_z_cut))
+        for chi in profiles.tolist()
+    ])
+    dev_law = float(np.abs(np.exp(log_weights - log_z) - law).max())
+    suites.append(("chi-law", max(dev_law, abs(math.fsum(law) - 1.0))))
 
     failed = False
     for name, dev in suites:

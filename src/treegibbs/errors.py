@@ -61,7 +61,3 @@ class TooLarge(TreeGibbsError, ValueError):
     """Exhaustive enumeration requested beyond the supported size."""
 
     exit_code = 3
-
-
-class DegreeBoundExceeded(TreeGibbsError, ValueError):
-    """Tree contains a vertex whose degree/branching exceeds the bound."""

@@ -1,15 +1,24 @@
 """Concrete tree construction: exact Gibbs samplers, word -> tree maps, enumerators.
 
-Labeled trees are stored as canonical sorted edge lists over labels 1..N.
-They are built from words of length N-2 over 1..N in which vertex v
-appears deg(v) - 1 times, by the Foata-Fuchs-type bijection ``word_edges``
-(D. Foata & A. Fuchs, "Rearrangements de fonctions et denombrement",
-J. Combin. Theory 8, 1970), which decodes a whole block of words in a fixed
-number of array passes.  ``prufer_decode`` is the single-tree Prufer
-decoder, another bijection with the same degree rule.
-Plane trees are stored as preorder child-count sequences: a sequence
-c_1..c_N is valid exactly when the partial sums of (c_i - 1) stay >= 0
-before the last position and end at -1 (a Lukasiewicz path).
+Trees are arrays, a block of them at a time.  A labeled tree is its
+canonical sorted edge list over labels 1..N, a (N-1, 2) slice of a block.
+Labeled trees are built from words of length N-2 over 1..N in which vertex
+v appears deg(v) - 1 times, by the Foata-Fuchs-type bijection
+``word_edges`` (D. Foata & A. Fuchs, "Rearrangements de fonctions et
+denombrement", J. Combin. Theory 8, 1970), which decodes a whole block of
+words in a fixed number of array passes.  ``prufer_decode`` is the
+single-tree Prufer decoder, another bijection with the same degree rule,
+and returns one ``LabeledTree`` object.  A plane tree is a row of preorder
+child counts: c_1..c_N is valid exactly when the partial sums of (c_i - 1)
+stay >= 0 before the last position and end at -1 (a Lukasiewicz path).
+
+The exhaustive enumerators, the oracles of ``oracle-check`` for small N,
+return every tree in these forms: ``enumerate_labeled_trees`` the
+``word_edges`` of all N^(N-2) words, ``enumerate_plane_trees`` every
+Lukasiewicz row with counts up to D, both in lexicographic order.  The
+classes of a block are counts along its rows (``row_counts``): a labeled
+tree's degrees are the occurrences of each label among its edge ends, a
+plane tree's row is its classes.
 
 Exact sampling pipelines (both start from an exact class sequence,
 ``partition.sample_class_sequences``: a profile drawn from the tilted
@@ -43,9 +52,9 @@ of digit-and-separator cells (the labeled separators end each tree in a
 blank line), one ``tobytes`` and one deletion of the padding bytes.
 ``WRITE_BLOCK_BYTES`` bounds in bytes all that a group holds, from its
 words to its text, at the bytes per value that were traced for each stage
-(``group_rows``).  One tree larger than that holds about 30 (labeled) or 9
+(``group_rows``).  One tree larger than that holds about 30 (labeled) or 8
 (plane) bytes per vertex, beside a text table of three or two cells per
-label.  ``to_text`` is the single-tree form of the same text.
+label.  ``LabeledTree.to_text`` is the single-tree form of the same text.
 """
 
 from __future__ import annotations
@@ -55,9 +64,10 @@ from itertools import chain
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .ensembles import CountVector, EnsembleSpec, Kind
-from .errors import BadLabel, DegreeBoundExceeded, KindMismatch, NotATree, TooLarge
+from .ensembles import EnsembleSpec, Kind
+from .errors import BadLabel, KindMismatch, NotATree, TooLarge
 from .partition import sample_class_sequences
 
 MAX_ENUM_LABELED = 8
@@ -100,51 +110,17 @@ class LabeledTree:
         return cls(n, tuple(edges))
 
 
-@dataclass(frozen=True)
-class PlaneTree:
-    """Plane (ordered rooted) tree as its preorder child-count sequence."""
-
-    child_counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(v) for v in self.child_counts)
-        object.__setattr__(self, "child_counts", counts)
-        walk = 0
-        for i, c in enumerate(counts):
-            if c < 0:
-                raise ValueError("child counts must be nonnegative")
-            walk += c - 1
-            if walk < 0 and i < len(counts) - 1:
-                raise ValueError("invalid preorder sequence: walk hits -1 early")
-        if walk != -1:
-            raise ValueError("invalid preorder sequence: walk must end at -1")
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.child_counts)
-
-    def to_text(self) -> str:
-        return " ".join(str(c) for c in self.child_counts) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PlaneTree":
-        return cls(tuple(int(v) for v in text.split()))
-
-
 # ---------------------------------------------------------------------------
 # word -> tree map and Prufer decoder
 
 
-def code_occurrences(codes: np.ndarray) -> np.ndarray:
-    """Occurrences of each label in each row of a (B, N-2) code matrix.
-
-    Column v of the (B, N+1) result counts label v (column 0 is zero), so
-    for 1 <= v <= N it is deg(v) - 1, the shifted class of vertex v.
-    """
-    B, N = codes.shape[0], codes.shape[1] + 2
-    base = np.arange(B, dtype=np.int64)[:, None] * (N + 1)
-    flat = np.bincount((codes + base).ravel(), minlength=B * (N + 1))
-    return flat.reshape(B, N + 1)
+def row_counts(rows: np.ndarray, width: int) -> np.ndarray:
+    """For each row of a (B, n) array of values 0..width-1, the count of
+    each value: column v of the (B, width) result counts value v."""
+    B = rows.shape[0]
+    base = np.arange(B, dtype=np.int64)[:, None] * width
+    flat = np.bincount((rows + base).ravel(), minlength=B * width)
+    return flat.reshape(B, width)
 
 
 def word_edges(words: np.ndarray) -> np.ndarray:
@@ -295,11 +271,11 @@ def sample_plane_child_counts(
     step = group_rows(spec, N)
     for start in range(0, size, step):
         part = counts[start : start + step]
-        starts = _lukasiewicz_starts(part).astype(np.int32)
-        cols = starts[:, None] + np.arange(N, dtype=np.int32)
-        cols %= N
-        rotated = np.take_along_axis(part, cols, axis=1)
-        del cols
+        starts = _lukasiewicz_starts(part)
+        # row r of the doubled rows, read from starts[r] on, is its rotation
+        doubled = sliding_window_view(np.concatenate([part, part], axis=1), N, axis=1)
+        rotated = doubled[np.arange(part.shape[0]), starts]
+        del doubled
         yield rotated
         del rotated  # freed before the next group is made
 
@@ -319,7 +295,9 @@ WRITE_BLOCK_BYTES = 2**20
 #: kind, with two values more per tree for its per-row arrays, traced with
 #: tracemalloc over N = 2..20000: the int64 words, their class tally and
 #: their decode by ``word_edges`` (labeled), or the int8 counts, their
-#: int32 rotation and class tally (plane), then the int32 table indices.
+#: rotation and class tally (plane; traced with the rotation gathered
+#: through int32 indices, which hold more than its doubled int8 copy), then
+#: the int32 table indices.
 _VALUE_BYTES = {Kind.LABELED: 11, Kind.PLANE: 8}
 
 #: Copies of a text cell that ``write_sample`` holds at once per value of a
@@ -396,8 +374,8 @@ def write_sample(spec: EnsembleSpec, groups, out) -> np.ndarray:
     yield them; a lazy iterable is drawn one group at a time, and one text
     table, sized by the first group, serves all of them.  Labeled rows are
     decoded by ``word_edges``.  The text of tree r equals
-    ``LabeledTree(N, edges).to_text() + "\n"`` (labeled) or
-    ``PlaneTree(rows[r]).to_text()`` (plane).  Each group is encoded
+    ``LabeledTree(N, edges).to_text() + "\n"`` (labeled) or its counts
+    joined by spaces and ended by a newline (plane).  Each group is encoded
     without per-tree formatting: one gather of each value's digits and
     separator from ``_text_table``, one ``tobytes`` and one deletion of the
     padding bytes, which no digit or separator contains.  Its text is
@@ -418,7 +396,7 @@ def write_sample(spec: EnsembleSpec, groups, out) -> np.ndarray:
         # a frame of its own: a group's arrays die before the next draw
         if labeled:
             # column 0 of the occurrences counts label 0, which no row holds
-            counts = np.bincount(code_occurrences(part).ravel(), minlength=spec.n_classes)
+            counts = np.bincount(row_counts(part, N + 1).ravel(), minlength=spec.n_classes)
             counts[0] -= part.shape[0]
             index = word_edges(part).reshape(part.shape[0], n_values)
             index[:, 1::2] += top + 1  # a newline after each edge
@@ -447,72 +425,34 @@ def write_sample(spec: EnsembleSpec, groups, out) -> np.ndarray:
 # exhaustive enumerators (oracles for small N)
 
 
-def enumerate_labeled_trees(N: int) -> Iterator[LabeledTree]:
-    """Every labeled tree on N vertices exactly once, via ``word_edges`` of
-    all N^{N-2} words in lexicographic order."""
+def enumerate_labeled_trees(N: int) -> np.ndarray:
+    """Every labeled tree on N vertices exactly once: the (N^{N-2}, N-1, 2)
+    ``word_edges`` of all words, in lexicographic order."""
     if not 2 <= N <= MAX_ENUM_LABELED:
         raise TooLarge(f"labeled enumeration supports 2 <= N <= {MAX_ENUM_LABELED}")
     # Every word in lexicographic order: digit j of row i in base N.
     place = N ** np.arange(N - 3, -1, -1, dtype=np.int64)
-    codes = np.arange(N ** (N - 2), dtype=np.int64)[:, None] // place % N + 1
-    for edges in word_edges(codes):
-        yield LabeledTree(N, tuple(map(tuple, edges.tolist())))
+    return word_edges(np.arange(N ** (N - 2), dtype=np.int64)[:, None] // place % N + 1)
 
 
-def enumerate_plane_trees(N: int, D: int) -> Iterator[PlaneTree]:
-    """Every plane tree on N vertices with branching <= D exactly once.
+def enumerate_plane_trees(N: int, D: int) -> np.ndarray:
+    """Every plane tree on N vertices with branching <= D exactly once: the
+    (M, N) int8 preorder child-count rows, in lexicographic (depth-first)
+    order.
 
-    Depth-first over Lukasiewicz words with steps in {-1, ..., D-1}.
+    Each prefix of a Lukasiewicz word is extended by every count up to
+    min(D, N - 1) in turn, keeping those whose walk stays >= 0 before the
+    last vertex and can still reach -1, losing at most 1 per vertex left.
     """
     if not 1 <= N <= MAX_ENUM_PLANE:
         raise TooLarge(f"plane enumeration supports 1 <= N <= {MAX_ENUM_PLANE}")
     if D < 1:
         raise ValueError("plane enumeration needs D >= 1")
-    prefix: list[int] = []
-
-    def rec(pos: int, walk: int) -> Iterator[PlaneTree]:
-        if pos == N:
-            if walk == -1:
-                yield PlaneTree(tuple(prefix))
-            return
-        remaining = N - pos
-        for c in range(min(D, N - 1) + 1):
-            new_walk = walk + c - 1
-            if pos < N - 1 and new_walk < 0:
-                continue
-            # the remaining steps can lose at most 1 per vertex
-            if new_walk - (remaining - 1) > -1:
-                continue
-            prefix.append(c)
-            yield from rec(pos + 1, new_walk)
-            prefix.pop()
-
-    yield from rec(0, 0)
-
-
-# ---------------------------------------------------------------------------
-# per-tree statistics
-
-
-def chi_of(tree, spec: EnsembleSpec) -> CountVector:
-    """Class-count vector of a tree; raises DegreeBoundExceeded past D."""
-    if isinstance(tree, LabeledTree):
-        _require_kind(spec, Kind.LABELED, "chi of a labeled tree")
-        values = tree.degrees()
-    elif isinstance(tree, PlaneTree):
-        _require_kind(spec, Kind.PLANE, "chi of a plane tree")
-        values = np.asarray(tree.child_counts, dtype=np.int64)
-    else:
-        raise TypeError(f"not a tree: {tree!r}")
-    if values.size and int(values.max()) > spec.D:
-        raise DegreeBoundExceeded(
-            f"tree has class {int(values.max())}, spec bound is {spec.D}"
-        )
-    counts = np.bincount(values - spec.k_min, minlength=spec.n_classes)
-    return CountVector(spec.kind, tuple(int(v) for v in counts))
-
-
-def energy_of(tree, spec: EnsembleSpec) -> float:
-    """Gibbs energy H(T) = sum_k c(k) chi_k(T)."""
-    chi = chi_of(tree, spec)
-    return float(chi.as_array() @ spec.energies())
+    counts = np.arange(min(D, N - 1) + 1, dtype=np.int8)
+    rows, walks = np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int8)
+    for pos in range(N):
+        rows = np.column_stack([np.repeat(rows, counts.size, axis=0), np.tile(counts, len(rows))])
+        walks = np.repeat(walks, counts.size) + rows[:, -1] - 1
+        keep = (walks >= (0 if pos < N - 1 else -1)) & (walks <= N - pos - 2)
+        rows, walks = rows[keep], walks[keep]
+    return rows

@@ -16,17 +16,21 @@ import math
 import numpy as np
 from scipy.stats import chi2
 
-from oracles import cycle_lemma_rotation, from_free_coordinates, prufer_encode
+from oracles import (
+    PlaneTree,
+    chi_of,
+    cycle_lemma_rotation,
+    energy_of,
+    from_free_coordinates,
+    labeled_trees,
+    plane_trees,
+    prufer_encode,
+)
 from treegibbs import (
     EnsembleSpec,
     Kind,
     LabeledTree,
     NoFeasibleTree,
-    PlaneTree,
-    chi_of,
-    energy_of,
-    enumerate_labeled_trees,
-    enumerate_plane_trees,
     rng_stream,
 )
 from treegibbs.combinatorics import log_factorial
@@ -97,11 +101,9 @@ def tree_key(tree, spec: EnsembleSpec) -> tuple[int, ...]:
 def gibbs_tree_law(spec: EnsembleSpec, N: int) -> dict[tuple[int, ...], float]:
     """Exact Gibbs law over individual trees by exhaustive enumeration."""
     if spec.kind is Kind.LABELED:
-        trees = [
-            t for t in enumerate_labeled_trees(N) if int(t.degrees().max()) <= spec.D
-        ]
+        trees = [t for t in labeled_trees(N) if int(t.degrees().max()) <= spec.D]
     else:
-        trees = list(enumerate_plane_trees(N, spec.D))
+        trees = list(plane_trees(N, spec.D))
     weights = {tree_key(t, spec): math.exp(-spec.beta * energy_of(t, spec)) for t in trees}
     z = sum(weights.values())
     return {k: w / z for k, w in weights.items()}
@@ -110,11 +112,9 @@ def gibbs_tree_law(spec: EnsembleSpec, N: int) -> dict[tuple[int, ...], float]:
 def gibbs_profile_law(spec: EnsembleSpec, N: int) -> dict[tuple[int, ...], float]:
     """Exact law of the class profile by exhaustive enumeration."""
     if spec.kind is Kind.LABELED:
-        trees = [
-            t for t in enumerate_labeled_trees(N) if int(t.degrees().max()) <= spec.D
-        ]
+        trees = [t for t in labeled_trees(N) if int(t.degrees().max()) <= spec.D]
     else:
-        trees = list(enumerate_plane_trees(N, spec.D))
+        trees = list(plane_trees(N, spec.D))
     weights: dict[tuple[int, ...], float] = {}
     for t in trees:
         key = chi_of(t, spec).counts
@@ -126,11 +126,9 @@ def gibbs_profile_law(spec: EnsembleSpec, N: int) -> dict[tuple[int, ...], float
 def brute_force_log_partition(spec: EnsembleSpec, N: int) -> float:
     """ln sum_T exp(-beta H(T)) by exhaustive enumeration."""
     if spec.kind is Kind.LABELED:
-        trees = [
-            t for t in enumerate_labeled_trees(N) if int(t.degrees().max()) <= spec.D
-        ]
+        trees = [t for t in labeled_trees(N) if int(t.degrees().max()) <= spec.D]
     else:
-        trees = list(enumerate_plane_trees(N, spec.D))
+        trees = list(plane_trees(N, spec.D))
     energies = np.array([energy_of(t, spec) for t in trees])
     scaled = -spec.beta * energies
     m = scaled.max()

@@ -2,7 +2,8 @@
 
 None of these is on a command's path.  They are the materialized law of
 chi, the closed-form tree counts, the Prufer encoder, the cycle lemma for
-one step word, the brute-force minimizer of J on the rate grid, the
+one step word, the enumerated trees as objects with the profile and energy
+of one tree, the brute-force minimizer of J on the rate grid, the
 free-coordinate chart of the manifold M with the analytic gradient of J,
 the coupling of the LDP proof, and the profile sampler's rejection loop
 with each batch of proposals drawn as one matrix.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from treegibbs import (
     NotATree,
     SumMismatch,
     TreeGibbsError,
+    enumerate_labeled_trees,
+    enumerate_plane_trees,
     is_feasible,
     j_values,
     log_factorial,
@@ -170,6 +174,81 @@ def cycle_lemma_rotation(word) -> int:
     walk = np.cumsum(np.roll(steps, -start))
     assert walk[-1] == -1 and (walk[:-1] >= 0).all(), "cycle lemma rotation invalid"
     return start
+
+
+# ---------------------------------------------------------------------------
+# per-tree objects and statistics, built from the enumerators' arrays
+
+
+class DegreeBoundExceeded(TreeGibbsError, ValueError):
+    """Tree contains a vertex whose degree/branching exceeds the bound."""
+
+
+@dataclass(frozen=True)
+class PlaneTree:
+    """Plane (ordered rooted) tree as its preorder child-count sequence."""
+
+    child_counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        counts = tuple(int(v) for v in self.child_counts)
+        object.__setattr__(self, "child_counts", counts)
+        walk = 0
+        for i, c in enumerate(counts):
+            if c < 0:
+                raise ValueError("child counts must be nonnegative")
+            walk += c - 1
+            if walk < 0 and i < len(counts) - 1:
+                raise ValueError("invalid preorder sequence: walk hits -1 early")
+        if walk != -1:
+            raise ValueError("invalid preorder sequence: walk must end at -1")
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.child_counts)
+
+    def to_text(self) -> str:
+        return " ".join(str(c) for c in self.child_counts) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> "PlaneTree":
+        return cls(tuple(int(v) for v in text.split()))
+
+
+def labeled_trees(N: int) -> Iterator[LabeledTree]:
+    """The rows of ``enumerate_labeled_trees(N)`` as ``LabeledTree`` objects,
+    in its order."""
+    trees = enumerate_labeled_trees(N).tolist()
+    return (LabeledTree(N, tuple(map(tuple, edges))) for edges in trees)
+
+
+def plane_trees(N: int, D: int) -> Iterator[PlaneTree]:
+    """The rows of ``enumerate_plane_trees(N, D)`` as ``PlaneTree`` objects,
+    in its order."""
+    return (PlaneTree(tuple(row)) for row in enumerate_plane_trees(N, D).tolist())
+
+
+def chi_of(tree, spec: EnsembleSpec) -> CountVector:
+    """Class-count vector of one tree object; raises DegreeBoundExceeded past D."""
+    if isinstance(tree, LabeledTree):
+        kind, values = Kind.LABELED, tree.degrees()
+    elif isinstance(tree, PlaneTree):
+        kind, values = Kind.PLANE, np.asarray(tree.child_counts, dtype=np.int64)
+    else:
+        raise TypeError(f"not a tree: {tree!r}")
+    if spec.kind is not kind:
+        raise KindMismatch(f"chi of a {kind.value} tree needs a {kind.value} spec")
+    if values.size and int(values.max()) > spec.D:
+        raise DegreeBoundExceeded(
+            f"tree has class {int(values.max())}, spec bound is {spec.D}"
+        )
+    counts = np.bincount(values - spec.k_min, minlength=spec.n_classes)
+    return CountVector(spec.kind, tuple(int(v) for v in counts))
+
+
+def energy_of(tree, spec: EnsembleSpec) -> float:
+    """Gibbs energy H(T) = sum_k c(k) chi_k(T)."""
+    return float(chi_of(tree, spec).as_array() @ spec.energies())
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from oracles import (
     from_free_coordinates,
     grid_minimize_J,
     j_free_gradient,
+    plane_trees,
     prufer_encode,
 )
 from treegibbs import (
@@ -34,7 +35,6 @@ from treegibbs import (
     EnsembleSpec,
     FrequencyVector,
     Kind,
-    enumerate_plane_trees,
     lln_tail,
     log_prob_ball,
     prufer_decode,
@@ -80,7 +80,7 @@ def test_criterion_1_counting_equivalence():
                 worst = max(worst, abs(got - math.log(count)))
     for N in range(1, 11):
         D_full = max(N - 1, 1)
-        trees = [t.child_counts for t in enumerate_plane_trees(N, D_full)]
+        trees = [t.child_counts for t in plane_trees(N, D_full)]
         for D in range(1, D_full + 1):
             observed: dict[tuple[int, ...], int] = {}
             for cc in trees:

@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_text, reference_sample_text
-from oracles import prufer_encode
+from oracles import PlaneTree, chi_of, prufer_encode
 from treegibbs import (
     CountVector,
     EnsembleSpec,
     Kind,
     LabeledTree,
-    PlaneTree,
     solve_pstar,
 )
 from treegibbs import cli, ldp, partition, rate, treegen
@@ -112,6 +111,11 @@ def test_oracle_check_plane(capsys):
 
 
 def test_oracle_check_size_limit(capsys):
+    # labeled trees are enumerated up to treegen.MAX_ENUM_LABELED = 8
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--kind", "labeled", "--bound", "7", "--n", "8"
+    )
+    assert code == 0 and out.strip().endswith("oracle-check OK")
     code, _, err = run_cli(
         capsys, "oracle-check", "--kind", "labeled", "--bound", "3", "--n", "9"
     )
@@ -174,16 +178,19 @@ def test_oracle_check_folds_ln_z_once(capsys, monkeypatch, kind):
 @pytest.mark.parametrize("fault", ["shifted", "missing-profile", "scaled"])
 def test_oracle_check_fails_on_a_wrong_chi_law(capsys, monkeypatch, fault):
     # shifted: the cut's law read 1e-6 high in the log.  missing-profile:
-    # the trees of one profile are not enumerated, so the cut puts mass on a
-    # profile the trees miss, and the suite reports that mass, 1 - (mass of
-    # the enumerated profiles).  scaled: the law read 2e-9 low in the log,
-    # which moves no profile's probability (at most 0.29 here) by 1e-9; only
-    # the total, 1 - 2e-9, shows it.
+    # the rows of one profile are dropped from the enumerated array, so the
+    # cut puts mass on a profile the trees miss, and the suite reports that
+    # mass, 1 - (mass of the enumerated profiles).  scaled: the law read
+    # 2e-9 low in the log, which moves no profile's probability (at most
+    # 0.29 here) by 1e-9; only the total, 1 - 2e-9, shows it.
     spec = EnsembleSpec.plane(3, 1.0, (0.0, 0.0, 0.0, 1.0))
-    read, enumerate_trees = cli.log_prob_profile, cli.enumerate_plane_trees
+    read, enumerate_rows = cli.log_prob_profile, cli.enumerate_plane_trees
     if fault == "missing-profile":
-        monkeypatch.setattr(cli, "enumerate_plane_trees", lambda N, D: (
-            tree for tree in enumerate_trees(N, D) if cli.chi_of(tree, spec).counts != RAREST))
+        def enumerate_all_but_rarest(N, D):
+            rows = enumerate_rows(N, D)
+            return rows[[chi_of(PlaneTree(row), spec).counts != RAREST for row in rows.tolist()]]
+
+        monkeypatch.setattr(cli, "enumerate_plane_trees", enumerate_all_but_rarest)
     else:
         shift = 1e-6 if fault == "shifted" else -2e-9
         monkeypatch.setattr(cli, "log_prob_profile", lambda *args: read(*args) + shift)

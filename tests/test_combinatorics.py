@@ -8,15 +8,18 @@ import pytest
 from scipy.special import gammaln
 
 from conftest import iter_profiles, log_count_by_profile
-from oracles import log_labeled_count_by_degrees, log_multinomial
+from oracles import (
+    chi_of,
+    labeled_trees,
+    log_labeled_count_by_degrees,
+    log_multinomial,
+    plane_trees,
+)
 from treegibbs import (
     CountVector,
     Kind,
     SumMismatch,
-    chi_of,
     EnsembleSpec,
-    enumerate_labeled_trees,
-    enumerate_plane_trees,
     log_factorial,
     log_prob_profile,
     log_sum,
@@ -75,7 +78,7 @@ def test_labeled_count_by_degrees_examples():
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_labeled_count_by_degrees_matches_enumeration(N):
     observed: dict[tuple[int, ...], int] = {}
-    for tree in enumerate_labeled_trees(N):
+    for tree in labeled_trees(N):
         key = tuple(int(d) for d in tree.degrees())
         observed[key] = observed.get(key, 0) + 1
     for degrees in itertools.product(range(1, N), repeat=N):
@@ -183,7 +186,7 @@ def test_count_vector_input_accepted():
 def test_profile_counts_match_enumeration_directly(N, D):
     spec = EnsembleSpec.labeled(D)
     observed: dict[tuple[int, ...], int] = {}
-    for tree in enumerate_labeled_trees(N):
+    for tree in labeled_trees(N):
         if int(tree.degrees().max()) > D:
             continue
         key = chi_of(tree, spec).counts
@@ -197,7 +200,7 @@ def test_profile_counts_match_enumeration_directly(N, D):
 def test_plane_profile_counts_match_enumeration(N, D):
     spec = EnsembleSpec.plane(D)
     observed: dict[tuple[int, ...], int] = {}
-    for tree in enumerate_plane_trees(N, D):
+    for tree in plane_trees(N, D):
         key = chi_of(tree, spec).counts
         observed[key] = observed.get(key, 0) + 1
     for profile, count in observed.items():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import chi_of, labeled_trees, plane_trees
 from treegibbs import (
     BadEnergyTable,
     BoundTooSmall,
@@ -10,9 +11,6 @@ from treegibbs import (
     Kind,
     KindMismatch,
     OffManifold,
-    chi_of,
-    enumerate_labeled_trees,
-    enumerate_plane_trees,
     is_feasible,
     validate_spec,
 )
@@ -80,7 +78,7 @@ def test_freq_from_counts_examples():
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_every_enumerated_labeled_chi_is_feasible(N):
     spec = EnsembleSpec.labeled(max(N - 1, 2))
-    for tree in enumerate_labeled_trees(N):
+    for tree in labeled_trees(N):
         chi = chi_of(tree, spec)
         assert is_feasible(chi, spec)
         f = frequencies(chi)
@@ -91,7 +89,7 @@ def test_every_enumerated_labeled_chi_is_feasible(N):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 def test_every_enumerated_plane_chi_is_feasible(N):
     spec = EnsembleSpec.plane(max(N - 1, 1))
-    for tree in enumerate_plane_trees(N, spec.D):
+    for tree in plane_trees(N, spec.D):
         chi = chi_of(tree, spec)
         assert is_feasible(chi, spec)
         f = frequencies(chi)

@@ -18,19 +18,25 @@ from conftest import (
     tree_key,
     word_tree,
 )
-from oracles import BadStepSum, cycle_lemma_rotation, prufer_encode
+from oracles import (
+    BadStepSum,
+    DegreeBoundExceeded,
+    PlaneTree,
+    chi_of,
+    cycle_lemma_rotation,
+    energy_of,
+    labeled_trees,
+    plane_trees,
+    prufer_encode,
+)
 from treegibbs import (
     BadLabel,
     CountVector,
-    DegreeBoundExceeded,
     EnsembleSpec,
     Kind,
     LabeledTree,
     NotATree,
-    PlaneTree,
     TooLarge,
-    chi_of,
-    energy_of,
     enumerate_labeled_trees,
     enumerate_plane_trees,
     prufer_decode,
@@ -100,7 +106,7 @@ def test_prufer_round_trip_property(code):
 def test_enumerate_labeled_matches_per_code_decode():
     N = 5
     codes = itertools.product(range(1, N + 1), repeat=N - 2)
-    assert list(enumerate_labeled_trees(N)) == [word_tree(c) for c in codes]
+    assert list(labeled_trees(N)) == [word_tree(c) for c in codes]
 
 
 def _all_words(N):
@@ -123,7 +129,7 @@ def test_word_map_is_a_bijection_exhaustive(N):
     degrees = np.zeros((words.shape[0], N + 1), dtype=np.int64)
     np.add.at(degrees, (np.broadcast_to(rows, (rows.size, N - 1)), edges[:, :, 0]), 1)
     np.add.at(degrees, (np.broadcast_to(rows, (rows.size, N - 1)), edges[:, :, 1]), 1)
-    occurrences = treegen.code_occurrences(words)
+    occurrences = treegen.row_counts(words, N + 1)
     np.testing.assert_array_equal(degrees[:, 1:], occurrences[:, 1:] + 1)
     # each is a tree (prufer_encode raises NotATree on a cycle); every row
     # up to N = 7, every 7th of the 262,144 at N = 8
@@ -205,7 +211,7 @@ def test_text_encoder_matches_percent_d_at_digit_boundaries(top):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_text_encoder_on_the_smallest_trees(N):
     plane = EnsembleSpec.plane(2)
-    rows = np.array([t.child_counts for t in enumerate_plane_trees(N, 2)], dtype=np.int64)
+    rows = enumerate_plane_trees(N, 2)
     out = io.StringIO()
     write_sample(plane, [rows], out)
     assert out.getvalue() == _percent_d_text(plane, rows)
@@ -274,10 +280,23 @@ def test_enumerate_plane_catalan(N):
 
 def test_enumerate_plane_unique_and_valid():
     seen = set()
-    for tree in enumerate_plane_trees(6, 3):
+    for tree in plane_trees(6, 3):
         assert max(tree.child_counts) <= 3
         assert tree.child_counts not in seen
         seen.add(tree.child_counts)
+
+
+@pytest.mark.parametrize("N, D", [(1, 1), (2, 1), (5, 2), (6, 5), (8, 3)])
+def test_enumerate_plane_is_every_valid_row_in_order(N, D):
+    # itertools.product runs through the rows in lexicographic order, the
+    # depth-first order of the enumerator
+    valid = []
+    for row in itertools.product(range(min(D, N - 1) + 1), repeat=N):
+        try:
+            valid.append(list(PlaneTree(row).child_counts))
+        except ValueError:  # not a Lukasiewicz path
+            pass
+    assert enumerate_plane_trees(N, D).tolist() == valid
 
 
 def test_chi_and_energy_examples():
@@ -452,7 +471,7 @@ def test_sampler_rows_property(kind, data):
 
 def test_tree_key_is_the_prufer_bijection():
     spec = EnsembleSpec.labeled(5)
-    trees = list(enumerate_labeled_trees(6))
+    trees = list(labeled_trees(6))
     keys = {tree_key(t, spec) for t in trees}
     assert len(keys) == len(trees) == 6**4
 
@@ -501,11 +520,11 @@ def test_a_row_group_holds_at_most_the_write_budget(kind, N, budget):
 
 #: Bytes per vertex that one tree past the write budget holds at its peak,
 #: beside its text table (``treegen.WRITE_BLOCK_BYTES``): the int64 word and
-#: its decode by ``word_edges`` (labeled), or the int32 rotation indices of
-#: the draw and the column range they are built from, 8.02 B traced at
-#: N = 10^5, under a class tally that casts the whole group to intp, which
-#: would hold 9.02 B (plane).
-ONE_TREE_BYTES = {Kind.LABELED: 32, Kind.PLANE: 9}
+#: its decode by ``word_edges`` (labeled), or the rotated int8 row with its
+#: int32 table indices and one text piece, 7.65 B traced at N = 10^5 (5.27 B
+#: at 10^6), where a rotation gathered through an int32 index matrix holds
+#: 8.02 B (plane).
+ONE_TREE_BYTES = {Kind.LABELED: 32, Kind.PLANE: 8}
 
 
 @pytest.mark.parametrize("kind", list(Kind))
