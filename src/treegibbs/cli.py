@@ -17,18 +17,17 @@ randomized output is reproducible from (config, seed): sampling is sharded
 into blocks of ``SAMPLE_CELLS // max(N, n_classes)`` trees (at least one),
 n_classes being the number of degree classes, with one RNG stream per block
 index, so the trees of a shorter run are a prefix of those of a longer one.
-A block's (trees, N) class table, one byte per entry below D = 128, holds
-at most 4 MB, and its kept (trees, n_classes) int64 profiles at most 32 MB,
-or one tree's worth once N or n_classes passes ``SAMPLE_CELLS``; the
-proposals behind the profiles are drawn, and the table is permuted, in
-int64 chunks of ``partition.LATTICE_BYTES``.  The rest is made one row
-group at a time (``treegen.group_rows``), and ``treegen.WRITE_BLOCK_BYTES``
-bounds in bytes all that a group holds, from its words or rotations to its
-text.  ``sample`` prints labeled trees as the sorted edge lists of their
-words under the Foata-Fuchs-type word -> tree map (``treegen.word_edges``;
-D. Foata & A. Fuchs, J. Combin. Theory 8, 1970), and encodes the text of
-both kinds with table-driven gathers (``treegen.write_sample``, one call
-per command).
+A block's kept (trees, n_classes) int64 profiles hold at most 32 MB, or
+one tree's worth once N or n_classes passes ``SAMPLE_CELLS``; the proposals
+behind them are drawn in int64 chunks of ``partition.LATTICE_BYTES``.  The
+rest is made one row group at a time (``treegen.group_rows``), and
+``treegen.WRITE_BLOCK_BYTES`` bounds in bytes all that a group holds, from
+its class rows to its text; the class totals of the summary are the sums of
+the profiles.  ``sample`` prints labeled trees as the sorted edge lists of
+their words under the Foata-Fuchs-type word -> tree map
+(``treegen.word_edges``; D. Foata & A. Fuchs, J. Combin. Theory 8, 1970),
+and encodes the text of both kinds with table-driven gathers
+(``treegen.write_sample``, one call per command).
 
 Exit codes: 0 success, 2 configuration error (among them an energy table
 whose profile log weights overflow at the requested N), 3 infeasible or

@@ -41,10 +41,10 @@ so conditioning on S = budget leaves the Gibbs law of chi at any x
 Comput. 41(1), 2012).  ``sample_profiles`` draws at the x whose mean class
 is budget/N and keeps the proposals that hit the budget, or, when hardly
 any do, draws by inverse CDF over the row cut, exact up to the
-e^-CUT_SLACK of mass that it drops.  ``sample_class_sequences`` lays each
-profile out as a class row and permutes it uniformly: the entry point of
-both tree samplers.  Both hold at most ``LATTICE_BYTES`` of int64 beside
-their result.
+e^-CUT_SLACK of mass that it drops, and holds at most ``LATTICE_BYTES`` of
+int64 beside its result.  ``sample_class_sequences`` lays some of those
+profiles out as class rows and permutes each uniformly; the tree samplers
+call it on one row group at a time, as the group is taken.
 
 Randomness contract: every sampler takes a ``numpy.random.Generator``, and
 ``rng_stream(seed, block)`` derives independent, reproducible streams from
@@ -714,22 +714,15 @@ def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator)
 
 
 def sample_class_sequences(
-    spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
+    spec: EnsembleSpec, profiles: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``size`` class sequences (unshifted classes) exactly: row m is
-    profile m of ``sample_profiles`` laid out in class order and permuted
-    uniformly, so its law is the product of per-class Gibbs weights
-    conditioned on the feasible class sum.  The (size, N) result has the
-    smallest signed integer type that holds D (one byte per vertex below
-    D = 128); it is permuted through an int64 buffer, on which
-    ``rng.permuted`` runs faster and draws the same permutation."""
-    profiles = sample_profiles(spec, N, size, rng)
-    classes = spec.classes().astype(np.min_scalar_type(-spec.D - 1))  # holds -1..D
-    rows = np.repeat(np.tile(classes, size), profiles.ravel()).reshape(size, N)
-    step = max(1, LATTICE_BYTES // (8 * N))  # rows per int64 buffer
-    for start in range(0, size, step):
-        buffer = rows[start : start + step].astype(np.int64)
-        rows[start : start + step] = rng.permuted(buffer, axis=1, out=buffer)
-        del buffer  # freed before the next is made
-    return rows
-
+    """The class sequences (unshifted classes) of the rows of ``profiles``,
+    drawn by ``sample_profiles``: row m laid out in class order and permuted
+    uniformly, so that its law is the product of per-class Gibbs weights
+    conditioned on the feasible class sum.  ``rng.permuted`` draws row after
+    row, so the rows of one call are those of the calls on its parts in
+    order.  The (rows, N) result is int64, on which ``rng.permuted`` runs
+    fastest; it draws the same permutation at any dtype."""
+    rows = np.repeat(np.tile(spec.classes(), profiles.shape[0]), profiles.ravel())
+    rows = rows.reshape(profiles.shape[0], -1)
+    return rng.permuted(rows, axis=1, out=rows)

@@ -89,17 +89,20 @@ class RateContext:
 
 
 def _stationarity_residual(spec: EnsembleSpec, p: np.ndarray) -> float:
-    """Max deviation of ln p_k + beta c(k) + ln (k-1)! from an affine law in
-    k, over the classes with p_k > 0 (underflowed classes have no logarithm);
-    0 when fewer than two classes are positive."""
+    """Max deviation of ln p_k + beta c(k) + ln (k-1)! from its least-squares
+    line in k, over the classes with p_k > 0 (underflowed classes have no
+    logarithm); 0 when fewer than two classes are positive.  The line is
+    fitted in closed form about the mean class, without LAPACK."""
     pos = p > 0
     if pos.sum() < 2:
         return 0.0
     ks = spec.classes()[pos].astype(np.float64)
     y = (np.log(p[pos]) + spec.beta * spec.energies()[pos]
          + word_log_weights(spec)[pos])
-    coef = np.polyfit(ks, y, 1)
-    return float(np.abs(y - np.polyval(coef, ks)).max())
+    ks -= ks.mean()
+    y -= y.mean()
+    slope = (ks * y).sum() / (ks * ks).sum()
+    return float(np.abs(y - slope * ks).max())
 
 
 def solve_pstar(spec: EnsembleSpec) -> RateContext:

@@ -20,9 +20,10 @@ classes of a block are counts along its rows (``row_counts``): a labeled
 tree's degrees are the occurrences of each label among its edge ends, a
 plane tree's row is its classes.
 
-Exact sampling pipelines (both start from an exact class sequence,
-``partition.sample_class_sequences``: a profile drawn from the tilted
-multinomial, laid out and uniformly permuted):
+Exact sampling pipelines (both start from the exact profiles of
+``partition.sample_profiles``, drawn from the tilted multinomial; each
+profile is laid out as a class sequence and uniformly permuted by
+``partition.sample_class_sequences``):
 
 * labeled: read the sequence as the degrees of vertices 1..N, lay out the
   multiset word with vertex i repeated deg(i) - 1 times, permute it
@@ -36,25 +37,28 @@ multinomial, laid out and uniformly permuted):
   Each valid word has exactly N distinct rotations, so conditional
   uniformity is preserved and the composite law is again exactly Gibbs.
 
-The class sequences of a batch are drawn at once, one byte per vertex below
-D = 128; the samplers then yield the words or rotations in row groups of
-``group_rows`` trees, each made when it is taken and freed before the next
-is made.  ``rng.permuted`` draws row after row, so the words do not depend
-on the group size.
+The profiles of a batch are drawn at once, (trees, classes) int64; the
+samplers then yield its trees in row groups of ``group_rows``, each laid
+out from its profiles, permuted, and made into words or rotations when it
+is taken, and freed before the next is made.  A group comes with the sum of
+its profiles, its class totals.  ``rng.permuted`` draws row after row, and
+the labeled words are permuted on a second stream, the batch stream jumped
+ahead once after the profiles, so no draw depends on the group size.
 
 Text serialization: a labeled tree is its sorted edge list, one ``u v`` line
-per edge; a plane tree is one line of space-separated child counts.  Both are
-newline-terminated ASCII.  ``write_sample`` writes the row groups without
-tree objects or per-tree formatting: per group, labeled words are decoded to
-int32 edge arrays by ``word_edges``, and the values are encoded, in pieces
-of at most a quarter of ``WRITE_BLOCK_BYTES``, with one gather from a table
-of digit-and-separator cells (the labeled separators end each tree in a
-blank line), one ``tobytes`` and one deletion of the padding bytes.
-``WRITE_BLOCK_BYTES`` bounds in bytes all that a group holds, from its
-words to its text, at the bytes per value that were traced for each stage
-(``group_rows``).  One tree larger than that holds about 30 (labeled) or 8
-(plane) bytes per vertex, beside a text table of three or two cells per
-label.  ``LabeledTree.to_text`` is the single-tree form of the same text.
+per edge, then a blank line; a plane tree is one line of space-separated
+child counts.  Both are newline-terminated ASCII.  ``write_sample`` writes
+the row groups without tree objects or per-tree formatting: per group,
+labeled words are decoded to int32 edge arrays by ``word_edges``, and the
+values are encoded, in pieces of at most a quarter of
+``WRITE_BLOCK_BYTES``, with one gather from a table of cells of a value's
+digits and one separator (and one cell of a lone newline, each labeled
+tree's blank line), one ``tobytes`` and one deletion of the padding bytes.
+``WRITE_BLOCK_BYTES`` bounds in bytes all that a group holds, from its class
+rows to its text, at the bytes per cell that were traced for each stage
+(``group_rows``).  One tree larger than that holds about 30 (labeled) or 9
+(plane) bytes per vertex, beside a text table of two cells per label.
+``LabeledTree.to_text`` is the single-tree form of the same text.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ensembles import EnsembleSpec, Kind
 from .errors import BadLabel, KindMismatch, NotATree, TooLarge
-from .partition import sample_class_sequences
+from .partition import sample_class_sequences, sample_profiles
 
 MAX_ENUM_LABELED = 8
 MAX_ENUM_PLANE = 12
@@ -232,9 +236,9 @@ def _require_kind(spec: EnsembleSpec, kind: Kind, what: str) -> None:
 
 def sample_prufer_codes(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``size`` tree words drawn exactly from the Gibbs measure, in
-    groups of ``group_rows`` rows.
+    groups of ``group_rows`` rows, each with its class totals.
 
     Row m is a word of length N-2 over 1..N in which vertex v appears
     deg(v) - 1 times, uniformly permuted; ``word_edges`` maps it to its
@@ -243,40 +247,52 @@ def sample_prufer_codes(
     over this output are tree-level statistics.  (The rows are also
     Prufer codes of trees with the same law, hence the name.)
 
-    The degrees of all ``size`` draws are drawn at once, as one
-    small-integer class table (``sample_class_sequences``); each group's
-    words are laid out and permuted only when it is taken.  ``rng.permuted`` draws row by
-    row, so the words are those of one permute over the whole batch.
+    The degree profiles of all ``size`` draws are drawn first
+    (``sample_profiles``); a group's degree rows are laid out and permuted
+    on ``rng`` (``sample_class_sequences``), and its words on a second
+    stream, ``rng`` jumped ahead once after the profiles (its bit generator
+    must have ``jumped``, as the PCG64 of ``rng_stream`` has), only when the
+    group is taken.  ``rng.permuted`` draws row after row, so neither
+    depends on the group size.  A group comes with the summed profiles of
+    its rows: its count of vertices per shifted class.
     """
     _require_kind(spec, Kind.LABELED, "labeled sampling")
-    degrees = sample_class_sequences(spec, N, size, rng)
+    profiles = sample_profiles(spec, N, size, rng)
+    word_rng = np.random.Generator(rng.bit_generator.jumped())
     step = group_rows(spec, N)
     for start in range(0, size, step):
-        part = degrees[start : start + step]
-        words = np.repeat(np.tile(np.arange(1, N + 1), part.shape[0]), (part - 1).ravel())
-        words = words.reshape(part.shape[0], N - 2)
-        yield rng.permuted(words, axis=1, out=words)
+        group = profiles[start : start + step]
+        occurrences = sample_class_sequences(spec, group, rng)
+        occurrences -= 1  # of each vertex in the word
+        words = np.repeat(np.tile(np.arange(1, N + 1), group.shape[0]), occurrences.ravel())
+        del occurrences
+        words = words.reshape(group.shape[0], N - 2)
+        yield word_rng.permuted(words, axis=1, out=words), group.sum(axis=0)
         del words  # freed before the next group is made
 
 
 def sample_plane_child_counts(
     spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``size`` plane trees as preorder child-count rows, in groups of
-    ``group_rows`` rows: the class sequences of all of them, drawn at once
-    by ``sample_class_sequences``, each rotated by the cycle lemma when its
-    group is taken."""
+    ``group_rows`` rows, each with its class totals: the profiles of all of
+    them, drawn first by ``sample_profiles``, and a group's class sequences,
+    laid out and permuted by ``sample_class_sequences`` and rotated by the
+    cycle lemma, when it is taken.  The rows have the smallest signed
+    integer type that holds D (one byte per vertex below D = 128)."""
     _require_kind(spec, Kind.PLANE, "plane sampling")
-    counts = sample_class_sequences(spec, N, size, rng)
+    profiles = sample_profiles(spec, N, size, rng)
+    small = np.min_scalar_type(-spec.D - 1)  # holds -1..D
     step = group_rows(spec, N)
     for start in range(0, size, step):
-        part = counts[start : start + step]
-        starts = _lukasiewicz_starts(part)
+        group = profiles[start : start + step]
+        counts = sample_class_sequences(spec, group, rng).astype(small)
+        starts = _lukasiewicz_starts(counts)
         # row r of the doubled rows, read from starts[r] on, is its rotation
-        doubled = sliding_window_view(np.concatenate([part, part], axis=1), N, axis=1)
-        rotated = doubled[np.arange(part.shape[0]), starts]
-        del doubled
-        yield rotated
+        doubled = sliding_window_view(np.concatenate([counts, counts], axis=1), N, axis=1)
+        rotated = doubled[np.arange(group.shape[0]), starts]
+        del counts, doubled
+        yield rotated, group.sum(axis=0)
         del rotated  # freed before the next group is made
 
 
@@ -284,23 +300,23 @@ def sample_plane_child_counts(
 # batch text writer
 
 #: Ceiling on the bytes that one row group of the samplers holds at its
-#: peak, from laying out its words or rotations to writing its text, the
-#: text table included (``group_rows``).  At N = 1000 a group holds 28
-#: labeled or 81 plane trees; from N of about 10^4 (labeled) or 4*10^4
-#: (plane) it is one tree, whose text is still written in pieces of a
-#: quarter of the budget.
+#: peak, from laying out its class rows to writing its text, the text table
+#: included (``group_rows``).  At N = 1000 a group holds 32 labeled or 72
+#: plane trees; from N of about 1.3*10^4 (labeled) or 3.7*10^4 (plane) it is
+#: one tree, whose text is still written in pieces of a quarter of the budget.
 WRITE_BLOCK_BYTES = 2**20
 
-#: Bytes that a row group's arrays hold at their peak per text value, by
-#: kind, with two values more per tree for its per-row arrays, traced with
-#: tracemalloc over N = 2..20000: the int64 words, their class tally and
-#: their decode by ``word_edges`` (labeled), or the int8 counts, their
-#: rotation and class tally (plane; traced with the rotation gathered
-#: through int32 indices, which hold more than its doubled int8 copy), then
-#: the int32 table indices.
-_VALUE_BYTES = {Kind.LABELED: 11, Kind.PLANE: 8}
+#: Bytes that a row group's arrays hold at their peak per text cell, by
+#: kind, with two cells more per tree for its per-row arrays, traced with
+#: tracemalloc over N = 2..20000 and budgets of 2^12..2^22 B: the words'
+#: decode by ``word_edges`` and their int32 table indices, after the int64
+#: class rows and their layout into int64 words (labeled), or the int64
+#: class rows and their int8 copy, before the rotation and the int32 table
+#: indices (plane).  A plane group's peak holds no text, so it fills about
+#: 0.62 of the budget; a labeled group about 0.84.
+_VALUE_BYTES = {Kind.LABELED: 10, Kind.PLANE: 9}
 
-#: Copies of a text cell that ``write_sample`` holds at once per value of a
+#: Copies of a text cell that ``write_sample`` holds at once per cell of a
 #: text piece: the gathered cells, their bytes, the text without padding
 #: and its encoding by ``out``, of which at most three live together.
 _CELL_COPIES = 3
@@ -309,24 +325,19 @@ _CELL_COPIES = 3
 #: numpy's casting and indexing buffers and the array objects.
 _CALL_BYTES = 2**17
 
-#: Separators written after a value, by kind: labeled rows are ``u v`` edge
-#: lines with a blank line after the last edge, plane rows are one
-#: space-separated line; the last one ends a tree.
-_SEPARATORS = {Kind.LABELED: (b" ", b"\n", b"\n\n"), Kind.PLANE: (b" ", b"\n")}
-
 
 def _text_shape(spec: EnsembleSpec, N: int) -> tuple[int, int, int]:
-    """Values per tree in its text, the largest of them, and the bytes of a
-    text cell: the 2(N-1) edge ends over labels up to N (labeled), or the N
-    child counts up to D (plane); a cell holds a value's digits and its
-    widest separator."""
-    n_values, top = (2 * (N - 1), N) if spec.kind is Kind.LABELED else (N, spec.D)
-    return n_values, top, len(str(top)) + max(map(len, _SEPARATORS[spec.kind]))
+    """Text cells per tree, the largest value written, and the bytes of a
+    cell: the 2(N-1) edge ends over labels up to N and the blank line that
+    ends the tree (labeled), or the N child counts up to D (plane); a cell
+    holds a value's digits and one separator."""
+    n_cells, top = (2 * N - 1, N) if spec.kind is Kind.LABELED else (N, spec.D)
+    return n_cells, top, len(str(top)) + 1
 
 
 def _piece_values(spec: EnsembleSpec, N: int) -> int:
-    """Values whose text ``write_sample`` gathers at once: a quarter of
-    ``WRITE_BLOCK_BYTES`` at ``_CELL_COPIES`` cells per value."""
+    """Cells whose text ``write_sample`` gathers at once: a quarter of
+    ``WRITE_BLOCK_BYTES`` at ``_CELL_COPIES`` copies per cell."""
     return max(1, WRITE_BLOCK_BYTES // (4 * _CELL_COPIES * _text_shape(spec, N)[2]))
 
 
@@ -335,23 +346,22 @@ def group_rows(spec: EnsembleSpec, N: int) -> int:
     ``WRITE_BLOCK_BYTES`` at ``_VALUE_BYTES``, beside what ``write_sample``
     holds once: the text table, one text piece and ``_CALL_BYTES``; and at
     least one."""
-    n_values, top, cell = _text_shape(spec, N)
-    cells = len(_SEPARATORS[spec.kind]) * (top + 1)  # of the text table
-    once = _CALL_BYTES + cell * (cells + _CELL_COPIES * _piece_values(spec, N))
-    return max(1, (WRITE_BLOCK_BYTES - once) // (_VALUE_BYTES[spec.kind] * (n_values + 2)))
+    n_cells, top, cell = _text_shape(spec, N)
+    once = _CALL_BYTES + cell * (2 * (top + 1) + 1 + _CELL_COPIES * _piece_values(spec, N))
+    return max(1, (WRITE_BLOCK_BYTES - once) // (_VALUE_BYTES[spec.kind] * (n_cells + 2)))
 
 
-def _text_table(top: int, seps: tuple[bytes, ...]) -> np.ndarray:
-    """Text cells of every (separator, value) pair, one fixed-width item each.
-
-    Item j * (top + 1) + v holds the ASCII digits of v (0 <= v <= top),
-    right-aligned, then ``seps[j]``; the other cells hold 0, so that
-    dropping the zero bytes of a gathered row leaves its ``%d`` text.
+def _text_table(top: int) -> np.ndarray:
+    """Text cells, one fixed-width item each: item v (0 <= v <= top) holds
+    the ASCII digits of v, right-aligned, then a space, item top + 1 + v the
+    same digits then a newline, and the last item a lone newline, the blank
+    line after a labeled tree.  The other bytes are 0, so that dropping the
+    zero bytes of gathered cells leaves their ``%d`` text.
     """
     digits = len(str(top))
-    sep_width = max(map(len, seps))
-    table = np.zeros((len(seps), top + 1, digits + sep_width), dtype=np.uint8)
+    table = np.zeros((2 * (top + 1) + 1, digits + 1), dtype=np.uint8)
     ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    numbers = table[:-1].reshape(2, top + 1, digits + 1)  # a view
     for col in range(digits):
         # the digit at ``place`` runs through 0..9 in runs of ``place``
         # values: top // place + 1 runs reach ``top``, no more are made
@@ -360,63 +370,62 @@ def _text_table(top: int, seps: tuple[bytes, ...]) -> np.ndarray:
         column = np.repeat(runs, place)[: top + 1]
         if place > 1:
             column[:place] = 0  # leading zeros
-        table[:, :, col] = column
-    for j, sep in enumerate(seps):
-        table[j, :, digits : digits + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
-    return table.reshape(-1).view(f"V{digits + sep_width}")
+        numbers[:, :, col] = column
+    numbers[0, :, digits] = ord(" ")
+    table[top + 1 :, digits] = ord("\n")
+    return table.reshape(-1).view(f"V{digits + 1}")
 
 
 def write_sample(spec: EnsembleSpec, groups, out) -> np.ndarray:
     """Write sampled trees to ``out`` as text; return their summed chi.
 
-    ``groups`` is a nonempty iterable of row arrays of one N, each of tree
-    words (labeled) or preorder child-count rows (plane), as the samplers
-    yield them; a lazy iterable is drawn one group at a time, and one text
+    ``groups`` is a nonempty iterable of (rows, class totals) pairs of one
+    N, as the samplers yield them: rows of tree words (labeled) or preorder
+    child counts (plane), and the count of their vertices per shifted
+    class.  A lazy iterable is drawn one group at a time, and one text
     table, sized by the first group, serves all of them.  Labeled rows are
     decoded by ``word_edges``.  The text of tree r equals
     ``LabeledTree(N, edges).to_text() + "\n"`` (labeled) or its counts
     joined by spaces and ended by a newline (plane).  Each group is encoded
     without per-tree formatting: one gather of each value's digits and
-    separator from ``_text_table``, one ``tobytes`` and one deletion of the
-    padding bytes, which no digit or separator contains.  Its text is
-    written before the next group is drawn, so the working arrays are those
-    of one group, bounded by ``WRITE_BLOCK_BYTES`` when the samplers made
-    it (``group_rows``).  The result counts vertices per shifted class over
-    all rows; every class must be within the bound.
+    separator, and of each labeled tree's blank line, from ``_text_table``,
+    one ``tobytes`` and one deletion of the padding bytes, which no digit or
+    separator contains.  Its text is written before the next group is
+    drawn, so the working arrays are those of one group, bounded by
+    ``WRITE_BLOCK_BYTES`` when the samplers made it (``group_rows``).  The
+    result sums the class totals of the groups.
     """
     groups = iter(groups)
-    rows = next(groups)
+    rows, counts = next(groups)
     labeled = spec.kind is Kind.LABELED
     N = rows.shape[1] + 2 if labeled else rows.shape[1]
-    n_values, top, _ = _text_shape(spec, N)
-    table = _text_table(top, _SEPARATORS[spec.kind])
+    n_cells, top, _ = _text_shape(spec, N)
+    table = _text_table(top)
     piece = _piece_values(spec, N)
 
-    def encode(part: np.ndarray) -> np.ndarray:
+    def encode(part: np.ndarray) -> None:
         # a frame of its own: a group's arrays die before the next draw
         if labeled:
-            # column 0 of the occurrences counts label 0, which no row holds
-            counts = np.bincount(row_counts(part, N + 1).ravel(), minlength=spec.n_classes)
-            counts[0] -= part.shape[0]
-            index = word_edges(part).reshape(part.shape[0], n_values)
+            edges = word_edges(part)
+            index = np.empty((part.shape[0], n_cells), dtype=edges.dtype)
+            index[:, :-1] = edges.reshape(part.shape[0], n_cells - 1)
+            del edges
             index[:, 1::2] += top + 1  # a newline after each edge
+            index[:, -1] = 2 * (top + 1)  # the blank line that ends a tree
         else:
-            flat = part.reshape(-1)  # tallied in pieces: bincount casts to intp
-            counts = sum(np.bincount(flat[start : start + piece], minlength=spec.n_classes)
-                         for start in range(0, flat.size, piece))
             index = part.astype(np.int32)
-        index[:, -1] += top + 1  # the separator that ends a tree
-        # the text in pieces of the group's values, row after row
+            index[:, -1] += top + 1  # the newline that ends a tree
+        # the text in pieces of the group's cells, row after row
         index = index.reshape(-1)
         for start in range(0, index.size, piece):
             text = table[index[start : start + piece]].tobytes()
             out.write(text.translate(None, b"\0").decode("ascii"))
             del text  # freed before the next piece is gathered
-        return counts
 
     totals = np.zeros(spec.n_classes, dtype=np.int64)
-    for rows in chain([rows], groups):
-        totals += encode(rows)
+    for rows, counts in chain([(rows, counts)], groups):
+        encode(rows)
+        totals += counts
         del rows  # freed before the next group is drawn
     return totals
 

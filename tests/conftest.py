@@ -34,7 +34,12 @@ from treegibbs import (
     rng_stream,
 )
 from treegibbs.combinatorics import log_factorial
-from treegibbs.partition import build_dp, profile_log_weights, sample_profiles
+from treegibbs.partition import (
+    build_dp,
+    profile_log_weights,
+    sample_class_sequences,
+    sample_profiles,
+)
 
 
 def word_tree(word) -> LabeledTree:
@@ -55,24 +60,32 @@ def word_tree(word) -> LabeledTree:
 
 
 def joined(groups) -> np.ndarray:
-    """The row groups that a sampler yields, as one array."""
-    return np.concatenate(list(groups))
+    """The rows of the row groups that a sampler yields, as one array."""
+    return np.concatenate([rows for rows, _ in groups])
+
+
+def class_rows(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator):
+    """The class rows of ``size`` draws, all at once: the profiles of
+    ``sample_profiles`` laid out and permuted by ``sample_class_sequences``."""
+    return sample_class_sequences(spec, sample_profiles(spec, N, size, rng), rng)
 
 
 def whole_block_draw(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator):
     """The ``size`` trees of one RNG block, every step over the whole block
-    in int64: the profiles of ``sample_profiles`` laid out as class rows and
-    permuted, then (labeled) each row's vertex labels repeated deg - 1 times
-    and permuted again, or (plane) each row rotated by the cycle lemma.
-    Returns the word rows (labeled) or the child-count rows (plane)."""
+    in int64: the profiles of ``sample_profiles``, laid out as class rows and
+    permuted on ``rng``, then (labeled) each row's vertex labels repeated
+    deg - 1 times and permuted on ``rng`` jumped ahead once after the
+    profiles, or (plane) each row rotated by the cycle lemma.  Returns the
+    word rows (labeled) or the child-count rows (plane)."""
     profiles = sample_profiles(spec, N, size, rng)
+    word_rng = np.random.Generator(rng.bit_generator.jumped())
     classes = np.repeat(np.tile(spec.classes(), size), profiles.ravel()).reshape(size, N)
     rng.permuted(classes, axis=1, out=classes)
     if spec.kind is Kind.PLANE:
         return np.array([np.roll(row, -cycle_lemma_rotation(row - 1)) for row in classes])
     labels = np.tile(np.arange(1, N + 1, dtype=np.int64), size)
     words = np.repeat(labels, (classes - 1).ravel()).reshape(size, N - 2)
-    return rng.permuted(words, axis=1, out=words)
+    return word_rng.permuted(words, axis=1, out=words)
 
 
 def reference_sample_text(

@@ -362,20 +362,19 @@ def test_sample_text_matches_per_tree_reconstruction(tmp_path, kind, monkeypatch
 
 
 def test_sample_memory_is_bounded_in_bytes():
-    # Labeled D=3, N=1000, 2000 trees: one RNG block.  Its class table has
-    # one byte per vertex; the proposal matrix of ``sample_profiles`` is its
-    # first batch, 1.2 * trees / (accept guess) + 16 rows of int64 class
-    # counts, held with its class sums and mask; and each row group spends
-    # at most WRITE_BLOCK_BYTES over its values, of which the decode and
-    # the encode hold a few at once.  Nothing is (trees, N) int64.
+    # Labeled D=3, N=1000, 2000 trees: one RNG block.  The proposal matrix
+    # of ``sample_profiles`` is its first batch, 1.2 * trees / (accept
+    # guess) + 16 rows of int64 class counts, held with its class sums and
+    # mask; and each row group spends at most WRITE_BLOCK_BYTES over its
+    # values, from its class rows to its text, of which the decode and the
+    # encode hold a few at once.  Nothing is (trees, N).
     N, samples = 1000, 2000
     spec = EnsembleSpec.labeled(3)
     q, _ = partition.tilt(spec, spec.kind.class_sum(N) / N)
     shifted = np.arange(spec.n_classes)
     var = float(q @ (shifted - q @ shifted) ** 2)
     proposal_rows = math.ceil(1.2 * samples * math.sqrt(2 * math.pi * N * var)) + 16
-    bound = (samples * N + 4 * treegen.WRITE_BLOCK_BYTES
-             + 2 * 8 * spec.n_classes * proposal_rows)
+    bound = 4 * treegen.WRITE_BLOCK_BYTES + 2 * 8 * spec.n_classes * proposal_rows
     argv = ["sample", "--kind", "labeled", "--bound", "3", "--n", str(N),
             "--samples", str(samples), "--seed", "1", "--out", os.devnull]
     tracemalloc.start()
@@ -661,9 +660,9 @@ def test_sample_builds_one_text_table(tmp_path, monkeypatch):
     builds: list[int] = []
     build = treegen._text_table
 
-    def spy(top, seps):
+    def spy(top):
         builds.append(top)
-        return build(top, seps)
+        return build(top)
 
     monkeypatch.setattr(treegen, "_text_table", spy)
     draws: list[int] = []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_log_partition,
     chi_square_check,
+    class_rows,
     dp_log_partition,
     gibbs_profile_law,
     iter_feasible_profiles,
@@ -34,7 +35,6 @@ from treegibbs import (
     log_prob_profile,
     log_sum,
     rng_stream,
-    sample_class_sequences,
     sample_profiles,
     solve_pstar,
 )
@@ -577,13 +577,13 @@ def test_row_cut_draws_are_feasible_profiles_above_the_cut(kind, D, beta, c_raw,
 def test_sample_degree_sequence_unique_profile():
     rng = rng_stream(7)
     for _ in range(20):
-        [degrees] = sample_class_sequences(EnsembleSpec.labeled(2), 5, 1, rng)
+        [degrees] = class_rows(EnsembleSpec.labeled(2), 5, 1, rng)
         assert sorted(degrees) == [1, 1, 2, 2, 2]
 
 
 def test_sampled_sequences_respect_budget():
     spec = EnsembleSpec(Kind.PLANE, 3, 0.9, (0.2, 0.0, -0.1, 0.5))
-    rows = sample_class_sequences(spec, 12, 200, rng_stream(11))
+    rows = class_rows(spec, 12, 200, rng_stream(11))
     assert rows.min() >= 0 and rows.max() <= 3
     np.testing.assert_array_equal(rows.sum(axis=1), np.full(200, 11))
 
@@ -599,7 +599,7 @@ MARGINAL_SPECS = [
 @pytest.mark.parametrize("spec", MARGINAL_SPECS)
 def test_backward_sampling_marginal_matches_chi_law(spec):
     N, draws = 8, 100_000
-    rows = sample_class_sequences(spec, N, draws, rng_stream(2024))
+    rows = class_rows(spec, N, draws, rng_stream(2024))
     observed: dict[tuple[int, ...], int] = {}
     for row in rows:
         key = tuple(np.bincount(row - spec.k_min, minlength=spec.n_classes).tolist())

@@ -19,7 +19,7 @@ from treegibbs import (
 )
 from treegibbs import partition
 from treegibbs.partition import tilt_probs
-from treegibbs.rate import j_values, manifold_grid
+from treegibbs.rate import _stationarity_residual, j_values, manifold_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -140,6 +140,31 @@ def test_stationarity_residual_over_positive_classes(D, beta, energy, bound):
         warnings.simplefilter("error")
         ctx = solve_pstar(spec)
     assert 0.0 <= ctx.stationarity_residual <= bound
+
+
+def test_stationarity_residual_matches_a_least_squares_fit():
+    # off the tilt family the deviation from the line is O(1); the closed
+    # form and numpy's least-squares fit agree up to rounding
+    rng = np.random.default_rng(5)
+    for kind, D in [(Kind.LABELED, 3), (Kind.LABELED, 6), (Kind.PLANE, 4)]:
+        spec = EnsembleSpec(kind, D, 0.7, tuple(rng.uniform(-1, 1, D - kind.k_min + 1)))
+        p = rng.dirichlet(np.ones(spec.n_classes))
+        ks = spec.classes().astype(np.float64)
+        y = np.log(p) + spec.beta * spec.energies() + partition.word_log_weights(spec)
+        want = float(np.abs(y - np.polyval(np.polyfit(ks, y, 1), ks)).max())
+        assert abs(_stationarity_residual(spec, p) - want) <= 1e-12 * want
+
+
+def test_solve_pstar_calls_no_least_squares_solver(monkeypatch):
+    # the residual's line is fitted in closed form, so that no command
+    # loads LAPACK for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("least-squares solver called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for spec in (EnsembleSpec.labeled(3), EnsembleSpec(Kind.PLANE, 4, 1.0, (0, 0, 0, 1, 2))):
+        assert solve_pstar(spec).stationarity_residual <= 1e-8
 
 
 def test_rate_value_examples():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_same_text,
     chi_square_check,
+    class_rows,
     gibbs_tree_law,
     joined,
     tree_key,
@@ -41,11 +42,10 @@ from treegibbs import (
     enumerate_plane_trees,
     prufer_decode,
     rng_stream,
-    sample_class_sequences,
     sample_plane_child_counts,
     sample_prufer_codes,
 )
-from treegibbs import treegen
+from treegibbs import partition, treegen
 from treegibbs.treegen import word_edges, write_sample
 
 
@@ -157,13 +157,11 @@ def test_write_sample_labeled_matches_per_tree(N, count):
     codes = rng.integers(1, N + 1, size=(count, N - 2))
     spec = EnsembleSpec.labeled(max(N - 1, 2))  # every code's degrees fit
     out = io.StringIO()
-    totals = write_sample(spec, (codes[i : i + 100] for i in range(0, count, 100)), out)
+    write_sample(spec, untallied(codes[i : i + 100] for i in range(0, count, 100)), out)
     trees = [word_tree(row) for row in codes]
     occurrences = [np.bincount(row, minlength=N + 1)[1:] for row in codes]
     assert [t.degrees().tolist() for t in trees] == [(o + 1).tolist() for o in occurrences]
     assert_same_text(out.getvalue(), "".join(tree.to_text() + "\n" for tree in trees))
-    recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
-    assert totals.tolist() == recount.tolist()
 
 
 @pytest.mark.parametrize("N, count", [(1, 517), (2, 517), (9, 517), (300, 259)])
@@ -174,16 +172,22 @@ def test_write_sample_plane_matches_per_tree(N, count, monkeypatch):
     spec = EnsembleSpec.plane(3)
     groups = list(sample_plane_child_counts(spec, N, count, rng_stream(43, N)))
     step = treegen.group_rows(spec, N)
-    assert len(groups) > 1 and [g.shape[0] for g in groups] == [
+    assert len(groups) > 1 and [g.shape[0] for g, _ in groups] == [
         min(step, count - start) for start in range(0, count, step)
     ]
-    rows = np.concatenate(groups)
+    rows = joined(groups)
     out = io.StringIO()
     totals = write_sample(spec, groups, out)
     trees = [PlaneTree(tuple(row)) for row in rows]
     assert_same_text(out.getvalue(), "".join(tree.to_text() for tree in trees))
     recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
     assert totals.tolist() == recount.tolist()
+
+
+def untallied(groups):
+    """Row arrays as the (rows, class totals) pairs that ``write_sample``
+    reads, with totals of 0: the tests that use it check the text alone."""
+    return ((rows, 0) for rows in groups)
 
 
 def _percent_d_text(spec, rows):
@@ -200,11 +204,11 @@ def test_text_encoder_matches_percent_d_at_digit_boundaries(top):
     # labeled tree (every label 1..N is written) or the plane bound D
     words = rng_stream(7, top).integers(1, top + 1, size=(3, top - 2))
     out = io.StringIO()
-    write_sample(EnsembleSpec.labeled(top - 1), [words], out)
+    write_sample(EnsembleSpec.labeled(top - 1), untallied([words]), out)
     assert out.getvalue() == _percent_d_text(EnsembleSpec.labeled(top - 1), words)
     rows = np.stack([np.arange(top + 1), np.arange(top, -1, -1)])
     out = io.StringIO()
-    write_sample(EnsembleSpec.plane(top), [rows], out)
+    write_sample(EnsembleSpec.plane(top), untallied([rows]), out)
     assert out.getvalue() == _percent_d_text(EnsembleSpec.plane(top), rows)
 
 
@@ -213,13 +217,13 @@ def test_text_encoder_on_the_smallest_trees(N):
     plane = EnsembleSpec.plane(2)
     rows = enumerate_plane_trees(N, 2)
     out = io.StringIO()
-    write_sample(plane, [rows], out)
+    write_sample(plane, untallied([rows]), out)
     assert out.getvalue() == _percent_d_text(plane, rows)
     if N >= 2:  # labeled trees need two vertices
         labeled = EnsembleSpec.labeled(2)
         words = _all_words(N)
         out = io.StringIO()
-        write_sample(labeled, [words], out)
+        write_sample(labeled, untallied([words]), out)
         assert out.getvalue() == _percent_d_text(labeled, words)
         assert out.getvalue() == "".join(word_tree(w).to_text() + "\n" for w in words)
 
@@ -339,7 +343,7 @@ def test_labeled_sampler_degenerate_d2():
     spec = EnsembleSpec.labeled(2)
     rng = rng_stream(5)
     for _ in range(10):
-        [words] = sample_prufer_codes(spec, 5, 1, rng)
+        [(words, _)] = sample_prufer_codes(spec, 5, 1, rng)
         tree = LabeledTree(5, tuple(map(tuple, word_edges(words)[0].tolist())))
         degs = sorted(tree.degrees())
         assert degs == [1, 1, 2, 2, 2]  # always a path
@@ -349,7 +353,7 @@ def test_plane_sampler_degenerate_d1():
     spec = EnsembleSpec.plane(1)
     rng = rng_stream(5)
     for N in (1, 4, 7):
-        [rows] = sample_plane_child_counts(spec, N, 1, rng)
+        [(rows, _)] = sample_plane_child_counts(spec, N, 1, rng)
         tree = PlaneTree(tuple(int(v) for v in rows[0]))
         assert tree.child_counts == (1,) * (N - 1) + (0,)
 
@@ -453,17 +457,22 @@ def test_sampler_rows_property(kind, data):
     )
     spec = EnsembleSpec(kind, D, beta, tuple(energies))
     seed, size = data.draw(st.integers(0, 2**32), label="seed"), 5
-    classes = sample_class_sequences(spec, N, size, rng_stream(seed))
+    classes = class_rows(spec, N, size, rng_stream(seed))
     assert classes.shape == (size, N)
     assert classes.min() >= spec.k_min and classes.max() <= D
     assert (classes.sum(axis=1) == kind.class_sum(N)).all()
-    # The tree samplers draw the same class rows from the same stream first.
+    # The tree samplers draw the same class rows from the same stream first,
+    # and their groups come with the class totals of their rows.
+    draw = sample_prufer_codes if kind is Kind.LABELED else sample_plane_child_counts
+    groups = list(draw(spec, N, size, rng_stream(seed)))
+    rows = joined(groups)
+    totals = sum(totals for _, totals in groups)
+    tally = np.bincount((classes - spec.k_min).ravel(), minlength=spec.n_classes)
+    assert totals.tolist() == tally.tolist()
     if kind is Kind.LABELED:
-        codes = joined(sample_prufer_codes(spec, N, size, rng_stream(seed)))
-        for code, degrees in zip(codes, classes):
+        for code, degrees in zip(rows, classes):
             assert prufer_decode(code).degrees().tolist() == degrees.tolist()
     else:
-        rows = joined(sample_plane_child_counts(spec, N, size, rng_stream(seed)))
         walks = np.cumsum(rows - 1, axis=1)
         assert (walks[:, :-1] >= 0).all() and (walks[:, -1] == -1).all()
         np.testing.assert_array_equal(np.sort(rows, axis=1), np.sort(classes, axis=1))
@@ -478,12 +487,13 @@ def test_tree_key_is_the_prufer_bijection():
 
 def traced_group_peak(spec, N, size, budget=None):
     """Peak bytes that ``write_sample`` allocates while it draws and writes
-    ``size`` trees from the samplers, their class table drawn beforehand,
-    at a ``WRITE_BLOCK_BYTES`` of ``budget`` (the default when None)."""
+    ``size`` trees from the samplers, from each group's class rows to its
+    text, their profiles drawn beforehand, at a ``WRITE_BLOCK_BYTES`` of
+    ``budget`` (the default when None)."""
     draw = sample_prufer_codes if spec.kind is Kind.LABELED else sample_plane_child_counts
-    table = sample_class_sequences(spec, N, size, rng_stream(1))
-    saved = treegen.sample_class_sequences, treegen.WRITE_BLOCK_BYTES
-    treegen.sample_class_sequences = lambda *args: table
+    profiles = partition.sample_profiles(spec, N, size, rng_stream(1))
+    saved = treegen.sample_profiles, treegen.WRITE_BLOCK_BYTES
+    treegen.sample_profiles = lambda spec, N, size, rng: profiles[:size]
     treegen.WRITE_BLOCK_BYTES = budget or saved[1]
     try:
         with open(os.devnull, "w", encoding="ascii") as out:
@@ -496,7 +506,7 @@ def traced_group_peak(spec, N, size, budget=None):
             finally:
                 tracemalloc.stop()
     finally:
-        treegen.sample_class_sequences, treegen.WRITE_BLOCK_BYTES = saved
+        treegen.sample_profiles, treegen.WRITE_BLOCK_BYTES = saved
 
 
 @settings(max_examples=40, deadline=None)
@@ -519,23 +529,32 @@ def test_a_row_group_holds_at_most_the_write_budget(kind, N, budget):
 
 
 #: Bytes per vertex that one tree past the write budget holds at its peak,
-#: beside its text table (``treegen.WRITE_BLOCK_BYTES``): the int64 word and
-#: its decode by ``word_edges`` (labeled), or the rotated int8 row with its
-#: int32 table indices and one text piece, 7.65 B traced at N = 10^5 (5.27 B
-#: at 10^6), where a rotation gathered through an int32 index matrix holds
-#: 8.02 B (plane).
+#: beside its text table (``treegen.WRITE_BLOCK_BYTES``), from its words or
+#: rotation on: the int64 word and its decode by ``word_edges`` (labeled),
+#: or the rotated int8 row with its int32 table indices and one text piece,
+#: 7.65 B traced at N = 10^5 (5.27 B at 10^6), where a rotation gathered
+#: through an int32 index matrix holds 8.02 B (plane).
 ONE_TREE_BYTES = {Kind.LABELED: 32, Kind.PLANE: 8}
+
+#: Bytes per vertex that one tree holds before: the int64 class row that
+#: ``partition.sample_class_sequences`` lays out and permutes, and its int8
+#: copy for the rotation, 9 B traced for a plane tree at N = 10^5 and 10^6
+#: beside 888 B of array objects (a labeled tree's row and its layout into
+#: words hold 24 B).
+CLASS_ROW_BYTES = 8 + 1
 
 
 @pytest.mark.parametrize("kind", list(Kind))
 def test_one_large_tree_is_bounded_per_vertex(kind):
     # N = 10^5: one tree is a group of its own, and its text is written in
-    # pieces; the text table holds three (labeled) or two (plane) cells per
-    # value up to the largest, N or D.
+    # pieces; the text table holds two cells per value up to the largest, N
+    # or D, and the blank line cell.
     N = 100_000
     spec = EnsembleSpec.labeled(3) if kind is Kind.LABELED else EnsembleSpec.plane(3)
     assert treegen.group_rows(spec, N) == 1
-    n_values, top, cell = treegen._text_shape(spec, N)
-    table = len(treegen._SEPARATORS[kind]) * (top + 1) * cell
+    n_cells, top, cell = treegen._text_shape(spec, N)
+    table = (2 * (top + 1) + 1) * cell
     peak = traced_group_peak(spec, N, 1)
-    assert peak <= ONE_TREE_BYTES[kind] * N + table, f"peak {peak} B"
+    objects = 2**10  # the headers of the tree's arrays
+    bound = max(ONE_TREE_BYTES[kind], CLASS_ROW_BYTES) * N + table + objects
+    assert peak <= bound, f"peak {peak} B > {bound} B"
