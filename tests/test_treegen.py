@@ -466,7 +466,7 @@ def test_sampler_rows_property(kind, data):
     draw = sample_prufer_codes if kind is Kind.LABELED else sample_plane_child_counts
     groups = list(draw(spec, N, size, rng_stream(seed)))
     rows = joined(groups)
-    totals = sum(totals for _, totals in groups)
+    totals = sum(group_totals for _, group_totals in groups)
     tally = np.bincount((classes - spec.k_min).ravel(), minlength=spec.n_classes)
     assert totals.tolist() == tally.tolist()
     if kind is Kind.LABELED:
