@@ -5,18 +5,13 @@ cut to the profiles that carry mass, exact tree samplers (profiles from the
 tilted multinomial conditioned on the class sum, then a Foata-Fuchs word ->
 tree map for labeled trees and the cycle lemma for plane trees), the
 explicit large-deviation rate function with its minimizer p*, and exact
-finite-N verification of the LDP and the law of large numbers.
+finite-N verification of the LDP and the law of large numbers.  Degree
+profiles are int64 arrays and class frequencies float64 arrays, one entry
+per class of the spec.
 """
 
 from .combinatorics import log_factorial, log_sum
-from .ensembles import (
-    CountVector,
-    EnsembleSpec,
-    FrequencyVector,
-    Kind,
-    is_feasible,
-    validate_spec,
-)
+from .ensembles import EnsembleSpec, Kind, validate_spec
 from .errors import (
     BadEnergyTable,
     BadLabel,

@@ -56,7 +56,7 @@ from itertools import chain
 import numpy as np
 
 from .combinatorics import log_sum
-from .ensembles import CountVector, EnsembleSpec, Kind
+from .ensembles import EnsembleSpec, Kind
 from .errors import TreeGibbsError
 from .ldp import convergence_table, lln_tail
 from .partition import (
@@ -237,7 +237,7 @@ def cmd_pstar(cfg: RunConfig, out) -> int:
     out.write(f"kind = {spec.kind.value}\n")
     out.write(f"bound = {spec.D}\n")
     out.write(f"beta = {fmt(spec.beta)}\n")
-    out.write("pstar = " + " ".join(fmt(v) for v in ctx.pstar.p) + "\n")
+    out.write("pstar = " + " ".join(fmt(v) for v in ctx.pstar) + "\n")
     out.write(f"J_star = {fmt(ctx.Jstar)}\n")
     out.write(f"boundary = {'true' if ctx.boundary else 'false'}\n")
     if ctx.tilt_x is not None:
@@ -261,9 +261,9 @@ def cmd_sample(cfg: RunConfig, out) -> int:
     freq = class_totals / float(cfg.samples * N)
     out.write("# summary\n")
     out.write("class,frequency,pstar\n")
-    for k, f, p in zip(spec.classes(), freq, ctx.pstar.p):
+    for k, f, p in zip(spec.classes(), freq, ctx.pstar):
         out.write(f"{k},{fmt(f)},{fmt(p)}\n")
-    dist = float(np.abs(freq - ctx.pstar.p).sum())
+    dist = float(np.abs(freq - ctx.pstar).sum())
     out.write(f"# l1_distance_to_pstar = {fmt(dist)}\n")
     return 0
 
@@ -327,10 +327,7 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     # against its one ln Z; its total over them must be 1, which also
     # catches mass on a profile the trees miss and a deviation spread too
     # thin to show in any one
-    law = np.array([
-        math.exp(log_prob_profile(spec, N, CountVector(spec.kind, tuple(chi)), log_z_cut))
-        for chi in profiles.tolist()
-    ])
+    law = np.array([math.exp(log_prob_profile(spec, N, chi, log_z_cut)) for chi in profiles])
     dev_law = float(np.abs(np.exp(log_weights - log_z) - law).max())
     suites.append(("chi-law", max(dev_law, abs(math.fsum(law) - 1.0))))
 

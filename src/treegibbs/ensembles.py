@@ -10,7 +10,10 @@ Two ensemble kinds are supported:
   ``0..D``.  Classes are child counts, the feasible class sum is
   ``N - 1`` and the manifold constraint is ``sum k p_k = 1``.
 
-All types are immutable value objects and safe to share between workers.
+A spec is an immutable value object.  A degree profile chi is an int64
+array of ``n_classes`` counts and a frequency vector an array of as many
+floats, class ``k_min`` first; each function that takes one checks it
+where it enters (``frequency_array`` for frequencies).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadEnergyTable, BoundTooSmall, KindMismatch, OffManifold
+from .errors import BadEnergyTable, BoundTooSmall, KindMismatch
 
 #: Absolute tolerance for both linear manifold constraints.
 MANIFOLD_TOL = 1e-12
@@ -141,116 +144,19 @@ def validate_spec(spec: EnsembleSpec) -> EnsembleSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """Integer vertex counts per class (degree or child count)."""
+def frequency_array(spec: EnsembleSpec, p) -> np.ndarray:
+    """``p`` as a fresh float64 array of class frequencies for ``spec``.
 
-    kind: Kind
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(v) for v in self.counts)
-        if any(v < 0 for v in counts):
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def N(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def k_min(self) -> int:
-        return self.kind.k_min
-
-    def classes(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_min + len(self.counts))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
-
-    def weighted_sum(self) -> int:
-        """sum_k k * counts_k, in exact integer arithmetic."""
-        return sum(int(k) * v for k, v in zip(self.classes(), self.counts))
-
-
-def is_feasible(n: CountVector, spec: EnsembleSpec) -> bool:
-    """True iff ``n`` can be the class profile of a tree under ``spec``.
-
-    Labeled trees need ``sum k n_k = 2N - 2``; plane trees need
-    ``sum k n_k = N - 1``.  The total-count constraint holds by
-    construction of CountVector.
+    Raises ValueError unless ``p`` has one entry per class, each in
+    [-MANIFOLD_TOL, 1 + 1e-9].  The point need not lie on the manifold:
+    empirical frequencies ``chi/N`` miss the mean constraint by exactly
+    ``2/N`` (labeled) or ``1/N`` (plane).
     """
-    if n.kind is not spec.kind:
-        raise KindMismatch(
-            f"count vector kind {n.kind.value} does not match spec {spec.kind.value}"
-        )
-    if len(n.counts) != spec.n_classes:
-        raise ValueError(
-            f"count vector has {len(n.counts)} classes, spec needs {spec.n_classes}"
-        )
-    return n.weighted_sum() == spec.kind.class_sum(n.N)
-
-
-@dataclass(frozen=True, eq=False)
-class FrequencyVector:
-    """Real class-frequency vector; entries in [0, 1].
-
-    Not necessarily on the manifold: empirical frequencies ``chi/N`` miss
-    the mean constraint by exactly ``2/N`` (labeled) or ``1/N`` (plane).
-    """
-
-    kind: Kind
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.array(self.p, dtype=np.float64, copy=True)
-        if p.ndim != 1:
-            raise ValueError("frequency vector must be one-dimensional")
-        if np.any(p < -MANIFOLD_TOL) or np.any(p > 1.0 + 1e-9):
-            raise ValueError("frequencies must lie in [0, 1]")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def k_min(self) -> int:
-        return self.kind.k_min
-
-    @property
-    def D(self) -> int:
-        return self.k_min + self.p.size - 1
-
-    def classes(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_min + self.p.size)
-
-    def mean_class(self) -> float:
-        return float(self.classes() @ self.p)
-
-    def mass(self) -> float:
-        return float(self.p.sum())
-
-    def l1(self, other: "FrequencyVector") -> float:
-        return float(np.abs(self.p - other.p).sum())
-
-    def on_manifold(self, tol: float = MANIFOLD_TOL) -> bool:
-        return (
-            abs(self.mass() - 1.0) <= tol
-            and abs(self.mean_class() - self.kind.mean) <= tol
-        )
-
-    def require_on_manifold(self, tol: float = MANIFOLD_TOL) -> "FrequencyVector":
-        if not self.on_manifold(tol):
-            raise OffManifold(
-                f"frequency vector off manifold: mass={self.mass()!r}, "
-                f"mean={self.mean_class()!r} (target {float(self.kind.mean)})"
-            )
-        return self
-
-
-def as_frequency(spec: EnsembleSpec, p) -> FrequencyVector:
-    """Coerce an array-like (or pass through a FrequencyVector) for ``spec``."""
-    fv = p if isinstance(p, FrequencyVector) else FrequencyVector(spec.kind, p)
-    if fv.kind is not spec.kind:
-        raise KindMismatch("frequency vector kind does not match spec")
-    if fv.p.size != spec.n_classes:
+    p = np.array(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("frequency vector must be one-dimensional")
+    if np.any(p < -MANIFOLD_TOL) or np.any(p > 1.0 + 1e-9):
+        raise ValueError("frequencies must lie in [0, 1]")
+    if p.size != spec.n_classes:
         raise ValueError("frequency vector length does not match spec")
-    return fv
+    return p

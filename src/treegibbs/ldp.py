@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import NEG_INF
-from .ensembles import EnsembleSpec, FrequencyVector, as_frequency
+from .ensembles import EnsembleSpec, frequency_array
 from .partition import log_mass
 from .rate import RateContext, rate_value, solve_pstar
 
@@ -27,15 +27,14 @@ from .rate import RateContext, rate_value, solve_pstar
 def log_prob_ball(spec: EnsembleSpec, N: int, center, eps: float) -> float:
     """ln P_N{ |chi/N - center|_1 <= eps } over the closed l1 ball.
 
-    The center may be any vector in [0,1]^K, on or off the manifold.
-    Returns -inf when no feasible profile falls inside the ball.  The
+    The center may be any vector in [0,1]^K (``frequency_array``), on or
+    off the manifold.  Returns -inf when no feasible profile falls inside the ball.  The
     lattice is streamed, never held: one batch of its rows and one block of
     their points hold at most ``partition.LATTICE_BYTES`` at any N.
     """
     if not eps > 0:  # NaN fails too
         raise ValueError(f"eps must be positive, got {eps!r}")
-    center_arr = as_frequency(spec, center).p
-    return log_mass(spec, N, center_arr, lambda dist: dist <= eps)
+    return log_mass(spec, N, frequency_array(spec, center), lambda dist: dist <= eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +43,10 @@ class RateTableRow:
 
     N: int
     eps: float
-    target: FrequencyVector
     log_prob: float
     rate: float
-    rate_limit: float  # I(target)
-    gap: float  # rate - I(target)
+    rate_limit: float  # I(p)
+    gap: float  # rate - I(p)
 
 
 def convergence_table(
@@ -59,13 +57,15 @@ def convergence_table(
     *,
     ctx: RateContext | None = None,
 ) -> list[RateTableRow]:
-    """Exact finite-N rates at a fixed on-manifold target for increasing N."""
+    """Exact finite-N rates at a fixed on-manifold target ``p`` for
+    increasing N; raises ValueError (``frequency_array``) or OffManifold
+    when ``p`` is not a point of the manifold."""
     n_values = [int(v) for v in n_values]
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("N values must be strictly increasing")
     if ctx is None:
         ctx = solve_pstar(spec)
-    target = as_frequency(spec, p)
+    target = frequency_array(spec, p)
     limit = rate_value(target, ctx)
     rows = []
     for N in n_values:
@@ -75,7 +75,6 @@ def convergence_table(
             RateTableRow(
                 N=N,
                 eps=eps,
-                target=target,
                 log_prob=lp,
                 rate=rate,
                 rate_limit=limit,
@@ -105,5 +104,5 @@ def lln_tail(
         raise ValueError(f"delta must be positive, got {delta!r}")
     if ctx is None:
         ctx = solve_pstar(spec)
-    lp = log_mass(spec, N, ctx.pstar.p, lambda dist: dist > delta)
+    lp = log_mass(spec, N, ctx.pstar, lambda dist: dist > delta)
     return 0.0 if lp == NEG_INF else math.exp(lp)

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import NEG_INF, log_factorial, log_factorials
-from .ensembles import CountVector, EnsembleSpec, Kind, is_feasible
+from .ensembles import EnsembleSpec, Kind
 from .errors import BadEnergyTable, LatticeTooLarge, NoFeasibleTree, SumMismatch
 
 #: Ceiling on what one batch of ``lattice_rows`` and one block of its points
@@ -234,20 +234,28 @@ def profile_log_weights(spec: EnsembleSpec, N: int, profiles: np.ndarray) -> np.
     return lnc - np.log(N) + gibbs
 
 
-def log_prob_profile(spec: EnsembleSpec, N: int, n: CountVector, log_z=None) -> float:
-    """Exact ln P_N{chi = n}, against ``log_z`` when given and otherwise
-    ``log_partition_value``; -inf for infeasible profiles.
+def log_prob_profile(spec: EnsembleSpec, N: int, n, log_z=None) -> float:
+    """Exact ln P_N{chi = n} for the profile ``n``, ``n_classes`` integer
+    counts with class ``k_min`` first, against ``log_z`` when given and
+    otherwise ``log_partition_value``; -inf for a profile whose class sum
+    no tree has.
 
-    Raises KindMismatch or ValueError when ``n`` does not fit the spec
-    (``is_feasible``) and SumMismatch when it does not account for all N
-    vertices.
+    Raises ValueError when ``n`` has the wrong shape or a negative count and
+    SumMismatch when it does not account for all N vertices.
     """
-    feasible = is_feasible(n, spec)
-    if n.N != N:
-        raise SumMismatch(f"profile sums to {n.N}, expected {N}")
-    if not feasible:
+    n = np.array(n, dtype=np.int64)
+    if n.ndim != 1:
+        raise ValueError("count vector must be one-dimensional")
+    if n.size != spec.n_classes:
+        raise ValueError(f"count vector has {n.size} classes, spec needs {spec.n_classes}")
+    counts = n.tolist()  # Python ints: the sums below are exact
+    if min(counts) < 0:
+        raise ValueError("counts must be nonnegative")
+    if sum(counts) != N:
+        raise SumMismatch(f"profile sums to {sum(counts)}, expected {N}")
+    if sum(k * v for k, v in enumerate(counts, spec.k_min)) != spec.kind.class_sum(N):
         return NEG_INF
-    lw = profile_log_weights(spec, N, n.as_array()[None, :])[0]
+    lw = profile_log_weights(spec, N, n[None, :])[0]
     return float(lw - (log_partition_value(spec, N) if log_z is None else log_z))
 
 

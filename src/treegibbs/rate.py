@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, FrequencyVector, as_frequency
+from .ensembles import MANIFOLD_TOL, EnsembleSpec, frequency_array
+from .errors import OffManifold
 from .partition import integer_lattice, lattice_rows, tilt, word_log_weights
 
 #: Free-coordinate spacing 1/GRID_RESOLUTION of the rate grid behind the
@@ -69,23 +70,38 @@ def j_values(spec: EnsembleSpec, pmat: np.ndarray) -> np.ndarray:
     return vals[0] if single else vals
 
 
+def manifold_point(spec: EnsembleSpec, p) -> np.ndarray:
+    """``frequency_array(spec, p)``, which must lie on M within
+    ``MANIFOLD_TOL``; raises OffManifold otherwise."""
+    p = frequency_array(spec, p)
+    mass, mean = float(p.sum()), float(spec.classes() @ p)
+    if not (abs(mass - 1.0) <= MANIFOLD_TOL and abs(mean - spec.kind.mean) <= MANIFOLD_TOL):
+        raise OffManifold(
+            f"frequency vector off manifold: mass={mass!r}, "
+            f"mean={mean!r} (target {spec.mean_target})"
+        )
+    return p
+
+
 def J_value(p, spec: EnsembleSpec) -> float:
     """J(p) for an on-manifold frequency vector; raises OffManifold otherwise."""
-    fv = as_frequency(spec, p)
-    fv.require_on_manifold()
-    return float(j_values(spec, fv.p))
+    return float(j_values(spec, manifold_point(spec, p)))
 
 
 @dataclass(frozen=True, eq=False)
 class RateContext:
-    """Solved minimizer: p*, J(p*), and the tilt parameter or boundary flag."""
+    """Solved minimizer: p* (a read-only array), J(p*), and the tilt
+    parameter, None at a boundary minimizer."""
 
     spec: EnsembleSpec
-    pstar: FrequencyVector
+    pstar: np.ndarray
     Jstar: float
     tilt_x: float | None
-    boundary: bool
     stationarity_residual: float
+
+    @property
+    def boundary(self) -> bool:
+        return self.tilt_x is None
 
 
 def _stationarity_residual(spec: EnsembleSpec, p: np.ndarray) -> float:
@@ -111,17 +127,16 @@ def solve_pstar(spec: EnsembleSpec) -> RateContext:
     p* is the tilt member at the manifold mean (``partition.tilt``: ln x by
     bisection to a mean-class residual of 1e-13).  When the target mean is
     the bound itself (labeled D = 2, plane D = 1) the minimizer is the
-    boundary point mass at class D and the boundary flag is set.
+    boundary point mass at class D and ``tilt_x`` is None (``boundary``).
     """
     p, t = tilt(spec, spec.mean_target)
-    boundary = t is None
+    p.setflags(write=False)
     return RateContext(
         spec=spec,
-        pstar=FrequencyVector(spec.kind, p),
+        pstar=p,
         Jstar=float(j_values(spec, p)),
-        tilt_x=None if boundary else float(np.exp(t)),
-        boundary=boundary,
-        stationarity_residual=float("nan") if boundary else _stationarity_residual(spec, p),
+        tilt_x=None if t is None else float(np.exp(t)),
+        stationarity_residual=float("nan") if t is None else _stationarity_residual(spec, p),
     )
 
 
@@ -157,7 +172,7 @@ def grid_inf_rate(ctx: RateContext, delta: float) -> float:
     # distance and two temporaries, its profile, grid point and J temporary
     for rows in lattice_rows(spec.k_min, spec.D, r, total, 8 * (ncls + 5)):
         for i, m2 in rows.pairs(rows.lo, rows.hi, 8 * (3 * ncls + 5)):
-            far = rows.distance(i, m2, ctx.pstar.p, r) > delta
+            far = rows.distance(i, m2, ctx.pstar, r) > delta
             if far.any():
                 best = min(best, float(j_values(spec, rows.profiles(i[far], m2[far]) / r).min()))
             del i, m2, far  # freed before the next block is built

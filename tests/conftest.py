@@ -130,7 +130,7 @@ def gibbs_profile_law(spec: EnsembleSpec, N: int) -> dict[tuple[int, ...], float
         trees = list(plane_trees(N, spec.D))
     weights: dict[tuple[int, ...], float] = {}
     for t in trees:
-        key = chi_of(t, spec).counts
+        key = tuple(chi_of(t, spec).tolist())
         weights[key] = weights.get(key, 0.0) + math.exp(-spec.beta * energy_of(t, spec))
     z = sum(weights.values())
     return {k: w / z for k, w in weights.items()}

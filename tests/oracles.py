@@ -18,26 +18,24 @@ from typing import Iterator
 import numpy as np
 
 from treegibbs import (
-    CountVector,
     EnsembleSpec,
-    FrequencyVector,
     Kind,
     KindMismatch,
     LabeledTree,
     NoFeasibleTree,
     NotATree,
+    OffManifold,
     SumMismatch,
     TreeGibbsError,
     enumerate_labeled_trees,
     enumerate_plane_trees,
-    is_feasible,
     j_values,
     log_factorial,
     log_sum,
     sample_profiles,
 )
 from treegibbs.combinatorics import log_factorials
-from treegibbs.ensembles import as_frequency
+from treegibbs.ensembles import frequency_array
 from treegibbs.partition import (
     MAX_PROPOSALS_PER_HIT,
     PROPOSAL_CELLS,
@@ -50,6 +48,7 @@ from treegibbs.partition import (
     tilt,
     word_log_weights,
 )
+from treegibbs.rate import manifold_point
 from treegibbs.treegen import _lukasiewicz_starts
 
 NEG_INF = float("-inf")
@@ -228,8 +227,9 @@ def plane_trees(N: int, D: int) -> Iterator[PlaneTree]:
     return (PlaneTree(tuple(row)) for row in enumerate_plane_trees(N, D).tolist())
 
 
-def chi_of(tree, spec: EnsembleSpec) -> CountVector:
-    """Class-count vector of one tree object; raises DegreeBoundExceeded past D."""
+def chi_of(tree, spec: EnsembleSpec) -> np.ndarray:
+    """Class-count vector (int64) of one tree object; raises
+    DegreeBoundExceeded past D."""
     if isinstance(tree, LabeledTree):
         kind, values = Kind.LABELED, tree.degrees()
     elif isinstance(tree, PlaneTree):
@@ -242,13 +242,12 @@ def chi_of(tree, spec: EnsembleSpec) -> CountVector:
         raise DegreeBoundExceeded(
             f"tree has class {int(values.max())}, spec bound is {spec.D}"
         )
-    counts = np.bincount(values - spec.k_min, minlength=spec.n_classes)
-    return CountVector(spec.kind, tuple(int(v) for v in counts))
+    return np.bincount(values - spec.k_min, minlength=spec.n_classes).astype(np.int64)
 
 
 def energy_of(tree, spec: EnsembleSpec) -> float:
     """Gibbs energy H(T) = sum_k c(k) chi_k(T)."""
-    return float(chi_of(tree, spec).as_array() @ spec.energies())
+    return float(chi_of(tree, spec) @ spec.energies())
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +263,26 @@ def entropy(p) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def g_term(p: FrequencyVector) -> float:
+def g_term(spec: EnsembleSpec, p) -> float:
     """Combinatorial term G(p) = sum p_k ln((k-1)!), labeled kind only.
 
     Identically zero when D <= 2 since ln 0! = ln 1! = 0.
     """
-    if p.kind is not Kind.LABELED:
+    if spec.kind is not Kind.LABELED:
         raise KindMismatch("G(p) is only defined for labeled ensembles")
-    return float(p.p @ log_factorials(p.classes() - 1))
+    return float(frequency_array(spec, p) @ log_factorials(spec.classes() - 1))
 
 
-def grid_minimize_J(spec: EnsembleSpec, resolution: int) -> FrequencyVector:
+def on_manifold(spec: EnsembleSpec, p) -> bool:
+    """True iff ``rate.manifold_point`` accepts ``p`` as a point of M."""
+    try:
+        manifold_point(spec, p)
+    except OffManifold:
+        return False
+    return True
+
+
+def grid_minimize_J(spec: EnsembleSpec, resolution: int) -> np.ndarray:
     """Brute-force minimizer of J: the first point of the rate grid at
     1/resolution (in ``rate.manifold_grid`` order) with the least J,
     streamed over the walk of ``rate.grid_inf_rate`` in blocks of
@@ -288,7 +296,7 @@ def grid_minimize_J(spec: EnsembleSpec, resolution: int) -> FrequencyVector:
             k = int(np.argmin(vals))
             if vals[k] < best:
                 best, point = vals[k], grid[k]
-    return FrequencyVector(spec.kind, point)
+    return point
 
 
 # M is parameterized by the free coordinates p_k for k >= k_min + 2; the two
@@ -327,9 +335,7 @@ def j_free_gradient(spec: EnsembleSpec, p) -> np.ndarray:
     Requires an interior point (all p_k > 0).  dJ/du_j collects the chain
     rule through the two pinned coordinates.
     """
-    fv = as_frequency(spec, p)
-    fv.require_on_manifold()
-    arr = fv.p
+    arr = manifold_point(spec, p)
     if np.any(arr <= 0.0):
         raise ValueError("gradient needs an interior point (all p_k > 0)")
     dJdp = np.log(arr) + 1.0 + spec.beta * spec.energies() + word_log_weights(spec)
@@ -349,7 +355,7 @@ def j_free_gradient(spec: EnsembleSpec, p) -> np.ndarray:
 # distance 4/N.  The set size always satisfies 1 <= |R(x)| <= D^2.
 
 
-def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
+def r_set_counts(n, spec: EnsembleSpec) -> list[np.ndarray]:
     """Integer numerators m of the minimal-distance manifold lattice set R(n/N).
 
     The manifold lattice at denominator N consists of integer vectors m >= 0
@@ -360,10 +366,12 @@ def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
     the transfer from b = 0 exists whenever class g does; only labeled D = 2
     has no class g, and its manifold lattice is the one point (0, N).
     """
-    if not is_feasible(n, spec):
+    counts = np.array(n, dtype=np.int64)
+    if counts.shape != (spec.n_classes,) or counts.min() < 0:
+        raise ValueError(f"r_set needs {spec.n_classes} nonnegative counts, got {n!r}")
+    N = int(counts.sum())
+    if int(spec.classes() @ counts) != spec.kind.class_sum(N):
         raise ValueError("r_set needs a feasible profile")
-    N = n.N
-    counts = n.as_array()
     gap = spec.kind.manifold_total(N) - spec.kind.class_sum(N)
     moves = []
     for b in range(spec.n_classes - gap):
@@ -375,22 +383,22 @@ def r_set_counts(n: CountVector, spec: EnsembleSpec) -> list[np.ndarray]:
     return moves or [np.array([0, N], dtype=np.int64)]
 
 
-def r_set(x, N: int, spec: EnsembleSpec) -> list[FrequencyVector]:
+def r_set(x, N: int, spec: EnsembleSpec) -> list[np.ndarray]:
     """R(x) for x = n/N: manifold lattice points at minimal l1 distance.
 
-    ``x`` may be a FrequencyVector or the profile counts themselves.
+    ``x`` may be the frequencies n/N (floats) or the profile counts n
+    themselves (integers).
     """
-    if isinstance(x, CountVector):
+    if np.issubdtype(np.asarray(x).dtype, np.integer):
         n = x
     else:
-        arr = as_frequency(spec, x).p * N
-        rounded = np.rint(arr)
-        if np.abs(arr - rounded).max() > 1e-6:
+        arr = frequency_array(spec, x) * N
+        n = np.rint(arr)
+        if np.abs(arr - n).max() > 1e-6:
             raise ValueError("x must be a lattice point n/N")
-        n = CountVector(spec.kind, tuple(int(v) for v in rounded))
     members = r_set_counts(n, spec)
     members.sort(key=lambda m: tuple(m))
-    return [FrequencyVector(spec.kind, m / float(N)) for m in members]
+    return [m / float(N) for m in members]
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,16 +407,14 @@ class CouplingSample:
 
     spec: EnsembleSpec
     N: int
-    x_counts: CountVector
+    x_counts: np.ndarray
     y_counts: tuple[int, ...]
     distance: float
     r_size: int
 
     @property
-    def y(self) -> FrequencyVector:
-        return FrequencyVector(
-            self.spec.kind, np.asarray(self.y_counts, dtype=np.float64) / self.N
-        )
+    def y(self) -> np.ndarray:
+        return np.asarray(self.y_counts, dtype=np.float64) / self.N
 
 
 def couple_samples(
@@ -421,19 +427,19 @@ def couple_samples(
     cache: dict[tuple[int, ...], list[np.ndarray]] = {}
     out = []
     for counts, u in zip(profiles, picks):
-        n = CountVector(spec.kind, tuple(int(v) for v in counts))
-        members = cache.get(n.counts)
+        key = tuple(counts.tolist())
+        members = cache.get(key)
         if members is None:
-            members = r_set_counts(n, spec)
+            members = r_set_counts(counts, spec)
             members.sort(key=lambda m: tuple(m))
-            cache[n.counts] = members
+            cache[key] = members
         pick = members[min(int(u * len(members)), len(members) - 1)]
-        dist = int(np.abs(pick - n.as_array()).sum())
+        dist = int(np.abs(pick - counts).sum())
         out.append(
             CouplingSample(
                 spec=spec,
                 N=N,
-                x_counts=n,
+                x_counts=counts,
                 y_counts=tuple(int(v) for v in pick),
                 distance=dist / N,
                 r_size=len(members),

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import assert_same_text, reference_sample_text
 from oracles import PlaneTree, chi_of, prufer_encode
 from treegibbs import (
-    CountVector,
     EnsembleSpec,
     Kind,
     LabeledTree,
@@ -188,7 +187,8 @@ def test_oracle_check_fails_on_a_wrong_chi_law(capsys, monkeypatch, fault):
     if fault == "missing-profile":
         def enumerate_all_but_rarest(N, D):
             rows = enumerate_rows(N, D)
-            return rows[[chi_of(PlaneTree(row), spec).counts != RAREST for row in rows.tolist()]]
+            keep = [tuple(chi_of(PlaneTree(row), spec).tolist()) != RAREST for row in rows.tolist()]
+            return rows[keep]
 
         monkeypatch.setattr(cli, "enumerate_plane_trees", enumerate_all_but_rarest)
     else:
@@ -201,7 +201,7 @@ def test_oracle_check_fails_on_a_wrong_chi_law(capsys, monkeypatch, fault):
     assert lines[2].startswith("chi-law max_deviation=") and lines[2].endswith(" FAIL")
     assert lines[3] == "oracle-check FAIL"
     if fault == "missing-profile":
-        missing = math.exp(read(spec, 10, CountVector(Kind.PLANE, RAREST)))
+        missing = math.exp(read(spec, 10, np.array(RAREST)))
         assert abs(float(lines[2].split()[1].split("=")[1]) / missing - 1) <= 1e-9
     if fault == "scaled":
         assert lines[1].endswith(" PASS")  # ln Z, read unshifted
@@ -592,7 +592,7 @@ def test_grid_inf_rate_matches_the_materialized_grid(monkeypatch, spec):
     ctx = solve_pstar(spec)
     grid = rate.manifold_grid(spec, 60)
     values = rate.j_values(spec, grid) - ctx.Jstar
-    dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
+    dist = np.abs(grid - ctx.pstar[None, :]).sum(axis=1)
     for delta in (0.02, 0.3, 2.5):
         want = values[dist > delta].min() if (dist > delta).any() else math.inf
         assert rate.grid_inf_rate(ctx, delta) == want
@@ -617,7 +617,7 @@ def test_grid_inf_rate_property(kind, D, beta, c_raw, resolution, delta, lattice
     ctx = solve_pstar(spec)
     grid = rate.manifold_grid(spec, resolution)
     values = rate.j_values(spec, grid) - ctx.Jstar
-    dist = np.abs(grid - ctx.pstar.p[None, :]).sum(axis=1)
+    dist = np.abs(grid - ctx.pstar[None, :]).sum(axis=1)
     want = values[dist > delta].min() if (dist > delta).any() else math.inf
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rate, "GRID_RESOLUTION", resolution)

@@ -32,9 +32,9 @@ from oracles import (
 )
 from treegibbs import (
     BadLabel,
-    CountVector,
     EnsembleSpec,
     Kind,
+    KindMismatch,
     LabeledTree,
     NotATree,
     TooLarge,
@@ -180,7 +180,7 @@ def test_write_sample_plane_matches_per_tree(N, count, monkeypatch):
     totals = write_sample(spec, groups, out)
     trees = [PlaneTree(tuple(row)) for row in rows]
     assert_same_text(out.getvalue(), "".join(tree.to_text() for tree in trees))
-    recount = sum(np.array(chi_of(tree, spec).counts) for tree in trees)
+    recount = sum(chi_of(tree, spec) for tree in trees)
     assert totals.tolist() == recount.tolist()
 
 
@@ -306,14 +306,14 @@ def test_enumerate_plane_is_every_valid_row_in_order(N, D):
 def test_chi_and_energy_examples():
     lab = EnsembleSpec(Kind.LABELED, 2, 1.0, (0.4, -0.1))
     path = LabeledTree(4, ((1, 2), (2, 3), (3, 4)))
-    assert chi_of(path, lab).counts == (2, 2)
+    assert chi_of(path, lab).tolist() == [2, 2]
     assert abs(energy_of(path, lab) - (2 * 0.4 + 2 * -0.1)) <= 1e-12
     lab3 = EnsembleSpec.labeled(3)
     star = LabeledTree(4, ((1, 4), (2, 4), (3, 4)))
-    assert chi_of(star, lab3).counts == (3, 0, 1)
+    assert chi_of(star, lab3).tolist() == [3, 0, 1]
     plane = EnsembleSpec.plane(2)
     plane_path = PlaneTree((1, 1, 1, 0))
-    assert chi_of(plane_path, plane).counts == (1, 3, 0)
+    assert chi_of(plane_path, plane).tolist() == [1, 3, 0]
 
 
 def test_chi_degree_bound():
@@ -356,6 +356,20 @@ def test_plane_sampler_degenerate_d1():
         [(rows, _)] = sample_plane_child_counts(spec, N, 1, rng)
         tree = PlaneTree(tuple(int(v) for v in rows[0]))
         assert tree.child_counts == (1,) * (N - 1) + (0,)
+
+
+@pytest.mark.parametrize(
+    "sampler, spec",
+    [
+        (sample_prufer_codes, EnsembleSpec.plane(3)),
+        (sample_plane_child_counts, EnsembleSpec.labeled(3)),
+    ],
+    ids=["labeled-sampler-plane-spec", "plane-sampler-labeled-spec"],
+)
+def test_sampler_refuses_the_other_kind(sampler, spec):
+    # a generator: the check runs when the first group is taken
+    with pytest.raises(KindMismatch, match="needs a"):
+        next(sampler(spec, 10, 5, rng_stream(1)))
 
 
 def test_plane_sample_rows_are_valid_trees():
