@@ -17,7 +17,6 @@ from .errors import (
     BadLabel,
     BoundTooSmall,
     KindMismatch,
-    LatticeTooLarge,
     NoFeasibleTree,
     NotATree,
     OffManifold,

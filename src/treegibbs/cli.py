@@ -34,7 +34,7 @@ whose profile log weights overflow at the requested N), 3 infeasible or
 oversize request (no tree at this size, or an ``oracle-check`` tree
 enumeration past its cap), 4 verification failure; an error exits with the
 ``exit_code`` of its class (``errors``).  No command materializes the
-profile lattice or the rate grid, so none is refused for their size:
+profile lattice or the rate grid:
 ``sample``, ``ldp-table`` and ``lln`` stream both and fold or draw only the
 profiles that carry mass (``partition``), ``lln`` takes its ``inf_I``
 column from the rate grid of ``rate.grid_inf_rate``, and ``oracle-check``

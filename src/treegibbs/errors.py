@@ -2,10 +2,8 @@
 
 ``exit_code`` on each class is the exit status of the command-line front
 end: 2 (the default) for a bad request, 3 for a well-formed request that is
-infeasible or oversize (``NoFeasibleTree``, ``TooLarge``, and
-``LatticeTooLarge``, which ``partition.integer_lattice`` raises past
-``partition.MAX_LATTICE_BYTES``; no command materializes a lattice).  The
-front end also exits 2 on a bad option or a plain ``ValueError``, and 4
+infeasible or oversize (``NoFeasibleTree``, ``TooLarge``).  The front
+end also exits 2 on a bad option or a plain ``ValueError``, and 4
 when ``oracle-check`` finds a deviation.
 """
 
@@ -35,12 +33,6 @@ class SumMismatch(TreeGibbsError, ValueError):
 
 class NoFeasibleTree(TreeGibbsError, ValueError):
     """No tree satisfies the ensemble constraints at this size."""
-
-    exit_code = 3
-
-
-class LatticeTooLarge(TreeGibbsError, ValueError):
-    """Profile lattice or rate grid past ``partition.MAX_LATTICE_BYTES``."""
 
     exit_code = 3
 

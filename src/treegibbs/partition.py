@@ -23,11 +23,12 @@ By the LDP almost none of the lattice carries measurable mass at finite N.
 ln(points) of the largest log weight, and every exact sum over the lattice
 folds only that, scoring each (row, m_2) in closed form: ln Z_N
 (``log_partition_value``), the ball and tail masses behind ``ldp``
-(``log_mass``, which certifies the cut against both of its sums and widens
-it when it must), the law of chi (``log_prob_profile``) and the draw of
-rare-class profiles (``_sample_cut``), each after ``check_log_weights``
-refuses log weights that overflow at N.  ``integer_lattice`` builds all
-the profiles into one matrix under ``MAX_LATTICE_BYTES``; no command calls it.
+(``log_mass``, which certifies the cut against both of its sums and folds
+again at a lower cut when it must), the law of chi (``log_prob_profile``)
+and the draw of rare-class profiles (``_sample_cut``), each after
+``check_log_weights`` refuses log weights that overflow at N.
+``integer_lattice`` builds all the profiles into one matrix; no command
+calls it.
 
 ``build_dp``, which no library path calls, keeps the per-vertex dynamic
 program as the tests' independent reference: ``W[i][s]`` is the log weight
@@ -61,17 +62,12 @@ import numpy as np
 
 from .combinatorics import NEG_INF, log_factorial, log_factorials
 from .ensembles import EnsembleSpec, Kind
-from .errors import BadEnergyTable, LatticeTooLarge, NoFeasibleTree, SumMismatch
+from .errors import BadEnergyTable, NoFeasibleTree, SumMismatch
 
 #: Ceiling on what one batch of ``lattice_rows`` and one block of its points
 #: hold at once, temporaries included: 1 MB, half for each, at the bytes per
 #: row and per point that the caller states.
 LATTICE_BYTES = 2**20
-
-#: Ceiling on the bytes of the int64 matrix that ``integer_lattice``
-#: materializes for ``enumerate_profiles`` and ``rate.manifold_grid``:
-#: 256 MB.  The streamed sums and the rate grid of the commands have no cap.
-MAX_LATTICE_BYTES = 2**28
 
 #: Ceiling on the cells (rows times classes) of one batch of proposals in
 #: ``sample_profiles``.  It shapes the stream, not the memory: a batch is
@@ -198,10 +194,6 @@ class DpTable:
     budget: int
     W: np.ndarray
 
-    @property
-    def log_final(self) -> float:
-        return float(self.W[self.n_vertices, self.budget])
-
 
 def build_dp(spec: EnsembleSpec, N: int) -> DpTable:
     """Build the forward table in O(D * N * budget) time, O(N * budget) space."""
@@ -240,14 +232,18 @@ def log_prob_profile(spec: EnsembleSpec, N: int, n, log_z=None) -> float:
     otherwise ``log_partition_value``; -inf for a profile whose class sum
     no tree has.
 
-    Raises ValueError when ``n`` has the wrong shape or a negative count and
-    SumMismatch when it does not account for all N vertices.
+    Raises ValueError when ``n`` has the wrong shape or a negative or
+    non-integral count and SumMismatch when it does not account for all N
+    vertices.
     """
-    n = np.array(n, dtype=np.int64)
+    n = np.asarray(n)
     if n.ndim != 1:
         raise ValueError("count vector must be one-dimensional")
     if n.size != spec.n_classes:
         raise ValueError(f"count vector has {n.size} classes, spec needs {spec.n_classes}")
+    if not all(float(v).is_integer() for v in n.tolist()):
+        raise ValueError("counts must be integers")
+    n = n.astype(np.int64)
     counts = n.tolist()  # Python ints: the sums below are exact
     if min(counts) < 0:
         raise ValueError("counts must be nonnegative")
@@ -510,9 +506,10 @@ class ProfileCut:
     Construction is one walk of ``lattice_rows``, which sets ``points`` (the
     lattice size), ``top`` (L) and ``tau``; all the profiles below tau
     together weigh under points e^tau = e^(L - CUT_SLACK).  Each call of
-    ``blocks`` is one more walk.  Raises BadEnergyTable when the log
-    weights overflow at N (``check_log_weights``) and NoFeasibleTree when no
-    profile is feasible.
+    ``blocks`` is one more walk, at the cut it is given: ``tau``, or a
+    lower one when a sum must be certified.  Raises BadEnergyTable when the
+    log weights overflow at N (``check_log_weights``) and NoFeasibleTree
+    when no profile is feasible.
     """
 
     def __init__(self, spec: EnsembleSpec, N: int) -> None:
@@ -535,22 +532,16 @@ class ProfileCut:
         for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N), row_bytes):
             yield _RowCut(spec, N, rows)
 
-    def blocks(self, low: float | None = None):
+    def blocks(self, tau: float):
         """Yield (row cut, i, m2) per block of ``LatticeRows.pairs`` of the
-        profiles with lw >= tau or, given ``low``, of the shell low <= lw < tau
-        (per batch, the lower part of its rows first), the ``_RowCut`` being
-        their batch's.  A fold holds at most ten arrays of a block's length."""
+        profiles with lw >= ``tau``, the ``_RowCut`` being their batch's: one
+        walk of the rows.  A fold holds at most ten arrays of a block's
+        length."""
         for cut in self._rows():
-            first, last = cut.interval(self.tau)
-            if low is None:
-                spans = [(first, last)]
-            else:
-                low_first, low_last = cut.interval(low)
-                spans = [(low_first, first - 1), (last + 1, low_last)]
-            for a, b in spans:
-                for i, m2 in cut.rows.pairs(a, b, 8 * 10):
-                    yield cut, i, m2
-            del cut, first, last, spans  # freed before the walk builds the next batch
+            first, last = cut.interval(tau)
+            for i, m2 in cut.rows.pairs(first, last, 8 * 10):
+                yield cut, i, m2
+            del cut, first, last  # freed before the walk builds the next batch
 
 
 def log_partition_value(spec: EnsembleSpec, N: int) -> float:
@@ -560,9 +551,10 @@ def log_partition_value(spec: EnsembleSpec, N: int) -> float:
     rounding of the result.  Raises NoFeasibleTree when no profile is
     feasible."""
     total = _RunningLogSum()
-    for cut, i, m2 in ProfileCut(spec, N).blocks():
-        total.add(cut.log_weights(m2, i))
-        del cut, i, m2  # freed before the next block is built
+    cut = ProfileCut(spec, N)
+    for rows_cut, i, m2 in cut.blocks(cut.tau):
+        total.add(rows_cut.log_weights(m2, i))
+        del rows_cut, i, m2  # freed before the next block is built
     return total.log()
 
 
@@ -573,32 +565,31 @@ def log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
     Two walks of the rows fold the profiles above the cut of ``ProfileCut``
     into the selected sum S and the rest C.  Every profile left out has log
     weight below tau, so the cut is certified when dropped e^tau <=
-    e^-CUT_SLACK of both S and C.  If not, a third walk folds the shell down
-    to min(ln S, ln C) - ln(dropped) - CUT_SLACK (-inf when a side is
-    empty: the full fold), which certifies the sums that result.  The
-    result is exact to rounding.
+    e^-CUT_SLACK of both S and C.  If not, a third walk folds S and C again
+    from the start, above the lower cut min(ln S, ln C) - ln(dropped) -
+    CUT_SLACK (-inf when a side is empty: the full fold), which certifies
+    the sums that result.  The result is exact to rounding.
 
     Raises NoFeasibleTree when no profile is feasible; -inf when none is
     selected.
     """
     cut = ProfileCut(spec, N)
-    dropped = cut.points  # every profile, until folded
-    s, c = _RunningLogSum(), _RunningLogSum()  # the selected profiles, the rest
 
-    def fold(blocks):
-        nonlocal dropped
-        for rows_cut, i, m2 in blocks:
+    def fold(tau):  # the selected sum, the rest, and the profiles left out
+        s, c, dropped = _RunningLogSum(), _RunningLogSum(), cut.points
+        for rows_cut, i, m2 in cut.blocks(tau):
             dropped -= m2.size
             lw = rows_cut.log_weights(m2, i)
             chosen = select(rows_cut.rows.distance(i, m2, center, N))
             s.add(lw[chosen])
             c.add(lw[~chosen])
             del rows_cut, i, m2, lw, chosen  # freed before the next block is built
+        return s, c, dropped
 
-    fold(cut.blocks())
+    s, c, dropped = fold(cut.tau)
     floor = min(s.log(), c.log()) - CUT_SLACK
     if dropped and not math.log(dropped) + cut.tau <= floor:
-        fold(cut.blocks(floor - math.log(dropped) if floor > NEG_INF else NEG_INF))
+        s, c, _ = fold(floor - math.log(dropped))
     if s.top == NEG_INF:
         return NEG_INF
     if c.top == NEG_INF:
@@ -615,7 +606,6 @@ def integer_lattice(k_min: int, k_max: int, total: int, weighted_total: int) -> 
     """The profiles of ``lattice_rows`` as one (M, ncls) int64 matrix in
     walk order, ascending in (m_{K-1}, ..., m_2), K = ncls the class count.
 
-    Raises LatticeTooLarge when the matrix would pass ``MAX_LATTICE_BYTES``.
     The lattice has dimension D-2 for labeled profiles and D-1 for plane
     profiles, so its size grows like N^(D-2) or N^(D-1).
     """
@@ -624,15 +614,9 @@ def integer_lattice(k_min: int, k_max: int, total: int, weighted_total: int) -> 
     # ncls + 1 columns and the four of pairs
     point_bytes = row_bytes = 8 * (ncls + 5)
     blocks: list[np.ndarray] = []
-    nbytes = 0
     for rows in lattice_rows(k_min, k_max, total, weighted_total, row_bytes):
         for i, m2 in rows.pairs(rows.lo, rows.hi, point_bytes):
-            block = rows.profiles(i, m2)
-            nbytes += block.nbytes
-            if nbytes > MAX_LATTICE_BYTES:
-                raise LatticeTooLarge(
-                    f"profile lattice exceeds the cap of {MAX_LATTICE_BYTES} bytes")
-            blocks.append(block)
+            blocks.append(rows.profiles(i, m2))
     if not blocks:
         return np.empty((0, ncls), dtype=np.int64)
     return np.concatenate(blocks)
@@ -700,7 +684,7 @@ def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator)
 
     def cdf():  # the kept points and the running sums of e^(lw - L)
         seen = 0.0
-        for rows_cut, i, m2 in cut.blocks():
+        for rows_cut, i, m2 in cut.blocks(cut.tau):
             cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.top))
             seen = cum[-1]
             yield rows_cut.rows, i, m2, cum

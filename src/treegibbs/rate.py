@@ -27,8 +27,7 @@ The rate grid is the lattice of M at free-coordinate spacing
 from it at ``GRID_RESOLUTION`` in one walk of ``partition.lattice_rows``,
 in (row, m_2) blocks within ``partition.LATTICE_BYTES``: it builds the
 profiles of the points farther than delta from p* alone.  ``manifold_grid``
-materializes the grid, under ``partition.MAX_LATTICE_BYTES``; no command
-calls it.
+materializes the grid; no command calls it.
 """
 
 from __future__ import annotations
@@ -154,8 +153,7 @@ def manifold_grid(spec: EnsembleSpec, resolution: int) -> np.ndarray:
 
     Only points of M are enumerated.  Returns an (M, n_classes) float matrix
     whose rows come in ``partition.integer_lattice`` order, the order in
-    which ``grid_inf_rate`` walks them; raises LatticeTooLarge when the
-    int64 lattice passes ``partition.MAX_LATTICE_BYTES``.
+    which ``grid_inf_rate`` walks them.
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")

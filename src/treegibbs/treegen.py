@@ -101,18 +101,6 @@ class LabeledTree:
     def to_text(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.edges)
 
-    @classmethod
-    def from_text(cls, text: str) -> "LabeledTree":
-        edges = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-        n = max(max(e) for e in edges) if edges else 2
-        return cls(n, tuple(edges))
-
 
 # ---------------------------------------------------------------------------
 # word -> tree map and Prufer decoder

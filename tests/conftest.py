@@ -152,11 +152,12 @@ def dp_log_partition(spec: EnsembleSpec, N: int) -> float:
     """ln Z_N read off the final cell of the forward DP (``build_dp``);
     raises NoFeasibleTree when Z_N = 0."""
     dp = build_dp(spec, N)
-    if dp.log_final == -math.inf:
+    log_final = float(dp.W[dp.n_vertices, dp.budget])
+    if log_final == -math.inf:
         raise NoFeasibleTree(f"no {spec.kind.value} tree on {N} vertices fits D={spec.D}")
     if spec.kind is Kind.LABELED:
-        return dp.log_final + log_factorial(N - 2)
-    return dp.log_final - math.log(N)
+        return log_final + log_factorial(N - 2)
+    return log_final - math.log(N)
 
 
 def iter_profiles(k_min: int, D: int, total: int, weighted: int):

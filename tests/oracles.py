@@ -2,11 +2,11 @@
 
 None of these is on a command's path.  They are the materialized law of
 chi, the closed-form tree counts, the Prufer encoder, the cycle lemma for
-one step word, the enumerated trees as objects with the profile and energy
-of one tree, the brute-force minimizer of J on the rate grid, the
-free-coordinate chart of the manifold M with the analytic gradient of J,
-the coupling of the LDP proof, and the profile sampler's rejection loop
-with each batch of proposals drawn as one matrix.
+one step word, the enumerated trees as objects (and read back from their
+text) with the profile and energy of one tree, the brute-force minimizer of
+J on the rate grid, the free-coordinate chart of the manifold M with the
+analytic gradient of J, the coupling of the LDP proof, and the profile
+sampler's rejection loop with each batch of proposals drawn as one matrix.
 """
 
 from __future__ import annotations
@@ -212,6 +212,20 @@ class PlaneTree:
     @classmethod
     def from_text(cls, text: str) -> "PlaneTree":
         return cls(tuple(int(v) for v in text.split()))
+
+
+def labeled_tree_from_text(text: str) -> LabeledTree:
+    """The ``LabeledTree`` of the "u v" edge lines of ``LabeledTree.to_text``;
+    N is the largest label."""
+    edges = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        u, v = line.split()
+        edges.append((int(u), int(v)))
+    n = max(max(e) for e in edges) if edges else 2
+    return LabeledTree(n, tuple(edges))
 
 
 def labeled_trees(N: int) -> Iterator[LabeledTree]:

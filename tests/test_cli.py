@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_text, reference_sample_text
-from oracles import PlaneTree, chi_of, prufer_encode
+from oracles import PlaneTree, chi_of, labeled_tree_from_text, prufer_encode
 from treegibbs import (
     EnsembleSpec,
     Kind,
-    LabeledTree,
     solve_pstar,
 )
 from treegibbs import cli, ldp, partition, rate, treegen
@@ -261,7 +260,7 @@ def test_sample_past_the_dp_table_limit(tmp_path, kind):
     body = out.read_text().split("# summary\n")[0]
     if kind == "labeled":
         blocks = body.split("\n\n")[:-1]
-        trees = [LabeledTree.from_text(block) for block in blocks]
+        trees = [labeled_tree_from_text(block) for block in blocks]
         for tree in trees:
             assert len(prufer_encode(tree)) == N - 2  # N - 1 edges, acyclic
             assert tree.n_vertices == N and tree.degrees().max() <= 3
@@ -287,7 +286,7 @@ def test_sample_when_the_tilt_rarely_hits_the_budget(tmp_path, argv, degrees):
     assert main(["sample", "--bound", "3", "--samples", "300", "--seed", "4",
                  *argv, "--out", str(out)]) == 0
     body = out.read_text().split("# summary\n")[0]
-    trees = [LabeledTree.from_text(block) for block in body.split("\n\n")[:-1]]
+    trees = [labeled_tree_from_text(block) for block in body.split("\n\n")[:-1]]
     assert len(trees) == 300
     assert all(sorted(t.degrees().tolist()) == degrees for t in trees)
 
@@ -301,7 +300,7 @@ def test_sample_draws_rare_hits_at_any_lattice_size(tmp_path):
                  "--energy", "0,1,0,1,0", "--n", "2001", "--samples", "5",
                  "--out", str(out)]) == 0
     body = out.read_text().split("# summary\n")[0]
-    degrees = [LabeledTree.from_text(block).degrees() for block in body.split("\n\n")[:-1]]
+    degrees = [labeled_tree_from_text(block).degrees() for block in body.split("\n\n")[:-1]]
     assert len(degrees) == 5
     assert all(np.isin(d, (2, 4)).sum() == 1 for d in degrees)
 
@@ -626,7 +625,8 @@ def test_grid_inf_rate_property(kind, D, beta, c_raw, resolution, delta, lattice
 
 
 def test_ldp_table_past_the_lattice_cap(capsys):
-    # 12,090,200 profiles, 484 MB as int64: past partition.MAX_LATTICE_BYTES
+    # 12,090,200 profiles, 484 MB as int64 were they materialized: the fold
+    # streams them
     code, out, err = run_cli(
         capsys, "ldp-table", "--kind", "labeled", "--bound", "5", "--n-list", "1200",
         "--eps", "0.1",

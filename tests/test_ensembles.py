@@ -99,6 +99,10 @@ ENTRY_CHECKS = {
     "profile-length": (lambda: log_prob_profile(LAB3, 4, (2, 2)), ValueError),
     "profile-shape": (lambda: log_prob_profile(LAB3, 4, [(2, 2, 0)]), ValueError),
     "profile-negative": (lambda: log_prob_profile(LAB3, 4, (-1, 3, 2)), ValueError),
+    "profile-fractional": (lambda: log_prob_profile(LAB3, 4, (2.7, 2.9, 0.0)), ValueError),
+    "profile-fractional-sum-n": (
+        lambda: log_prob_profile(LAB3, 4, (2.5, 1.5, 0.0)), ValueError
+    ),
     "profile-sum": (lambda: log_prob_profile(LAB3, 5, (2, 2, 0)), SumMismatch),
     "profile-infeasible": (lambda: log_prob_profile(LAB2, 4, (4, 0)), -math.inf),
     "profile-feasible-labeled": (

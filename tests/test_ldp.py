@@ -421,18 +421,20 @@ def test_row_fold_log_weights_match_the_profiles(kind, D, beta, c_raw, N, point_
 def test_cut_fold_second_pass_and_kept_share(monkeypatch):
     # Counts, not timings: the lln tail of labeled D=4 at N=2000 is small
     # enough that the certificate sends the fold below tau (a third walk of
-    # the rows), and the ball of plane D=4 at N=1600 folds under 10% of the
+    # the rows, which folds again from the top: all the second walk's points
+    # and more), and the ball of plane D=4 at N=1600 folds under 10% of the
     # lattice.  ln Z takes two walks, and the rare-class draw three.
-    walks, folded = [], []
+    walks, folded = [], []  # folded: the block sizes, per walk
     lattice_rows, pairs = partition.lattice_rows, partition.LatticeRows.pairs
 
     def walk(*args):
         walks.append(args)
+        folded.append(0)
         return lattice_rows(*args)
 
     def fold(rows, a, b, point_bytes):
         for i, m2 in pairs(rows, a, b, point_bytes):
-            folded.append(m2.size)
+            folded[-1] += m2.size
             yield i, m2
 
     monkeypatch.setattr(partition, "lattice_rows", walk)
@@ -441,6 +443,7 @@ def test_cut_fold_second_pass_and_kept_share(monkeypatch):
     spec = EnsembleSpec.labeled(4)
     assert 0 < lln_tail(spec, 2000, 0.1) < 1e-4
     assert len(walks) == 3
+    assert folded[0] == 0 and folded[2] >= folded[1] > 0
 
     walks.clear()
     folded.clear()

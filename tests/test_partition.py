@@ -24,7 +24,6 @@ from treegibbs import (
     BadEnergyTable,
     EnsembleSpec,
     Kind,
-    LatticeTooLarge,
     NoFeasibleTree,
     SumMismatch,
     lln_tail,
@@ -208,7 +207,7 @@ def test_dp_symmetry_reversed_class_order():
                     )
                 cur[s] = acc
             prev = cur
-        assert abs(prev[budget] - dp.log_final) <= 1e-10
+        assert abs(prev[budget] - dp.W[dp.n_vertices, dp.budget]) <= 1e-10
 
 
 def test_spec_refuses_an_overflowing_class_weight():
@@ -436,16 +435,19 @@ def test_enumerate_profiles_matches_independent_enumeration(spec, N):
     assert got == expected
 
 
-def test_enumerate_profiles_cap(monkeypatch):
-    monkeypatch.setattr(partition, "MAX_LATTICE_BYTES", 10 * 8 * 5)  # 10 profiles
-    with pytest.raises(LatticeTooLarge):
-        enumerate_profiles(EnsembleSpec.labeled(5), 200)
+def test_enumerate_profiles_cap():
+    # no cap: every one of the 58,089 profiles, each of N vertices and the
+    # labeled class sum
+    spec = EnsembleSpec.labeled(5)
+    profiles = enumerate_profiles(spec, 200)
+    assert profiles.shape == (58089, spec.n_classes)
+    assert (profiles.sum(axis=1) == 200).all()
+    assert (profiles @ spec.classes() == spec.kind.class_sum(200)).all()
 
 
 def test_integer_lattice_cap_is_in_bytes(monkeypatch):
     # the blocks that integer_lattice builds, seen by a spy on
-    # LatticeRows.profiles: a cap of exactly the matrix's bytes passes, and a
-    # lattice one block larger than the cap is refused
+    # LatticeRows.profiles: the matrix is their concatenation
     args = (0, 3, 40, 50)
     monkeypatch.setattr(partition, "LATTICE_BYTES", 7 * 8 * 4)
     blocks, profiles = [], partition.LatticeRows.profiles
@@ -455,11 +457,7 @@ def test_integer_lattice_cap_is_in_bytes(monkeypatch):
         integer_lattice(*args)
     whole = np.concatenate(blocks)
     assert len(blocks) > 2
-    monkeypatch.setattr(partition, "MAX_LATTICE_BYTES", whole.nbytes)
     np.testing.assert_array_equal(integer_lattice(*args), whole)
-    monkeypatch.setattr(partition, "MAX_LATTICE_BYTES", whole.nbytes - blocks[-1].nbytes)
-    with pytest.raises(LatticeTooLarge):
-        integer_lattice(*args)
 
 
 def test_rng_stream_reproducible_and_split():

@@ -26,8 +26,6 @@ PINNED = {
     "partition.DpTable",  # perfbench/tracer.py (the build_dp counters read its W)
     "partition.enumerate_profiles",  # perfbench/tracer.py (LAYERS)
     "partition.integer_lattice",  # perfbench/tracer.py, behind enumerate_profiles
-    "partition.MAX_LATTICE_BYTES",  # perfbench/tracer.py, behind integer_lattice
-    "errors.LatticeTooLarge",  # perfbench/tracer.py, behind integer_lattice
     "rate.manifold_grid",  # perfbench/tracer.py (LAYERS)
     "treegen.prufer_decode",  # perfbench/tracer.py (LAYERS)
     "kernels.BACKEND",  # perfbench/run.py (probe)

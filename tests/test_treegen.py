@@ -26,6 +26,7 @@ from oracles import (
     chi_of,
     cycle_lemma_rotation,
     energy_of,
+    labeled_tree_from_text,
     labeled_trees,
     plane_trees,
     prufer_encode,
@@ -332,7 +333,7 @@ def test_plane_tree_validation():
 
 def test_serialization_round_trip():
     tree = prufer_decode((2, 3, 2))
-    assert LabeledTree.from_text(tree.to_text()) == tree
+    assert labeled_tree_from_text(tree.to_text()) == tree
     assert tree.to_text().endswith("\n")
     ptree = PlaneTree((2, 0, 1, 0))
     assert PlaneTree.from_text(ptree.to_text()) == ptree
