@@ -155,7 +155,7 @@ def frequency_array(spec: EnsembleSpec, p) -> np.ndarray:
     p = np.array(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("frequency vector must be one-dimensional")
-    if np.any(p < -MANIFOLD_TOL) or np.any(p > 1.0 + 1e-9):
+    if not np.all((p >= -MANIFOLD_TOL) & (p <= 1.0 + 1e-9)):  # NaN fails too
         raise ValueError("frequencies must lie in [0, 1]")
     if p.size != spec.n_classes:
         raise ValueError("frequency vector length does not match spec")

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -892,11 +894,54 @@ def test_nlist_must_increase(capsys):
     assert code == 2 and "increasing" in err
 
 
-def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "treegibbs.cli", "pstar", "--kind", "plane", "--bound", "2"],
-        capture_output=True,
-        text=True,
+def run_process(*args):
+    """``python *args`` with the test environment, text output captured."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
+
+
+#: argv and exit code of a success, a configuration error and an oversize
+#: request (an ``oracle-check`` past its enumeration cap)
+PROCESS_CASES = [
+    (("pstar", "--kind", "plane", "--bound", "2"), 0),
+    (("ldp-table", "--kind", "labeled", "--bound", "3", "--n-list", "400,200"), 2),
+    (("oracle-check", "--kind", "labeled", "--bound", "3", "--n", "30"), 3),
+]
+
+
+def test_console_script_runs(capsys):
+    # the process path (entry(), its freeze and the interpreter's exit)
+    # writes what main() writes in-process, and exits with its code
+    for argv, code in PROCESS_CASES:
+        proc = run_process("-m", "treegibbs.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv), argv
+        assert proc.returncode == code, argv
+
+
+def test_main_freezes_nothing(capsys):
+    # a freeze in main() would pin the garbage of every in-process call
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "pstar", "--kind", "plane", "--bound", "2")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entry_freezes_the_imported_heap():
+    script = (
+        "import gc\n"
+        "from treegibbs import cli\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+        "cli.entry()\n"
     )
-    assert proc.returncode == 0
-    assert "pstar = " in proc.stdout
+    proc = run_process("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+def test_compare_outputs_of_a_tree_against_itself():
+    # every command of tools/compare_outputs.py through `python -m
+    # treegibbs.cli`, twice under the same source: nothing may differ
+    src = Path(cli.__file__).resolve().parents[1]
+    tool = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+    proc = run_process(str(tool), str(src), str(src))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "No command's stdout, stderr or exit code differs." in proc.stdout

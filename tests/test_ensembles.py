@@ -114,7 +114,9 @@ ENTRY_CHECKS = {
     "centre-outside": (lambda: log_prob_ball(PLANE2, 10, (-0.5, 1.5, 0.0), 0.1), ValueError),
     "centre-length": (lambda: log_prob_ball(PLANE2, 10, (0.5, 0.5), 0.1), ValueError),
     "centre-shape": (lambda: log_prob_ball(PLANE2, 10, [(0.5, 0.0, 0.5)], 0.1), ValueError),
+    "centre-nan": (lambda: log_prob_ball(LAB3, 50, (math.nan, 0.5, 0.5), 0.1), ValueError),
     "off-manifold": (lambda: J_value((0.5, 0.5, 0.0), LAB3), OffManifold),
+    "manifold-nan": (lambda: J_value((math.nan, 0.5, 0.5), LAB3), ValueError),
     "on-manifold": (lambda: J_value((1 / 3,) * 3, PLANE2), pytest.approx(-math.log(3))),
     "pstar-read-only": (write_to_pstar, ValueError),
 }
