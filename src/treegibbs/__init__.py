@@ -1,13 +1,13 @@
 """Gibbs ensembles of degree-bounded random trees.
 
-ln Z_N and the exact law of the degree profile chi from the profile lattice
-cut to the profiles that carry mass, exact tree samplers (profiles from the
-tilted multinomial conditioned on the class sum, then a Foata-Fuchs word ->
-tree map for labeled trees and the cycle lemma for plane trees), the
-explicit large-deviation rate function with its minimizer p*, and exact
-finite-N verification of the LDP and the law of large numbers.  Degree
-profiles are int64 arrays and class frequencies float64 arrays, one entry
-per class of the spec.
+ln Z_N by Miller's recurrence, the exact law of the degree profile chi and
+exact sums over its lattice, exact tree samplers (profiles from the tilted
+multinomial conditioned on the class sum, then a Foata-Fuchs word -> tree
+map for labeled trees and the cycle lemma for plane trees), the explicit
+large-deviation rate function with its minimizer p*, and exact finite-N
+verification of the LDP and the law of large numbers.  Degree profiles are
+int64 arrays and class frequencies float64 arrays, one entry per class of
+the spec.
 """
 
 from .combinatorics import log_factorial, log_sum

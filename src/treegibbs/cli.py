@@ -34,15 +34,15 @@ whose profile log weights overflow at the requested N), 3 infeasible or
 oversize request (no tree at this size, or an ``oracle-check`` tree
 enumeration past its cap), 4 verification failure; an error exits with the
 ``exit_code`` of its class (``errors``).  No command materializes the
-profile lattice or the rate grid:
-``sample``, ``ldp-table`` and ``lln`` stream both and fold or draw only the
-profiles that carry mass (``partition``), ``lln`` takes its ``inf_I``
-column from the rate grid of ``rate.grid_inf_rate``, and ``oracle-check``
-reads the law of chi from the same cut, against one ln Z_N, at each profile
-of the enumerated trees (``partition.log_prob_profile``).  Those trees are
-arrays of edges or child counts (``treegen``'s enumerators), tallied by
-profile in one pass: each tree's classes are counted along its row, and a
-profile's log weight is ln(its tree count) - beta (profile . c).
+profile lattice or the rate grid: ``sample``, ``ldp-table`` and ``lln``
+stream both and fold or draw only the profiles that carry mass
+(``partition``), ``lln`` takes its ``inf_I`` column from the rate grid of
+``rate.grid_inf_rate``, and ``oracle-check`` reads the law of chi at each
+profile of the enumerated trees (``partition.log_prob_profile``) against
+one ln Z_N, which walks no lattice (``partition.log_partition_value``).
+Those trees, arrays of edges or child counts (``treegen``'s enumerators),
+are tallied by profile in one pass, and a profile's log weight is ln(its
+tree count) - beta (profile . c).
 
 ``entry()`` freezes the heap that import left (``gc.freeze``) before
 ``main()``, so no full collection, at exit either, walks it: about 30 ms a
@@ -326,14 +326,13 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     suites = [("profile-counts", float(np.abs(log_counts - np.log(counts)).max()))]
 
     log_z = log_sum(log_weights)
-    log_z_cut = log_partition_value(spec, N)
-    suites.append(("partition", abs(log_z_cut - log_z)))
+    log_z_exact = log_partition_value(spec, N)
+    suites.append(("partition", abs(log_z_exact - log_z)))
 
-    # the law of chi from the cut engine, one enumerated profile at a time
-    # against its one ln Z; its total over them must be 1, which also
-    # catches mass on a profile the trees miss and a deviation spread too
-    # thin to show in any one
-    law = np.array([math.exp(log_prob_profile(spec, N, chi, log_z_cut)) for chi in profiles])
+    # the law of chi, one enumerated profile at a time against the one ln Z;
+    # its total over them must be 1, which also catches mass on a profile
+    # the trees miss and a deviation spread too thin to show in any one
+    law = np.array([math.exp(log_prob_profile(spec, N, chi, log_z_exact)) for chi in profiles])
     dev_law = float(np.abs(np.exp(log_weights - log_z) - law).max())
     suites.append(("chi-law", max(dev_law, abs(math.fsum(law) - 1.0))))
 

@@ -3,15 +3,15 @@
 Everything here is an exact lattice computation (no Monte Carlo): ball and
 tail probabilities are ratios of two log-sum-exps of the profiles' log
 weights (the ball or tail, and the rest), which ``partition.log_mass``
-folds block by block over the cut of the profile lattice
-(``partition.ProfileCut``), the engine that ln Z_N and the rare-class
-sampler share, and folds again at a lower cut when the first does not
-certify both sums.  Memory is bounded by ``partition.LATTICE_BYTES``.
-Time grows like the kept profiles, about (N ln N)^(d/2) on a lattice of
-dimension d (D-2 for labeled, D-1 for plane profiles), plus the N^(d-1)
-rows, per fold.  Finite-size rates ``r_N = -(1/N) ln P(ball)`` are
-compared against the rate function.  The expected discrepancy decays like
-O(ln N / N) plus an O(eps) smearing from the ball radius.
+folds block by block over the cut of the profile lattice that ln Z_N and
+the lattice's size place with no walk (``partition.ProfileCut``), and
+again at a lower cut when the first does not certify both sums.  Memory is
+bounded by ``partition.LATTICE_BYTES``.  Time grows like the kept
+profiles, about (N ln N)^(d/2) on a lattice of dimension d (D-2 for
+labeled, D-1 for plane profiles), plus the N^(d-1) rows, per fold.
+Finite-size rates ``r_N = -(1/N) ln P(ball)`` are compared against the
+rate function, with a discrepancy that decays like O(ln N / N) plus an
+O(eps) smearing from the ball radius.
 """
 
 from __future__ import annotations

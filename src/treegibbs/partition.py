@@ -11,24 +11,22 @@ sum.  Classes are stored shifted by their minimum (degree-1 for labeled), so
 the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
 (degree sum 2N-2) and ``N-1`` for plane trees.
 
-The feasible profiles form an integer lattice of dimension K-2 (K the
-number of classes).  ``lattice_rows`` walks it in batches of rows, on each
-of which the classes above 2 are fixed and m_2 runs over an interval, and
-every consumer reads the points as blocks of (row, m_2) of
-``LatticeRows.pairs``, with their l1 distance to a center (``distance``)
-and the ``profiles`` of those it needs, a batch and a block holding at most
-``LATTICE_BYTES`` at the bytes per row and point that the caller states.
-By the LDP almost none of the lattice carries measurable mass at finite N.
-``ProfileCut`` keeps each row's interval within ``CUT_SLACK`` nats and
-ln(points) of the largest log weight, and every exact sum over the lattice
-folds only that, scoring each (row, m_2) in closed form: ln Z_N
-(``log_partition_value``), the ball and tail masses behind ``ldp``
-(``log_mass``, which certifies the cut against both of its sums and folds
-again at a lower cut when it must), the law of chi (``log_prob_profile``)
-and the draw of rare-class profiles (``_sample_cut``), each after
-``check_log_weights`` refuses log weights that overflow at N.
-``integer_lattice`` builds all the profiles into one matrix; no command
-calls it.
+ln Z_N, against which the law of chi is read (``log_prob_profile``), is one
+coefficient of the N-th power of the class weights' series, taken with no
+lattice (``log_partition_value``).  The feasible profiles form an integer
+lattice of dimension K-2 (K the number of classes) of ``lattice_points``
+points.  ``lattice_rows`` walks it in batches of rows, on each of which the
+classes above 2 are fixed and m_2 runs over an interval; consumers read the
+points as blocks of (row, m_2) of ``LatticeRows.pairs``, with their l1
+distance to a center (``distance``) and the ``profiles`` they need, a
+batch and a block each within ``LATTICE_BYTES`` at the bytes per row and
+point that the caller states.  By the LDP almost none of the lattice
+carries measurable mass at finite N.  ``ProfileCut`` keeps each row's
+interval within ``CUT_SLACK`` nats and 2 ln(points) of ln Z_N; the ball
+and tail masses behind ``ldp`` (``log_mass``, which folds again at a lower
+cut when the first does not certify both sums) and the draw of rare-class
+profiles (``_sample_cut``) fold only that, scoring each (row, m_2) in
+closed form.  ``integer_lattice`` builds all profiles into one matrix.
 
 ``build_dp``, which no library path calls, keeps the per-vertex dynamic
 program as the tests' independent reference: ``W[i][s]`` is the log weight
@@ -56,6 +54,7 @@ a 64-bit seed and a block index, so all draws are determined by
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,11 +271,6 @@ class LatticeRows:
     r: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """Lattice points on the rows."""
-        return int((self.hi - self.lo + 1).sum())
 
     def pairs(self, a: np.ndarray, b: np.ndarray, point_bytes: int):
         """Yield the points with a[i] <= m_2 <= b[i] on each row i (none
@@ -499,76 +493,92 @@ def _first(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo
 
 
-class ProfileCut:
-    """The feasible profiles of (spec, N) whose log weight reaches the cut
-    tau = L - ln(points) - ``CUT_SLACK``, L the largest profile log weight.
+def log_partition_value(spec: EnsembleSpec, N: int) -> float:
+    """ln Z_N, Z_N = (N-2)! [u^B] w^N (labeled) or [u^B] w^N / N (plane) with
+    w(u) = sum_k w_k u^k (Flajolet & Sedgewick, Analytic Combinatorics, I.5),
+    by J.C.P. Miller's recurrence (Knuth, TAOCP 2, 4.7) for [u^n] (w/w_0)^N:
+    n a_n = sum_{k=1..min(n,D')} ((N+1)k - n) (w_k/w_0) a_(n-k), a_0 = 1,
+    whose terms are positive for n <= B < N+1.  It runs in logs on the last
+    D' values, within 64 of an integer base: each step rounds at the size of
+    ln(w_k/w_0), not of ln a_n ~ N.  Raises BadEnergyTable or NoFeasibleTree."""
+    check_log_weights(spec, N)
+    budget = spec.kind.class_sum(N) - spec.k_min * N
+    if budget < 0:
+        raise NoFeasibleTree(f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}")
+    logw = class_log_weights(spec).tolist()
+    ratio = [v - logw[0] for v in logw[1:]]  # ln(w_k/w_0), k = 1..D'
+    factor = [float((N + 1) * k) for k in range(1, len(ratio) + 1)]
+    window, base = deque([0.0], maxlen=len(ratio)), 0  # ln a_(n-1), ... less base
+    for n in range(1, budget + 1):
+        terms = [r + a for r, a in zip(ratio, window)]
+        top = max(terms)
+        total = 0.0
+        for f, t in zip(factor, terms):
+            total += (f - n) * math.exp(t - top)
+        new = top + math.log(total / n)
+        if abs(new) > 64.0:
+            shift = round(new)
+            base, new = base + shift, new - shift
+            window = deque([a - shift for a in window], maxlen=len(ratio))
+        window.appendleft(new)
+    const = log_factorial(N - 2) if spec.kind is Kind.LABELED else -math.log(N)
+    return const + (N * logw[0] + base) + window[0]
 
-    Construction is one walk of ``lattice_rows``, which sets ``points`` (the
-    lattice size), ``top`` (L) and ``tau``; all the profiles below tau
-    together weigh under points e^tau = e^(L - CUT_SLACK).  Each call of
-    ``blocks`` is one more walk, at the cut it is given: ``tau``, or a
-    lower one when a sum must be certified.  Raises BadEnergyTable when the
-    log weights overflow at N (``check_log_weights``) and NoFeasibleTree
-    when no profile is feasible.
+
+def lattice_points(spec: EnsembleSpec, N: int) -> int:
+    """The number of feasible profiles, exact below 2^53: as B < N fixes
+    m_0, the partitions of B into parts of at most D', or [u^B] of
+    prod_{j=1..D'} 1/(1 - u^j), by one running sum per part and residue."""
+    count = np.zeros(shifted_budget(spec, N) + 1)
+    count[0] = 1.0
+    for j in range(1, spec.n_classes):
+        for r in range(j):
+            count[r::j] = np.cumsum(count[r::j])
+    return int(count[-1])
+
+
+class ProfileCut:
+    """The feasible profiles of (spec, N) above tau = ``log_z`` - 2 ln(points)
+    - ``CUT_SLACK``, placed by ``log_partition_value`` and ``lattice_points``
+    with no walk: those below weigh under e^-CUT_SLACK of the average
+    profile's share Z_N / points.  Each call of ``blocks`` is one walk.
+    Raises BadEnergyTable or NoFeasibleTree as ``log_partition_value`` does.
     """
 
     def __init__(self, spec: EnsembleSpec, N: int) -> None:
-        check_log_weights(spec, N)
         self.spec, self.N = spec, N
-        points, top = 0, NEG_INF
-        for cut in self._rows():
-            points += cut.rows.size
-            top = max(top, float(cut.top.max()))
-        if not points:
-            raise NoFeasibleTree(f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}")
-        self.points, self.top = points, top
-        self.tau = top - math.log(points) - CUT_SLACK
+        self.log_z = log_partition_value(spec, N)
+        self.points = lattice_points(spec, N)
+        self.tau = self.log_z - 2.0 * math.log(self.points) - CUT_SLACK
 
-    def _rows(self):
+    def blocks(self, tau: float):
+        """Yield (row cut, i, m2) per block of ``LatticeRows.pairs`` of the
+        profiles with lw >= ``tau``, the ``_RowCut`` their batch's, in one
+        walk.  A fold holds at most ten arrays of a block's length."""
         spec, N = self.spec, self.N
         # per row: its ncls + 1 columns twice (the walk joins its leaves),
         # then at most ncls + 4 arrays of the bisections or of a fold
         row_bytes = 8 * (3 * spec.n_classes + 6)
         for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N), row_bytes):
-            yield _RowCut(spec, N, rows)
-
-    def blocks(self, tau: float):
-        """Yield (row cut, i, m2) per block of ``LatticeRows.pairs`` of the
-        profiles with lw >= ``tau``, the ``_RowCut`` being their batch's: one
-        walk of the rows.  A fold holds at most ten arrays of a block's
-        length."""
-        for cut in self._rows():
+            cut = _RowCut(spec, N, rows)
             first, last = cut.interval(tau)
             for i, m2 in cut.rows.pairs(first, last, 8 * 10):
                 yield cut, i, m2
-            del cut, first, last  # freed before the walk builds the next batch
-
-
-def log_partition_value(spec: EnsembleSpec, N: int) -> float:
-    """ln Z_N, the log-sum-exp of the profile log weights above the cut of
-    ``ProfileCut``: two walks of the rows.  The profiles it drops weigh
-    under e^(L - CUT_SLACK) <= e^-CUT_SLACK Z_N together, below the
-    rounding of the result.  Raises NoFeasibleTree when no profile is
-    feasible."""
-    total = _RunningLogSum()
-    cut = ProfileCut(spec, N)
-    for rows_cut, i, m2 in cut.blocks(cut.tau):
-        total.add(rows_cut.log_weights(m2, i))
-        del rows_cut, i, m2  # freed before the next block is built
-    return total.log()
+            del rows, cut, first, last  # freed before the walk builds the next batch
 
 
 def log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
     """ln P_N{select(|chi/N - center|_1)}, ``select`` mapping the distances
     of a block's profiles to a mask.
 
-    Two walks of the rows fold the profiles above the cut of ``ProfileCut``
+    One walk of the rows folds the profiles above the cut of ``ProfileCut``
     into the selected sum S and the rest C.  Every profile left out has log
     weight below tau, so the cut is certified when dropped e^tau <=
-    e^-CUT_SLACK of both S and C.  If not, a third walk folds S and C again
-    from the start, above the lower cut min(ln S, ln C) - ln(dropped) -
-    CUT_SLACK (-inf when a side is empty: the full fold), which certifies
-    the sums that result.  The result is exact to rounding.
+    e^-CUT_SLACK of both S and C (when both reach Z_N / points, say).  If
+    not, a second walk folds S and C again from the start, above the lower
+    cut min(ln S, ln C) - ln(dropped) - CUT_SLACK (-inf when a side is
+    empty: the full fold), which certifies the sums that result.  The
+    result is exact to rounding.
 
     Raises NoFeasibleTree when no profile is feasible; -inf when none is
     selected.
@@ -676,16 +686,16 @@ def sample_profiles(
 
 def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` profiles by inverse CDF over the profiles above the cut
-    of ``ProfileCut``: two more walks fold their weights e^(lw - L) into
-    running sums, first for the total and then to place the sorted uniforms
-    block by block, whose argsort undoes the sort.  Only the drawn points
-    are built into profiles."""
+    of ``ProfileCut``: two walks fold their probabilities e^(lw - ln Z_N)
+    into running sums, first for the total and then to place the sorted
+    uniforms block by block, whose argsort undoes the sort.  Only the drawn
+    points are built into profiles."""
     cut = ProfileCut(spec, N)
 
-    def cdf():  # the kept points and the running sums of e^(lw - L)
+    def cdf():  # the kept points and the running sums of e^(lw - ln Z_N)
         seen = 0.0
         for rows_cut, i, m2 in cut.blocks(cut.tau):
-            cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.top))
+            cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.log_z))
             seen = cum[-1]
             yield rows_cut.rows, i, m2, cum
             del rows_cut, i, m2, cum  # freed before the next block is built

@@ -130,11 +130,13 @@ def solve_pstar(spec: EnsembleSpec) -> RateContext:
     """
     p, t = tilt(spec, spec.mean_target)
     p.setflags(write=False)
+    with np.errstate(over="ignore"):  # x = e^t is inf past the largest double
+        x = None if t is None else float(np.exp(t))
     return RateContext(
         spec=spec,
         pstar=p,
         Jstar=float(j_values(spec, p)),
-        tilt_x=None if t is None else float(np.exp(t)),
+        tilt_x=x,
         stationarity_residual=float("nan") if t is None else _stationarity_residual(spec, p),
     )
 

@@ -1,12 +1,13 @@
 """Reference constructions that the tests compare the library against.
 
 None of these is on a command's path.  They are the materialized law of
-chi, the closed-form tree counts, the Prufer encoder, the cycle lemma for
-one step word, the enumerated trees as objects (and read back from their
-text) with the profile and energy of one tree, the brute-force minimizer of
-J on the rate grid, the free-coordinate chart of the manifold M with the
-analytic gradient of J, the coupling of the LDP proof, and the profile
-sampler's rejection loop with each batch of proposals drawn as one matrix.
+chi, ln Z_N folded over the lattice's row cut, the closed-form tree counts,
+the Prufer encoder, the cycle lemma for one step word, the enumerated trees
+as objects (and read back from their text) with the profile and energy of
+one tree, the brute-force minimizer of J on the rate grid, the
+free-coordinate chart of the manifold M with the analytic gradient of J,
+the coupling of the LDP proof, and the profile sampler's rejection loop
+with each batch of proposals drawn as one matrix.
 """
 
 from __future__ import annotations
@@ -37,8 +38,11 @@ from treegibbs import (
 from treegibbs.combinatorics import log_factorials
 from treegibbs.ensembles import frequency_array
 from treegibbs.partition import (
+    CUT_SLACK,
     MAX_PROPOSALS_PER_HIT,
     PROPOSAL_CELLS,
+    _RowCut,
+    _RunningLogSum,
     _sample_cut,
     check_log_weights,
     enumerate_profiles,
@@ -68,6 +72,41 @@ def chi_law(spec: EnsembleSpec, N: int) -> dict[tuple[int, ...], float]:
     lw = profile_log_weights(spec, N, profiles)
     lw -= lw.max()  # exact near the max, where the mass is
     return dict(zip(map(tuple, profiles.tolist()), np.exp(lw - log_sum(lw)).tolist()))
+
+
+def walk_points(spec: EnsembleSpec, N: int) -> int:
+    """The number of feasible profiles, counted row by row over the walk."""
+    rows = lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N))
+    return sum(int((batch.hi - batch.lo + 1).sum()) for batch in rows)
+
+
+def fold_log_partition(spec: EnsembleSpec, N: int) -> float:
+    """ln Z_N as the log-sum-exp of the profile log weights of the lattice,
+    folded over the row cut at tau = L - ln(points) - CUT_SLACK: a first
+    walk of the rows finds L, the largest log weight, and the point count,
+    and a second folds the profiles above tau, which leaves out under
+    e^(L - CUT_SLACK) <= e^-CUT_SLACK Z_N.  No Miller recurrence: the second
+    reference for ln Z beside the DP.  Raises NoFeasibleTree when no
+    profile is feasible."""
+    check_log_weights(spec, N)
+
+    def row_cuts():
+        for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
+            yield _RowCut(spec, N, rows)
+
+    points, top = 0, NEG_INF
+    for cut in row_cuts():
+        points += int((cut.rows.hi - cut.rows.lo + 1).sum())
+        top = max(top, float(cut.top.max()))
+    if not points:
+        raise NoFeasibleTree(f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}")
+    tau = top - math.log(points) - CUT_SLACK
+    total = _RunningLogSum()
+    for cut in row_cuts():
+        first, last = cut.interval(tau)
+        for i, m2 in cut.rows.pairs(first, last, 8 * 10):
+            total.add(cut.log_weights(m2, i))
+    return total.log()
 
 
 def log_multinomial(N: int, n) -> float:

@@ -71,6 +71,15 @@ def test_pstar_labeled_tilt(capsys):
     np.testing.assert_allclose(values, [0.292893218813, 0.414213562373, 0.292893218813], atol=1e-9)
 
 
+def test_pstar_tilt_past_the_largest_double(capsys):
+    # beta c(3) = 1e308 puts ln x near 3.5e19: x is inf, and no overflow
+    # warning (an error under this suite's filters) reaches stderr
+    code, out, err = run_cli(capsys, "pstar", "--kind", "labeled", "--bound", "3",
+                             "--beta", "1e308", "--energy", "0,0,1")
+    assert code == 0 and err == ""
+    assert parse_kv(out)["tilt_x"] == "inf"
+
+
 def test_config_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "pstar", "--kind", "labeled", "--bound", "1")
     assert code == 2 and "D >= 2" in err

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chi_square_check, iter_profiles
-from oracles import chi_law, couple_samples, on_manifold, r_set
+from oracles import chi_law, couple_samples, on_manifold, r_set, walk_points
 from treegibbs import (
     EnsembleSpec,
     Kind,
@@ -254,11 +254,10 @@ def full_fold(spec, N, center, select):
     """``partition.log_mass`` with nothing cut (tau = -inf): every profile
     folded.
 
-    The walk that sets tau, ``partition.ProfileCut``, reads
-    ``partition.CUT_SLACK``; a spy on the fold's points
-    (``LatticeRows.pairs``, which the fold scores) checks that every
-    profile of the lattice reaches it, so the oracle cannot be the cut
-    itself."""
+    ``partition.ProfileCut`` reads ``partition.CUT_SLACK`` when it sets
+    tau; a spy on the fold's points (``LatticeRows.pairs``, which the fold
+    scores) checks that every profile of the lattice reaches it, so the
+    oracle cannot be the cut itself."""
     folded = []
     pairs = partition.LatticeRows.pairs
 
@@ -271,8 +270,7 @@ def full_fold(spec, N, center, select):
         mp.setattr(partition, "CUT_SLACK", math.inf)
         mp.setattr(partition.LatticeRows, "pairs", fold)
         got = partition.log_mass(spec, N, center, select)
-    rows = partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N))
-    assert sum(folded) == sum(batch.size for batch in rows)
+    assert sum(folded) == walk_points(spec, N)
     return got
 
 
@@ -419,11 +417,14 @@ def test_row_fold_log_weights_match_the_profiles(kind, D, beta, c_raw, N, point_
 
 
 def test_cut_fold_second_pass_and_kept_share(monkeypatch):
-    # Counts, not timings: the lln tail of labeled D=4 at N=2000 is small
-    # enough that the certificate sends the fold below tau (a third walk of
-    # the rows, which folds again from the top: all the second walk's points
-    # and more), and the ball of plane D=4 at N=1600 folds under 10% of the
-    # lattice.  ln Z takes two walks, and the rare-class draw three.
+    # Counts, not timings: ln Z walks no lattice and ProfileCut takes its
+    # size in closed form, so a sum that the cut certifies takes one walk.
+    # The lln tail of labeled D=4 at N=2000 and the ball of plane D=4 at
+    # N=1600, which folds under 10% of the lattice, take one walk each; a
+    # tail of about e^-310 at plane D=2, N=60 is too small for the cut, so
+    # the certificate sends the fold below tau (a second walk, which folds
+    # again from the top: all the first walk's points and more).  The
+    # rare-class draw takes two walks.
     walks, folded = [], []  # folded: the block sizes, per walk
     lattice_rows, pairs = partition.lattice_rows, partition.LatticeRows.pairs
 
@@ -442,23 +443,30 @@ def test_cut_fold_second_pass_and_kept_share(monkeypatch):
 
     spec = EnsembleSpec.labeled(4)
     assert 0 < lln_tail(spec, 2000, 0.1) < 1e-4
-    assert len(walks) == 3
-    assert folded[0] == 0 and folded[2] >= folded[1] > 0
+    assert len(walks) == 1
+    assert folded[0] > 0
+
+    walks.clear()
+    folded.clear()
+    spec = EnsembleSpec(Kind.PLANE, 2, 30.0, (0.0, 0.0, 1.0))
+    assert -400 < partition.log_mass(spec, 60, solve_pstar(spec).pstar, lambda d: d > 0.8) < -300
+    assert len(walks) == 2
+    assert folded[1] >= folded[0] > 0
 
     walks.clear()
     folded.clear()
     spec = EnsembleSpec(Kind.PLANE, 4, 1.0, (0.0, 0.0, 0.0, 1.0, 2.0))
     log_prob_ball(spec, 1600, solve_pstar(spec).pstar, 0.05)
-    assert len(walks) == 2
-    points = sum(rows.size for rows in lattice_rows(*walks[0]))
-    assert sum(folded) < 0.1 * points
+    assert len(walks) == 1
+    assert sum(folded) < 0.1 * walk_points(spec, 1600)
 
     walks.clear()
     partition.log_partition_value(spec, 1600)
-    assert len(walks) == 2
+    partition.ProfileCut(spec, 1600)
+    assert len(walks) == 0
 
     # degrees 2 and 4 carry tilt weight e^-20, and odd N needs one of them
     walks.clear()
     spec = EnsembleSpec(Kind.LABELED, 4, 1.0, (0.0, 20.0, 0.0, 20.0))
     partition.sample_profiles(spec, 9, 50, rng_stream(5))
-    assert len(walks) == 3
+    assert len(walks) == 2

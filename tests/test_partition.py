@@ -96,6 +96,13 @@ def test_log_partition_matches_brute_force(spec, N):
     got = dp_log_partition(spec, N)
     assert abs(got - expected) <= 1e-9
     assert abs(log_partition_value(spec, N) - expected) <= 1e-9
+    assert abs(oracles.fold_log_partition(spec, N) - expected) <= 1e-9
+
+
+def log_partition_scale(spec, N) -> float:
+    """The size of the terms that ln Z_N sums: ln N! for the counts and
+    N beta max|c| for the energies."""
+    return 1.0 + math.lgamma(N + 1) + N * abs(spec.beta) * max(map(abs, spec.c))
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,10 +116,10 @@ def test_log_partition_matches_brute_force(spec, N):
 # degree 2 suppressed at odd N
 @example(kind=Kind.LABELED, D=3, beta=30.0, c_raw=[0.0, 1.0, 0.0] + [0.0] * 4, N_raw=7)
 def test_cut_fold_log_partition_matches_the_dp(kind, D, beta, c_raw, N_raw):
-    # The cut fold against the DP, over both kinds, at a tolerance scaled by
-    # the terms both sum: ln N! for the counts and N beta max|c| for the
-    # energies.  N runs to 400 on lattices of at most 4 classes, to 100
-    # above.  Where one engine finds no tree, so must the other.
+    # The cut fold of the tests' oracles against the DP, over both kinds, at
+    # a tolerance scaled by the terms both sum (``log_partition_scale``).
+    # N runs to 400 on lattices of at most 4 classes, to 100 above.  Where
+    # one engine finds no tree, so must the other.
     D = max(D, kind.k_min + 1)
     n_classes = D - kind.k_min + 1
     c = c_raw[:n_classes]
@@ -122,10 +129,102 @@ def test_cut_fold_log_partition_matches_the_dp(kind, D, beta, c_raw, N_raw):
         expected = dp_log_partition(spec, N)
     except NoFeasibleTree:
         with pytest.raises(NoFeasibleTree):
-            log_partition_value(spec, N)
+            oracles.fold_log_partition(spec, N)
         return
-    scale = 1.0 + math.lgamma(N + 1) + N * beta * max(abs(v) for v in c)
-    assert abs(log_partition_value(spec, N) - expected) <= 1e-13 * scale
+    scale = log_partition_scale(spec, N)
+    assert abs(oracles.fold_log_partition(spec, N) - expected) <= 1e-13 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(Kind)),
+    D=st.integers(1, 8),
+    beta=st.floats(0.0, 30.0),
+    c_raw=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+    N_raw=st.integers(0, 1000),
+)
+# a class of weight e^-30 that every profile at odd N needs (labeled degree
+# 2, plane class 1), and leaves at weight e^-30
+@example(kind=Kind.LABELED, D=3, beta=30.0, c_raw=[0.0, 1.0] + [0.0] * 7, N_raw=999)
+@example(kind=Kind.PLANE, D=4, beta=30.0, c_raw=[0.0, 1.0, 0.0, 1.0] + [0.0] * 5, N_raw=999)
+@example(kind=Kind.PLANE, D=3, beta=30.0, c_raw=[1.0] + [0.0] * 8, N_raw=1000)
+def test_recurrence_matches_the_dp_and_the_fold(kind, D, beta, c_raw, N_raw):
+    # Miller's recurrence against the DP at N <= 150 and against the cut fold
+    # of the tests' oracles at N <= 1000 on lattices of dimension <= 3, to
+    # 1e-13 of the terms that ln Z sums; where one finds no tree, so must
+    # the other.
+    D = max(D, kind.k_min + 1)
+    spec = EnsembleSpec(kind, D, beta, tuple(c_raw[: D - kind.k_min + 1]))
+    checks = [(N_raw % 151, dp_log_partition)]
+    if spec.n_classes <= 5:
+        checks.append((N_raw, oracles.fold_log_partition))
+    for N, reference in checks:
+        try:
+            expected = reference(spec, N)
+        except NoFeasibleTree:
+            with pytest.raises(NoFeasibleTree, match=f"no feasible {kind.value} profile"):
+                log_partition_value(spec, N)
+            continue
+        got = log_partition_value(spec, N)
+        assert abs(got - expected) <= 1e-13 * log_partition_scale(spec, N), (N, reference)
+
+
+@pytest.mark.parametrize(
+    "spec,N",
+    [
+        # leaves at weight e^-1000: ln(w_k / w_0) = 1000 - ln (k-1)!
+        (EnsembleSpec(Kind.LABELED, 3, 1000.0, (1.0, 0.0, 0.0)), 1001),
+        (EnsembleSpec(Kind.PLANE, 3, 1000.0, (1.0, 0.0, 0.0, 0.0)), 1001),
+        # degree 2 (and 4) at weight e^-1000, which odd N needs once
+        (EnsembleSpec(Kind.LABELED, 3, 1000.0, (0.0, 1.0, 0.0)), 1001),
+        (EnsembleSpec(Kind.LABELED, 4, 1000.0, (0.0, 1.0, 0.0, 1.0)), 1001),
+    ],
+    ids=["labeled-leaf", "plane-leaf", "labeled-parity", "labeled-d4-parity"],
+)
+def test_recurrence_at_beta_c_1000(spec, N):
+    # Each step of the recurrence adds ln(w_k/w_0), up to 1000 here, to logs
+    # kept near 0, so it rounds at that size and the error stays under
+    # N eps max|ln(w_k/w_0)|: against the same recurrence in 50 digits it
+    # was 0.12 of that bound on these rows, and at most 0.14 over N = 101,
+    # 111, ..., 1991.  The fold scores each profile on its own and was within
+    # 1.5e-16 of the 50 digits, relative, on these rows.
+    got, want = log_partition_value(spec, N), oracles.fold_log_partition(spec, N)
+    logw = class_log_weights(spec)
+    bound = N * np.finfo(float).eps * float(np.abs(logw[1:] - logw[0]).max())
+    assert abs(got - want) <= 0.5 * bound, (got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(list(Kind)), D=st.integers(1, 8), N=st.integers(0, 80))
+def test_lattice_points_counts_the_walk(kind, D, N):
+    D = max(D, kind.mean)
+    spec = EnsembleSpec.labeled(D) if kind is Kind.LABELED else EnsembleSpec.plane(D)
+    count = oracles.walk_points(spec, N)
+    if N <= spec.k_min:  # below the smallest tree: a negative budget
+        assert count == 0
+        with pytest.raises(NoFeasibleTree):
+            partition.lattice_points(spec, N)
+    else:
+        assert partition.lattice_points(spec, N) == count
+
+
+def test_lattice_points_at_scale():
+    # plane D=4 at N=800 counted by the walk; labeled D=6 at N=800 counted by
+    # the walk once (about 1.5 s) and pinned
+    spec = EnsembleSpec(Kind.PLANE, 4, 1.0, (0.0, 0.0, 0.0, 1.0, 2.0))
+    assert partition.lattice_points(spec, 800) == oracles.walk_points(spec, 800) == 3_609_089
+    assert partition.lattice_points(EnsembleSpec.labeled(6), 800) == 146_167_669
+
+
+def test_recurrence_holds_no_lattice(monkeypatch):
+    # ln Z_N at N = 10^5, after a warm-up call has grown the factorial
+    # table, holds its window of D' values and no array of N
+    spec = EnsembleSpec(Kind.LABELED, 3, 1.0, (0.0, 0.5, 1.0))
+    N = 100_000
+    log_partition_value(spec, N)
+    monkeypatch.setattr(partition, "lattice_rows", None)
+    peak = traced_peak(lambda: log_partition_value(spec, N))
+    assert peak <= 64 * 1024, f"peak {peak} B"
 
 
 def test_log_prob_profile_examples():
@@ -353,7 +452,9 @@ def test_the_walk_alone_is_bounded_in_bytes(monkeypatch):
     # leaf has up to 4266 rows, more than a batch holds.
     walk, args = partition.lattice_rows, []
     monkeypatch.setattr(partition, "lattice_rows", lambda *a: args.append(a) or walk(*a))
-    partition.ProfileCut(PLANE_D4, 40)
+    cut = partition.ProfileCut(PLANE_D4, 40)
+    for _ in cut.blocks(cut.tau):
+        pass
     row_bytes = args[0][4]
 
     def walk_alone(N):
@@ -367,16 +468,18 @@ def test_the_walk_alone_is_bounded_in_bytes(monkeypatch):
 
 @pytest.mark.parametrize("draw", [False, True], ids=["log-partition", "cut-draw"])
 def test_cut_folds_are_bounded_in_bytes(draw):
-    # ln Z and a 1000-profile rare-class draw over the cut at plane D=4,
-    # N=1600: each folds one block of one batch at a time and frees it
-    # before the walk builds the next.
+    # The ball of radius 0.05 about p* (the fold of log_mass, beside the ln Z
+    # that sets its cut) and a 1000-profile rare-class draw over the cut at
+    # plane D=4, N=1600: each folds one block of one batch at a time and
+    # frees it before the walk builds the next.
     N = 1600
     rng = rng_stream(1)  # numpy.random imported before tracing
-    partition.log_partition_value(PLANE_D4, N)  # the factorial table grown
+    pstar = solve_pstar(PLANE_D4).pstar
+    log_prob_ball(PLANE_D4, N, pstar, 0.05)  # the factorial table grown
     if draw:
         peak = traced_peak(lambda: partition._sample_cut(PLANE_D4, N, 1000, rng))
     else:
-        peak = traced_peak(lambda: partition.log_partition_value(PLANE_D4, N))
+        peak = traced_peak(lambda: log_prob_ball(PLANE_D4, N, pstar, 0.05))
     assert peak <= 2 * partition.LATTICE_BYTES, f"peak {peak} B"
 
 
@@ -404,7 +507,7 @@ def test_lattice_rows_property(k_min, ncls, total, offset, batch_rows):
     assert all(a < b for a, b in zip(keys, keys[1:]))
     points = [tuple(p) for b in batches for i, m2 in b.pairs(b.lo, b.hi, 8 * (ncls + 5))
               for p in b.profiles(i, m2).tolist()]
-    assert sum(b.size for b in batches) == len(points)
+    assert sum(int((b.hi - b.lo + 1).sum()) for b in batches) == len(points)
     assert set(points) == set(iter_profiles(k_min, k_max, total, weighted))
 
 

@@ -9,11 +9,13 @@ import treegibbs
 SRC = Path(treegibbs.__file__).parent
 
 #: Names of the profile lattice and its cut, which stay behind
-#: ``partition.log_mass``, ``partition.log_partition_value`` and the samplers.
+#: ``partition.log_mass`` and the samplers; ``partition.log_partition_value``
+#: walks no lattice.
 LATTICE_NAMES = {
     "CUT_SLACK",
     "ProfileCut",
     "integer_lattice",
+    "lattice_points",
     "lattice_rows",
     "profile_log_weights",
 }

@@ -4,10 +4,12 @@
 
 BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  Every
 command of the benchmark's ``EXACT_ARGV``, ``PSTAR_ARGV`` and
-``ORACLE_ARGV`` (``perfbench/workloads.py``, imported and not modified) runs
-as ``python -m treegibbs.cli ARGV`` under each tree.  The script prints, as
-markdown, the commands whose stdout, stderr or exit code differ, and exits 1
-if any does.
+``ORACLE_ARGV`` (``perfbench/workloads.py``, imported and not modified),
+the gated ``sample-labeled`` command (``SAMPLE_SPECS``, ``SAMPLE_N``) and a
+rare-class ``sample`` that draws over the profile lattice's row cut, both
+at seed 1, runs as ``python -m treegibbs.cli ARGV`` under each tree.  The
+script prints, as markdown, the commands whose stdout, stderr or exit code
+differ, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -22,10 +24,16 @@ import workloads  # noqa: E402
 
 
 def commands() -> list[tuple[str, ...]]:
+    kind, bound, samples, _ = workloads.SAMPLE_SPECS["sample-labeled"]
     return [
         *workloads.EXACT_ARGV.values(),
         *workloads.PSTAR_ARGV.values(),
         *workloads.ORACLE_ARGV,
+        ("sample", "--kind", kind, "--bound", str(bound), "--n", str(workloads.SAMPLE_N),
+         "--samples", str(samples), "--seed", "1"),
+        # degrees 2 and 4 at weight e^-30, which odd N needs: the cut draw
+        ("sample", "--kind", "labeled", "--bound", "5", "--beta", "30", "--energy",
+         "0,1,0,1,0", "--n", "1001", "--samples", "20", "--seed", "1"),
     ]
 
 
