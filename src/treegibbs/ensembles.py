@@ -3,12 +3,15 @@
 Two ensemble kinds are supported:
 
 * ``Kind.LABELED``: labeled trees on N vertices, every vertex degree in
-  ``1..D``.  Vertex classes are degrees, the feasible degree sum is
-  ``2N - 2`` and frequency vectors concentrate on the manifold
+  ``1..D``.  Vertex classes are degrees, the degree sum is ``2N - 2`` and
+  frequency vectors concentrate on the manifold
   ``{sum p_k = 1, sum k p_k = 2}``.
 * ``Kind.PLANE``: rooted ordered trees, every branching (child count) in
-  ``0..D``.  Classes are child counts, the feasible class sum is
-  ``N - 1`` and the manifold constraint is ``sum k p_k = 1``.
+  ``0..D``.  Classes are child counts, the class sum is ``N - 1`` and the
+  manifold constraint is ``sum k p_k = 1``.
+
+Every number in which the two kinds differ is a member of ``Kind``, and
+no other module branches on the kind for arithmetic.
 
 A spec is an immutable value object.  A degree profile chi is an int64
 array of ``n_classes`` counts and a frequency vector an array of as many
@@ -24,6 +27,7 @@ from enum import Enum
 
 import numpy as np
 
+from .combinatorics import log_factorial, log_factorials
 from .errors import BadEnergyTable, BoundTooSmall, KindMismatch
 
 #: Absolute tolerance for both linear manifold constraints.
@@ -31,14 +35,19 @@ MANIFOLD_TOL = 1e-12
 
 
 class Kind(Enum):
-    """Tree family, and the constants that follow from it.
+    """Tree family, and the constants that follow from it, in one place.
 
     Classes start at ``k_min`` (degree 1 for labeled trees, 0 children for
-    plane trees) and the manifold mean class is ``mean = k_min + 1``.  A tree
-    on N vertices has class sum ``mean * (N - 1)`` (its N - 1 edges counted
-    at both ends or at the parent only), while the manifold lattice at
-    denominator N has class sum ``mean * N``.  The mean is reachable only
-    when the bound D is at least ``mean``.
+    plane trees) and are counted shifted by it.  The manifold mean class is
+    ``mean = k_min + 1``, reachable only when the bound D is at least
+    ``mean``.  A tree on N vertices has class sum ``mean * (N - 1)`` (its
+    N - 1 edges counted at both ends or at the parent only), so shifted
+    class sum ``budget(N) = N - mean``, while the manifold lattice at
+    denominator r has shifted class sum r.  The trees of one profile m
+    number its multinomial N!/prod m_k! times ``e^tree_log_factor(N)`` over
+    ``e^word_log_weights``, per vertex: (N-2)!/prod (k-1)!^(m_k) by the
+    Prufer code (labeled), 1/N by the cycle lemma (plane; Flajolet &
+    Sedgewick, Analytic Combinatorics, I.5).
     """
 
     LABELED = "labeled"
@@ -52,13 +61,23 @@ class Kind(Enum):
     def mean(self) -> int:
         return self.k_min + 1
 
-    def class_sum(self, N: int) -> int:
-        """Class sum of every tree on N vertices."""
-        return self.mean * (N - 1)
+    def budget(self, N: int) -> int:
+        """Shifted class sum of every tree on N vertices: N-2 for labeled
+        trees, N-1 for plane trees; negative below the smallest tree."""
+        return N - self.mean
 
-    def manifold_total(self, N: int) -> int:
-        """Class sum of the manifold lattice points with denominator N."""
-        return self.mean * N
+    def tree_log_factor(self, N: int) -> float:
+        """ln (N-2)! for labeled trees, -ln N for plane trees (N >= mean)."""
+        return log_factorial(N - 2) if self is Kind.LABELED else -math.log(N)
+
+    def word_log_weights(self, D: int) -> np.ndarray:
+        """Per class k = k_min..D, ln (k-1)! for labeled trees and zero for
+        plane trees.  A labeled vertex of degree k fills k - 1 places of the
+        tree's word, and the number of such words divides by (k-1)! per
+        vertex; plane trees carry no such factor."""
+        if self is Kind.LABELED:
+            return log_factorials(np.arange(D))
+        return np.zeros(D + 1)
 
 
 @dataclass(frozen=True)
@@ -89,11 +108,6 @@ class EnsembleSpec:
     @property
     def n_classes(self) -> int:
         return self.D - self.k_min + 1
-
-    @property
-    def mean_target(self) -> float:
-        """Manifold mean-class constraint: 2 for labeled, 1 for plane."""
-        return float(self.kind.mean)
 
     def classes(self) -> np.ndarray:
         return np.arange(self.k_min, self.D + 1)

@@ -7,9 +7,11 @@ Writing ``w_k`` for the per-vertex Gibbs weight of class k,
 * plane:    ``w_k = exp(-beta c(k))``,
 
 Z_N sums ``prod_i w_{k_i}`` over all class sequences with the feasible class
-sum.  Classes are stored shifted by their minimum (degree-1 for labeled), so
-the feasible shifted class sum (the budget) is ``N-2`` for labeled trees
-(degree sum 2N-2) and ``N-1`` for plane trees.
+sum, times the kind's tree factor.  Classes are stored shifted by their
+minimum (degree-1 for labeled), and the feasible shifted class sum, the
+budget, and the tree factor are ``ensembles.Kind``'s: ``N-2`` and (N-2)!
+for labeled trees (degree sum 2N-2), ``N-1`` and 1/N for plane trees.
+``shifted_budget`` is the one place that refuses N below the smallest tree.
 
 ln Z_N, against which the law of chi is read (``log_prob_profile``), is one
 coefficient of the N-th power of the class weights' series, taken with no
@@ -31,7 +33,7 @@ closed form.  ``integer_lattice`` builds all profiles into one matrix.
 ``build_dp``, which no library path calls, keeps the per-vertex dynamic
 program as the tests' independent reference: ``W[i][s]`` is the log weight
 of the length-i class words with shifted class sum s, and ln Z_N is
-``W[N][N-2] + ln (N-2)!`` (labeled) or ``W[N][N-1] - ln N`` (plane).
+``W[N][budget]`` plus the tree factor.
 
 Sampling needs no table.  Under Multinomial(N, q) at the tilt q_k ~ w_k x^k
 (``tilt``) a profile n weighs its Gibbs weight times x^S, S its class sum,
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import NEG_INF, log_factorial, log_factorials
-from .ensembles import EnsembleSpec, Kind
+from .ensembles import EnsembleSpec
 from .errors import BadEnergyTable, NoFeasibleTree, SumMismatch
 
 #: Ceiling on what one batch of ``lattice_rows`` and one block of its points
@@ -94,11 +96,11 @@ def rng_stream(seed: int, block: int = 0) -> np.random.Generator:
 
 
 def shifted_budget(spec: EnsembleSpec, N: int) -> int:
-    """Shifted class-sum budget: N-2 for labeled trees, N-1 for plane trees.
+    """``Kind.budget``: N-2 for labeled trees, N-1 for plane trees.
 
     Raises NoFeasibleTree (exit 3 in the CLI) below the smallest tree.
     """
-    budget = spec.kind.class_sum(N) - spec.k_min * N
+    budget = spec.kind.budget(N)
     if budget < 0:
         raise NoFeasibleTree(
             f"no {spec.kind.value} tree on {N} vertices: "
@@ -115,22 +117,10 @@ def check_log_weights(spec: EnsembleSpec, N: int) -> None:
         raise BadEnergyTable(f"profile log weights overflow at N={N}, beta={spec.beta!r}")
 
 
-def word_log_weights(spec: EnsembleSpec) -> np.ndarray:
-    """ln (k-1)! per class for labeled trees, zero for plane trees.
-
-    A labeled vertex of degree k fills k - 1 places of the tree's word, and
-    the number of such words divides by (k-1)! per vertex; plane trees carry
-    no such factor.  Indexed by shifted class.
-    """
-    if spec.kind is Kind.LABELED:
-        return log_factorials(spec.classes() - 1)
-    return np.zeros(spec.n_classes)
-
-
 def class_log_weights(spec: EnsembleSpec) -> np.ndarray:
     """Per-class log Gibbs weights ln w_k = -beta c(k) - ln (k-1)! (the
     factorial for labeled trees only), indexed by shifted class."""
-    return -spec.beta * spec.energies() - word_log_weights(spec)
+    return -spec.beta * spec.energies() - spec.kind.word_log_weights(spec.D)
 
 
 def tilt_probs(spec: EnsembleSpec, log_x: float) -> np.ndarray:
@@ -219,10 +209,8 @@ def profile_log_weights(spec: EnsembleSpec, N: int, profiles: np.ndarray) -> np.
     profiles = np.asarray(profiles, dtype=np.int64)
     lnc = log_factorial(N) - log_factorials(profiles).sum(axis=1)
     gibbs = -spec.beta * (profiles @ spec.energies())
-    if spec.kind is Kind.LABELED:
-        word = log_factorial(N - 2) - profiles @ word_log_weights(spec)
-        return lnc + word + gibbs
-    return lnc - np.log(N) + gibbs
+    word = spec.kind.tree_log_factor(N) - profiles @ spec.kind.word_log_weights(spec.D)
+    return lnc + word + gibbs
 
 
 def log_prob_profile(spec: EnsembleSpec, N: int, n, log_z=None) -> float:
@@ -248,7 +236,7 @@ def log_prob_profile(spec: EnsembleSpec, N: int, n, log_z=None) -> float:
         raise ValueError("counts must be nonnegative")
     if sum(counts) != N:
         raise SumMismatch(f"profile sums to {sum(counts)}, expected {N}")
-    if sum(k * v for k, v in enumerate(counts, spec.k_min)) != spec.kind.class_sum(N):
+    if sum(k * v for k, v in enumerate(counts)) != spec.kind.budget(N):
         return NEG_INF
     lw = profile_log_weights(spec, N, n[None, :])[0]
     return float(lw - (log_partition_value(spec, N) if log_z is None else log_z))
@@ -327,30 +315,25 @@ def _leaves(j: int, total: int, r: int, suffix: tuple):
         yield from _leaves(j - 1, total - m, r - j * m, suffix + (m,))
 
 
-def lattice_rows(
-    k_min: int, k_max: int, total: int, weighted_total: int, row_bytes: int | None = None
-):
-    """Yield the rows of the lattice of integer m >= 0 over classes
-    k_min..k_max with ``sum m = total`` and ``sum k m_k = weighted_total``
+def lattice_rows(ncls: int, total: int, budget: int, row_bytes: int | None = None):
+    """Yield the rows of the lattice of integer m >= 0 over the shifted
+    classes j = 0..ncls-1 with ``sum m = total`` and ``sum j m_j = budget``
     in batches (``LatticeRows``) of at most LATTICE_BYTES / 2 at the
     ``row_bytes`` that the caller holds per row (by default a row's own
     ncls + 1 columns), empty rows left out.
 
-    Writing j for the shifted class k - k_min, the walk is depth-first over
-    the classes j >= 4 (``_leaves``); each of its leaves is a range of rows,
-    one per m_3, built in pieces that fill the batch and no more.  Rows come
-    in ascending lexicographic order of (m_{K-1}, ..., m_3), K the number of
-    classes.  Besides the batch, the walk holds its rows' pieces and one
-    node per class.
+    The walk is depth-first over the classes j >= 4 (``_leaves``); each of
+    its leaves is a range of rows, one per m_3, built in pieces that fill
+    the batch and no more.  Rows come in ascending lexicographic order of
+    (m_{K-1}, ..., m_3), K = ncls.  Besides the batch, the walk holds its
+    rows' pieces and one node per class.
     """
-    ncls = k_max - k_min + 1
-    R = weighted_total - k_min * total  # shifted weighted sum
-    if total < 0 or R < 0:
+    if total < 0 or budget < 0:
         return
     cap = max(1, LATTICE_BYTES // (2 * (row_bytes or 8 * (ncls + 1))))
     parts: list[tuple] = []
     count = 0
-    for rem_total, rem_r, suffix in _leaves(ncls - 1, total, R, ()):
+    for rem_total, rem_r, suffix in _leaves(ncls - 1, total, budget, ()):
         # With three classes or fewer m_3 is absent, and the leaf is one row;
         # below three m_2 is pinned to 0, and with one class m_1 too.
         top = min(rem_total, rem_r // 3) if ncls > 3 else 0
@@ -435,7 +418,7 @@ class _RowCut:
         a[: spec.n_classes] = class_log_weights(spec)
         self.a = a
         self.lf_n = log_factorial(N)
-        self.const = log_factorial(N - 2) if spec.kind is Kind.LABELED else -math.log(N)
+        self.const = spec.kind.tree_log_factor(N)
         # per row, the terms of the classes >= 3 in sum ln m_k! and in m . a
         self.lf_upper = log_factorials(rows.upper).sum(axis=1)
         self.a_upper = rows.upper @ a[3:]
@@ -502,9 +485,7 @@ def log_partition_value(spec: EnsembleSpec, N: int) -> float:
     D' values, within 64 of an integer base: each step rounds at the size of
     ln(w_k/w_0), not of ln a_n ~ N.  Raises BadEnergyTable or NoFeasibleTree."""
     check_log_weights(spec, N)
-    budget = spec.kind.class_sum(N) - spec.k_min * N
-    if budget < 0:
-        raise NoFeasibleTree(f"no feasible {spec.kind.value} profile at N={N} with D={spec.D}")
+    budget = shifted_budget(spec, N)
     logw = class_log_weights(spec).tolist()
     ratio = [v - logw[0] for v in logw[1:]]  # ln(w_k/w_0), k = 1..D'
     factor = [float((N + 1) * k) for k in range(1, len(ratio) + 1)]
@@ -521,8 +502,7 @@ def log_partition_value(spec: EnsembleSpec, N: int) -> float:
             base, new = base + shift, new - shift
             window = deque([a - shift for a in window], maxlen=len(ratio))
         window.appendleft(new)
-    const = log_factorial(N - 2) if spec.kind is Kind.LABELED else -math.log(N)
-    return const + (N * logw[0] + base) + window[0]
+    return spec.kind.tree_log_factor(N) + (N * logw[0] + base) + window[0]
 
 
 def lattice_points(spec: EnsembleSpec, N: int) -> int:
@@ -559,7 +539,7 @@ class ProfileCut:
         # per row: its ncls + 1 columns twice (the walk joins its leaves),
         # then at most ncls + 4 arrays of the bisections or of a fold
         row_bytes = 8 * (3 * spec.n_classes + 6)
-        for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N), row_bytes):
+        for rows in lattice_rows(spec.n_classes, N, spec.kind.budget(N), row_bytes):
             cut = _RowCut(spec, N, rows)
             first, last = cut.interval(tau)
             for i, m2 in cut.rows.pairs(first, last, 8 * 10):
@@ -612,19 +592,17 @@ def log_mass(spec: EnsembleSpec, N: int, center: np.ndarray, select) -> float:
     return -float(np.logaddexp(0.0, log_ratio))
 
 
-def integer_lattice(k_min: int, k_max: int, total: int, weighted_total: int) -> np.ndarray:
+def integer_lattice(ncls: int, total: int, budget: int) -> np.ndarray:
     """The profiles of ``lattice_rows`` as one (M, ncls) int64 matrix in
-    walk order, ascending in (m_{K-1}, ..., m_2), K = ncls the class count.
+    walk order, ascending in (m_{K-1}, ..., m_2), K = ncls.
 
-    The lattice has dimension D-2 for labeled profiles and D-1 for plane
-    profiles, so its size grows like N^(D-2) or N^(D-1).
+    The lattice has dimension ncls - 2, so its size grows like N^(ncls-2).
     """
-    ncls = k_max - k_min + 1
     # a point: its profile and the five columns that build it; a row: its
     # ncls + 1 columns and the four of pairs
     point_bytes = row_bytes = 8 * (ncls + 5)
     blocks: list[np.ndarray] = []
-    for rows in lattice_rows(k_min, k_max, total, weighted_total, row_bytes):
+    for rows in lattice_rows(ncls, total, budget, row_bytes):
         for i, m2 in rows.pairs(rows.lo, rows.hi, point_bytes):
             blocks.append(rows.profiles(i, m2))
     if not blocks:
@@ -634,7 +612,7 @@ def integer_lattice(k_min: int, k_max: int, total: int, weighted_total: int) -> 
 
 def enumerate_profiles(spec: EnsembleSpec, N: int) -> np.ndarray:
     """All feasible class profiles for (spec, N) as an (M, n_classes) matrix."""
-    return integer_lattice(spec.k_min, spec.D, N, spec.kind.class_sum(N))
+    return integer_lattice(spec.n_classes, N, spec.kind.budget(N))
 
 
 def sample_profiles(
@@ -663,7 +641,7 @@ def sample_profiles(
         raise ValueError("size must be >= 1")
     check_log_weights(spec, N)
     budget = shifted_budget(spec, N)
-    q, _ = tilt(spec, spec.kind.class_sum(N) / N)
+    q, _ = tilt(spec, (spec.k_min * N + budget) / N)  # an integer numerator
     shifted = np.arange(spec.n_classes)
     var = float(q @ (shifted - q @ shifted) ** 2)
     guess = min(1.0, 1.0 / math.sqrt(2.0 * math.pi * N * var)) if var > 0 else 1.0
@@ -686,32 +664,25 @@ def sample_profiles(
 
 def _sample_cut(spec: EnsembleSpec, N: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` profiles by inverse CDF over the profiles above the cut
-    of ``ProfileCut``: two walks fold their probabilities e^(lw - ln Z_N)
-    into running sums, first for the total and then to place the sorted
-    uniforms block by block, whose argsort undoes the sort.  Only the drawn
-    points are built into profiles."""
+    of ``ProfileCut``: one walk folds their probabilities e^(lw - ln Z_N)
+    into running sums and places the sorted uniforms block by block, whose
+    argsort undoes the sort.  The sums end at 1 less the e^-CUT_SLACK that
+    the cut drops, to rounding; a uniform past the last goes to the last
+    kept point.  Only the drawn points are built into profiles."""
     cut = ProfileCut(spec, N)
-
-    def cdf():  # the kept points and the running sums of e^(lw - ln Z_N)
-        seen = 0.0
-        for rows_cut, i, m2 in cut.blocks(cut.tau):
-            cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.log_z))
-            seen = cum[-1]
-            yield rows_cut.rows, i, m2, cum
-            del rows_cut, i, m2, cum  # freed before the next block is built
-
-    for block in cdf():
-        total = block[-1][-1]  # the last running sum
-        del block
     u = rng.random(size)
-    targets = np.sort(u) * total  # each below total, as u < 1
-    drawn, placed = [], 0
-    for rows, i, m2, cum in cdf():
+    targets = np.sort(u)
+    drawn, placed, seen = [], 0, 0.0
+    for rows_cut, i, m2 in cut.blocks(cut.tau):
+        cum = seen + np.cumsum(np.exp(rows_cut.log_weights(m2, i) - cut.log_z))
+        seen = cum[-1]
         below = np.searchsorted(targets, cum)  # targets below each running sum
         pick = np.repeat(np.arange(m2.size), np.diff(below, prepend=placed))
-        drawn.append(rows.profiles(i[pick], m2[pick]))
+        drawn.append(rows_cut.rows.profiles(i[pick], m2[pick]))
+        last = rows_cut.rows.profiles(i[-1:], m2[-1:])
         placed = below[-1]
-        del rows, i, m2, cum, below, pick
+        del rows_cut, i, m2, cum, below, pick  # freed before the next block is built
+    drawn.append(np.repeat(last, size - placed, axis=0))
     return np.concatenate(drawn)[np.argsort(np.argsort(u))]
 
 

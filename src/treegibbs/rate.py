@@ -22,12 +22,14 @@ single point) the minimizer is the boundary vertex of M and the context
 carries a boundary flag instead of a tilt parameter.
 
 The rate grid is the lattice of M at free-coordinate spacing
-1/resolution: the class profiles of ``resolution`` nodes on M, divided by
-``resolution``.  ``grid_inf_rate`` gives the ``inf_I`` column of ``lln``
-from it at ``GRID_RESOLUTION`` in one walk of ``partition.lattice_rows``,
-in (row, m_2) blocks within ``partition.LATTICE_BYTES``: it builds the
-profiles of the points farther than delta from p* alone.  ``manifold_grid``
-materializes the grid; no command calls it.
+1/resolution: the class profiles of r = ``resolution`` nodes on M, divided
+by r.  At mean class k_min + 1 their shifted class sum is r, so the grid is
+the lattice of ``partition.lattice_rows`` at (r, r), where the profiles of
+trees on N vertices are at (N, ``Kind.budget(N)``).  ``grid_inf_rate``
+gives the ``inf_I`` column of ``lln`` from it at ``GRID_RESOLUTION`` in one
+walk, in (row, m_2) blocks within ``partition.LATTICE_BYTES``: it builds
+the profiles of the points farther than delta from p* alone.
+``manifold_grid`` materializes the grid; no command calls it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .ensembles import MANIFOLD_TOL, EnsembleSpec, frequency_array
 from .errors import OffManifold
-from .partition import integer_lattice, lattice_rows, tilt, word_log_weights
+from .partition import integer_lattice, lattice_rows, tilt
 
 #: Free-coordinate spacing 1/GRID_RESOLUTION of the rate grid behind the
 #: ``inf_I`` column of ``lln``.
@@ -64,7 +66,7 @@ def j_values(spec: EnsembleSpec, pmat: np.ndarray) -> np.ndarray:
     vals = (
         _xlogx(pmat).sum(axis=1)
         + spec.beta * np.einsum("ij,j->i", pmat, spec.energies())
-        + np.einsum("ij,j->i", pmat, word_log_weights(spec))
+        + np.einsum("ij,j->i", pmat, spec.kind.word_log_weights(spec.D))
     )
     return vals[0] if single else vals
 
@@ -77,7 +79,7 @@ def manifold_point(spec: EnsembleSpec, p) -> np.ndarray:
     if not (abs(mass - 1.0) <= MANIFOLD_TOL and abs(mean - spec.kind.mean) <= MANIFOLD_TOL):
         raise OffManifold(
             f"frequency vector off manifold: mass={mass!r}, "
-            f"mean={mean!r} (target {spec.mean_target})"
+            f"mean={mean!r} (target {spec.kind.mean})"
         )
     return p
 
@@ -113,7 +115,7 @@ def _stationarity_residual(spec: EnsembleSpec, p: np.ndarray) -> float:
         return 0.0
     ks = spec.classes()[pos].astype(np.float64)
     y = (np.log(p[pos]) + spec.beta * spec.energies()[pos]
-         + word_log_weights(spec)[pos])
+         + spec.kind.word_log_weights(spec.D)[pos])
     ks -= ks.mean()
     y -= y.mean()
     slope = (ks * y).sum() / (ks * ks).sum()
@@ -128,7 +130,7 @@ def solve_pstar(spec: EnsembleSpec) -> RateContext:
     the bound itself (labeled D = 2, plane D = 1) the minimizer is the
     boundary point mass at class D and ``tilt_x`` is None (``boundary``).
     """
-    p, t = tilt(spec, spec.mean_target)
+    p, t = tilt(spec, spec.kind.mean)
     p.setflags(write=False)
     with np.errstate(over="ignore"):  # x = e^t is inf past the largest double
         x = None if t is None else float(np.exp(t))
@@ -159,18 +161,17 @@ def manifold_grid(spec: EnsembleSpec, resolution: int) -> np.ndarray:
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")
-    total = spec.kind.manifold_total(resolution)
-    return integer_lattice(spec.k_min, spec.D, resolution, total) / resolution
+    return integer_lattice(spec.n_classes, resolution, resolution) / resolution
 
 
 def grid_inf_rate(ctx: RateContext, delta: float) -> float:
     """inf I over the points of the rate grid at ``GRID_RESOLUTION`` farther
     than ``delta`` (l1) from p*; +inf when there are none."""
     spec, r, best = ctx.spec, GRID_RESOLUTION, np.inf
-    ncls, total = spec.n_classes, spec.kind.manifold_total(GRID_RESOLUTION)
+    ncls = spec.n_classes
     # a row: its ncls + 1 columns, the four of pairs; a point: its pair, its
     # distance and two temporaries, its profile, grid point and J temporary
-    for rows in lattice_rows(spec.k_min, spec.D, r, total, 8 * (ncls + 5)):
+    for rows in lattice_rows(ncls, r, r, 8 * (ncls + 5)):
         for i, m2 in rows.pairs(rows.lo, rows.hi, 8 * (3 * ncls + 5)):
             far = rows.distance(i, m2, ctx.pstar, r) > delta
             if far.any():

@@ -187,7 +187,7 @@ def log_count_by_profile(kind: Kind, N: int, profile) -> float:
 
 
 def iter_feasible_profiles(spec: EnsembleSpec, N: int):
-    return iter_profiles(spec.k_min, spec.D, N, spec.kind.class_sum(N))
+    return iter_profiles(spec.k_min, spec.D, N, spec.kind.mean * (N - 1))
 
 
 def assert_same_text(got: str, expected: str) -> None:

@@ -50,7 +50,6 @@ from treegibbs.partition import (
     profile_log_weights,
     shifted_budget,
     tilt,
-    word_log_weights,
 )
 from treegibbs.rate import manifold_point
 from treegibbs.treegen import _lukasiewicz_starts
@@ -76,7 +75,7 @@ def chi_law(spec: EnsembleSpec, N: int) -> dict[tuple[int, ...], float]:
 
 def walk_points(spec: EnsembleSpec, N: int) -> int:
     """The number of feasible profiles, counted row by row over the walk."""
-    rows = lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N))
+    rows = lattice_rows(spec.n_classes, N, spec.kind.budget(N))
     return sum(int((batch.hi - batch.lo + 1).sum()) for batch in rows)
 
 
@@ -91,7 +90,7 @@ def fold_log_partition(spec: EnsembleSpec, N: int) -> float:
     check_log_weights(spec, N)
 
     def row_cuts():
-        for rows in lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
+        for rows in lattice_rows(spec.n_classes, N, spec.kind.budget(N)):
             yield _RowCut(spec, N, rows)
 
     points, top = 0, NEG_INF
@@ -341,8 +340,7 @@ def grid_minimize_J(spec: EnsembleSpec, resolution: int) -> np.ndarray:
     streamed over the walk of ``rate.grid_inf_rate`` in blocks of
     ``LatticeRows.pairs``, each built into its grid points whole."""
     best, point = np.inf, None
-    total = spec.kind.manifold_total(resolution)
-    for rows in lattice_rows(spec.k_min, spec.D, resolution, total):
+    for rows in lattice_rows(spec.n_classes, resolution, resolution):
         for i, m2 in rows.pairs(rows.lo, rows.hi, 4 * 8 * spec.n_classes):
             grid = rows.profiles(i, m2) / resolution
             vals = j_values(spec, grid)
@@ -391,7 +389,7 @@ def j_free_gradient(spec: EnsembleSpec, p) -> np.ndarray:
     arr = manifold_point(spec, p)
     if np.any(arr <= 0.0):
         raise ValueError("gradient needs an interior point (all p_k > 0)")
-    dJdp = np.log(arr) + 1.0 + spec.beta * spec.energies() + word_log_weights(spec)
+    dJdp = np.log(arr) + 1.0 + spec.beta * spec.energies() + spec.kind.word_log_weights(spec.D)
     a_low, a_next = _pinned_coefficients(spec)
     return a_low * dJdp[0] + a_next * dJdp[1] + dJdp[2:]
 
@@ -423,9 +421,9 @@ def r_set_counts(n, spec: EnsembleSpec) -> list[np.ndarray]:
     if counts.shape != (spec.n_classes,) or counts.min() < 0:
         raise ValueError(f"r_set needs {spec.n_classes} nonnegative counts, got {n!r}")
     N = int(counts.sum())
-    if int(spec.classes() @ counts) != spec.kind.class_sum(N):
+    gap = spec.kind.mean  # the manifold's class sum mean * N less a tree's
+    if int(spec.classes() @ counts) != gap * (N - 1):
         raise ValueError("r_set needs a feasible profile")
-    gap = spec.kind.manifold_total(N) - spec.kind.class_sum(N)
     moves = []
     for b in range(spec.n_classes - gap):
         if counts[b] >= 1:
@@ -510,7 +508,7 @@ def one_shot_sample_profiles(
     leave ``rng`` in the same state."""
     check_log_weights(spec, N)
     budget = shifted_budget(spec, N)
-    q, _ = tilt(spec, spec.kind.class_sum(N) / N)
+    q, _ = tilt(spec, spec.kind.mean * (N - 1) / N)
     shifted = np.arange(spec.n_classes)
     var = float(q @ (shifted - q @ shifted) ** 2)
     guess = min(1.0, 1.0 / math.sqrt(2.0 * math.pi * N * var)) if var > 0 else 1.0

@@ -380,7 +380,7 @@ def test_sample_memory_is_bounded_in_bytes():
     # encode hold a few at once.  Nothing is (trees, N).
     N, samples = 1000, 2000
     spec = EnsembleSpec.labeled(3)
-    q, _ = partition.tilt(spec, spec.kind.class_sum(N) / N)
+    q, _ = partition.tilt(spec, spec.kind.mean * (N - 1) / N)
     shifted = np.arange(spec.n_classes)
     var = float(q @ (shifted - q @ shifted) ** 2)
     proposal_rows = math.ceil(1.2 * samples * math.sqrt(2 * math.pi * N * var)) + 16
@@ -646,22 +646,29 @@ def test_ldp_table_past_the_lattice_cap(capsys):
     assert out.splitlines()[1].startswith("1200,0.1,")
 
 
-@pytest.mark.parametrize("command,radius", [("ldp-table", "--eps"), ("lln", "--delta")])
+#: Each command that takes a vertex count, and the option after it.
+AT_N = [("ldp-table", "--eps"), ("lln", "--delta"), ("sample", "--samples")]
+
+
+def run_at_n(capsys, command, radius, kind, bound, N):
+    size, value = ("--n", "2") if command == "sample" else ("--n-list", "0.05")
+    return run_cli(capsys, command, "--kind", kind, "--bound", bound, size, N, radius, value)
+
+
+@pytest.mark.parametrize("command,radius", AT_N)
 def test_no_feasible_profile_exits_3(capsys, command, radius):
-    code, _, err = run_cli(
-        capsys, command, "--kind", "labeled", "--bound", "3", "--n-list", "1", radius, "0.05"
-    )
-    assert code == 3 and "no feasible labeled profile at N=1" in err
+    # one message below the smallest tree, whichever command meets it
+    code, _, err = run_at_n(capsys, command, radius, "labeled", "3", "1")
+    assert code == 3
+    assert err == "error: no labeled tree on 1 vertices: labeled ensembles need N >= 2\n"
 
 
-@pytest.mark.parametrize("command,radius", [("ldp-table", "--eps"), ("lln", "--delta")])
+@pytest.mark.parametrize("command,radius", AT_N)
 @pytest.mark.parametrize("kind,bound", [("labeled", "2"), ("plane", "1"), ("labeled", "4")])
 def test_empty_lattice_exits_3_for_every_class_count(capsys, command, radius, kind, bound):
     # N = 0: no profile, on the two-class lattices too
-    code, out, err = run_cli(
-        capsys, command, "--kind", kind, "--bound", bound, "--n-list", "0", radius, "0.05"
-    )
-    assert code == 3 and f"no feasible {kind} profile at N=0" in err
+    code, out, err = run_at_n(capsys, command, radius, kind, bound, "0")
+    assert code == 3 and f"no {kind} tree on 0 vertices" in err
     assert out == ""
 
 

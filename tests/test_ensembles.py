@@ -67,11 +67,11 @@ def assert_tree_profile(spec: EnsembleSpec, chi: np.ndarray, N: int) -> None:
     """chi has a tree's class sum, and chi/N its mass 1 and mean class
     ``mean - mean/N`` (2 - 2/N labeled, 1 - 1/N plane)."""
     assert chi.dtype == np.int64 and chi.sum() == N
-    assert int(spec.classes() @ chi) == spec.kind.class_sum(N)
+    assert int(spec.classes() @ chi) == spec.kind.mean * (N - 1)
     assert math.isfinite(log_prob_profile(spec, N, chi))
     f = frequency_array(spec, chi / N)
     assert abs(f.sum() - 1.0) <= 1e-15
-    assert abs(spec.classes() @ f - spec.mean_target * (1.0 - 1.0 / N)) <= 1e-12
+    assert abs(spec.classes() @ f - spec.kind.mean * (1.0 - 1.0 / N)) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
@@ -135,10 +135,21 @@ def test_entry_checks(call, expected):
 def test_spec_class_ranges():
     lab = EnsembleSpec.labeled(3)
     assert list(lab.classes()) == [1, 2, 3]
-    assert lab.mean_target == 2.0
+    assert lab.kind.mean == 2
     plane = EnsembleSpec.plane(3)
     assert list(plane.classes()) == [0, 1, 2, 3]
-    assert plane.mean_target == 1.0
+    assert plane.kind.mean == 1
+
+
+def test_kind_constants():
+    # budget, tree factor and word weights against their closed forms
+    lab, plane = Kind.LABELED, Kind.PLANE
+    assert [lab.budget(N) for N in (1, 2, 10)] == [-1, 0, 8]
+    assert [plane.budget(N) for N in (0, 1, 10)] == [-1, 0, 9]
+    assert abs(lab.tree_log_factor(10) - math.log(math.factorial(8))) <= 1e-12
+    assert plane.tree_log_factor(10) == -math.log(10)
+    np.testing.assert_allclose(lab.word_log_weights(4), np.log([1, 1, 2, 6]), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(plane.word_log_weights(3), np.zeros(4))
 
 
 def test_immutability():

@@ -137,7 +137,7 @@ def test_r_set_accepts_frequency_vectors():
     ],
 )
 def test_r_set_is_minimal_distance_set(spec, N):
-    lattice = np.array(iter_profiles(spec.k_min, spec.D, N, spec.kind.manifold_total(N)))
+    lattice = np.array(iter_profiles(spec.k_min, spec.D, N, spec.kind.mean * N))
     for profile in chi_law(spec, N):
         got = {tuple((m * N + 0.5).astype(int)) for m in r_set(np.array(profile), N, spec)}
         dist = np.abs(lattice - np.array(profile)[None, :]).sum(axis=1)
@@ -217,7 +217,7 @@ def test_streamed_sums_match_the_chi_law(monkeypatch, spec, N):
     # A byte bound of 3 profiles, so every sum folds across many blocks; the
     # reference sums the materialized law's log-probabilities.
     monkeypatch.setattr(partition, "LATTICE_BYTES", 3 * 8 * spec.n_classes)
-    rows = partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N))
+    rows = partition.lattice_rows(spec.n_classes, N, spec.kind.budget(N))
     assert sum(1 for batch in rows for _ in batch.pairs(batch.lo, batch.hi, 8 * 10)) >= 10
     law = chi_law(spec, N)
     profiles, logp = np.array(list(law)), np.log(list(law.values()))
@@ -367,7 +367,7 @@ def test_row_cut_keeps_exactly_the_points_above_tau(kind, D, beta, c_raw, N, bat
     spec = make_spec(kind, D, beta, c_raw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "LATTICE_BYTES", 8 * (spec.n_classes + 1) * batch_rows)
-        batches = list(partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)))
+        batches = list(partition.lattice_rows(spec.n_classes, N, spec.kind.budget(N)))
     for rows in batches:
         cut = partition._RowCut(spec, N, rows)
         lw = partition.profile_log_weights(spec, N, np.concatenate(
@@ -408,7 +408,7 @@ def test_row_fold_log_weights_match_the_profiles(kind, D, beta, c_raw, N, point_
     if D < kind.mean:
         D = kind.mean
     spec = make_spec(kind, D, beta, c_raw)
-    for rows in partition.lattice_rows(spec.k_min, spec.D, N, spec.kind.class_sum(N)):
+    for rows in partition.lattice_rows(spec.n_classes, N, spec.kind.budget(N)):
         cut = partition._RowCut(spec, N, rows)
         for i, m2 in rows.pairs(rows.lo, rows.hi, point_bytes):
             lw = cut.log_weights(m2, i)
@@ -424,7 +424,7 @@ def test_cut_fold_second_pass_and_kept_share(monkeypatch):
     # tail of about e^-310 at plane D=2, N=60 is too small for the cut, so
     # the certificate sends the fold below tau (a second walk, which folds
     # again from the top: all the first walk's points and more).  The
-    # rare-class draw takes two walks.
+    # rare-class draw takes one walk.
     walks, folded = [], []  # folded: the block sizes, per walk
     lattice_rows, pairs = partition.lattice_rows, partition.LatticeRows.pairs
 
@@ -469,4 +469,4 @@ def test_cut_fold_second_pass_and_kept_share(monkeypatch):
     walks.clear()
     spec = EnsembleSpec(Kind.LABELED, 4, 1.0, (0.0, 20.0, 0.0, 20.0))
     partition.sample_profiles(spec, 9, 50, rng_stream(5))
-    assert len(walks) == 2
+    assert len(walks) == 1

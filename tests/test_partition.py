@@ -162,7 +162,7 @@ def test_recurrence_matches_the_dp_and_the_fold(kind, D, beta, c_raw, N_raw):
         try:
             expected = reference(spec, N)
         except NoFeasibleTree:
-            with pytest.raises(NoFeasibleTree, match=f"no feasible {kind.value} profile"):
+            with pytest.raises(NoFeasibleTree, match=f"no {kind.value} tree on {N} vertices"):
                 log_partition_value(spec, N)
             continue
         got = log_partition_value(spec, N)
@@ -343,7 +343,8 @@ def test_integer_lattice_matches_brute_force():
         k_max = k_min + int(rng.integers(1, 4))
         total = int(rng.integers(0, 9))
         weighted = int(rng.integers(0, 2 * k_max * max(total, 1) + 1))
-        got = {tuple(row) for row in integer_lattice(k_min, k_max, total, weighted)}
+        budget = weighted - k_min * total
+        got = {tuple(row) for row in integer_lattice(k_max - k_min + 1, total, budget)}
         expected = set()
         for combo in itertools.product(range(total + 1), repeat=k_max - k_min + 1):
             if sum(combo) != total:
@@ -374,12 +375,12 @@ def test_lattice_blocks_property(k_min, ncls, total, offset, block_rows, slack):
     k_max = k_min + ncls - 1
     low, high = k_min * total, k_max * total
     weighted = max(0, low - 1) + offset % (high + 2 - max(0, low - 1))
-    bound = 8 * ncls * block_rows + slack
+    bound, budget = 8 * ncls * block_rows + slack, weighted - k_min * total
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "LATTICE_BYTES", bound)
-        blocks = [rows.profiles(i, m2) for rows in lattice_rows(k_min, k_max, total, weighted)
+        blocks = [rows.profiles(i, m2) for rows in lattice_rows(ncls, total, budget)
                   for i, m2 in rows.pairs(rows.lo, rows.hi, 8 * ncls)]
-        joined = integer_lattice(k_min, k_max, total, weighted)
+        joined = integer_lattice(ncls, total, budget)
     assert all(b.dtype == np.int64 and b.shape[1] == ncls for b in blocks)
     assert all(0 < b.nbytes <= bound for b in blocks)
     rows = np.concatenate(blocks) if blocks else np.empty((0, ncls), dtype=np.int64)
@@ -412,8 +413,8 @@ def test_distance_matches_the_profile_matrix(kind, ncls, total, on_grid, weights
     else:
         w = np.asarray(weights[:ncls]) + 1e-3
         center = w / w.sum()
-    weighted = kind.manifold_total(total) if on_grid else kind.class_sum(total)
-    for rows in lattice_rows(spec.k_min, spec.D, total, weighted):
+    budget = total if on_grid else kind.budget(total)
+    for rows in lattice_rows(spec.n_classes, total, budget):
         for i, m2 in rows.pairs(rows.lo, rows.hi, point_bytes):
             want = np.abs(rows.profiles(i, m2) / total - center).sum(axis=1)
             np.testing.assert_array_equal(rows.distance(i, m2, center, total), want)
@@ -423,7 +424,7 @@ def test_a_row_batch_dies_with_the_batch(monkeypatch):
     # The walk keeps no view of a batch it has yielded: once the caller
     # drops a batch and asks for the next, the batch's arrays are freed.
     monkeypatch.setattr(partition, "LATTICE_BYTES", 2 * 8 * 6 * 50)  # 50 rows or fewer
-    walk = partition.lattice_rows(0, 4, 60, 59)  # plane D=4, N=60: 165 rows
+    walk = partition.lattice_rows(5, 60, 59)  # plane D=4, N=60: 165 rows
     batch = next(walk)
     freed = [weakref.ref(column if column.base is None else column.base)
              for column in (batch.upper, batch.t, batch.hi)]
@@ -455,10 +456,10 @@ def test_the_walk_alone_is_bounded_in_bytes(monkeypatch):
     cut = partition.ProfileCut(PLANE_D4, 40)
     for _ in cut.blocks(cut.tau):
         pass
-    row_bytes = args[0][4]
+    row_bytes = args[0][3]
 
     def walk_alone(N):
-        for rows in walk(0, 4, N, N - 1, row_bytes):
+        for rows in walk(5, N, N - 1, row_bytes):
             del rows
 
     small, large = (traced_peak(lambda: walk_alone(N)) for N in (800, 12_800))
@@ -500,7 +501,7 @@ def test_lattice_rows_property(k_min, ncls, total, offset, batch_rows):
     weighted = max(0, low - 1) + offset % (high + 2 - max(0, low - 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "LATTICE_BYTES", 8 * (ncls + 1) * batch_rows)
-        batches = list(partition.lattice_rows(k_min, k_max, total, weighted))
+        batches = list(partition.lattice_rows(ncls, total, weighted - k_min * total))
     assert all(0 < b.t.size <= batch_rows for b in batches)
     assert all((b.lo <= b.hi).all() for b in batches)
     keys = [tuple(row[::-1]) for b in batches for row in b.upper.tolist()]
@@ -517,7 +518,7 @@ def test_integer_lattice_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        integer_lattice(0, 4, 200, 200)
+        integer_lattice(5, 200, 200)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -545,13 +546,13 @@ def test_enumerate_profiles_cap():
     profiles = enumerate_profiles(spec, 200)
     assert profiles.shape == (58089, spec.n_classes)
     assert (profiles.sum(axis=1) == 200).all()
-    assert (profiles @ spec.classes() == spec.kind.class_sum(200)).all()
+    assert (profiles @ spec.classes() == 2 * 200 - 2).all()
 
 
 def test_integer_lattice_cap_is_in_bytes(monkeypatch):
     # the blocks that integer_lattice builds, seen by a spy on
     # LatticeRows.profiles: the matrix is their concatenation
-    args = (0, 3, 40, 50)
+    args = (4, 40, 50)
     monkeypatch.setattr(partition, "LATTICE_BYTES", 7 * 8 * 4)
     blocks, profiles = [], partition.LatticeRows.profiles
     with pytest.MonkeyPatch.context() as mp:
@@ -666,9 +667,26 @@ def test_row_cut_draws_are_feasible_profiles_above_the_cut(kind, D, beta, c_raw,
     rows = partition._sample_cut(spec, N, size, rng_stream(seed))
     assert rows.shape == (size, spec.n_classes) and rows.min() >= 0
     np.testing.assert_array_equal(rows.sum(axis=1), np.full(size, N))
-    np.testing.assert_array_equal(rows @ spec.classes(), np.full(size, spec.kind.class_sum(N)))
+    np.testing.assert_array_equal(rows @ spec.classes(), np.full(size, spec.kind.mean * (N - 1)))
     tau = partition.ProfileCut(spec, N).tau
     assert partition.profile_log_weights(spec, N, rows).min() >= tau - 1e-9 * (1 + abs(tau))
+
+
+def test_cut_draw_sends_the_dropped_mass_to_the_last_kept_point(monkeypatch):
+    # With the cut raised 8 nats above ln Z - 2 ln(points), the kept points
+    # of plane D=4, N=40 carry 0.71 of the mass: every uniform past their
+    # last running sum, less the last point's own share, draws that point.
+    monkeypatch.setattr(partition, "CUT_SLACK", -8.0)
+    spec, N, size = PLANE_D4, 40, 400
+    cut = partition.ProfileCut(spec, N)
+    kept = np.concatenate([rows_cut.rows.profiles(i, m2) for rows_cut, i, m2 in cut.blocks(cut.tau)])
+    share = np.exp(partition.profile_log_weights(spec, N, kept) - cut.log_z)
+    assert 0.6 < share.sum() < 0.8
+    rows = partition._sample_cut(spec, N, size, rng_stream(3))
+    assert {tuple(r) for r in rows.tolist()} <= {tuple(r) for r in kept.tolist()}
+    u = rng_stream(3).random(size)
+    last = (rows == kept[-1]).all(axis=1)
+    np.testing.assert_array_equal(last, u >= share[:-1].sum())
 
 
 def test_sample_degree_sequence_unique_profile():

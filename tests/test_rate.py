@@ -154,7 +154,7 @@ def test_stationarity_residual_matches_a_least_squares_fit():
         spec = EnsembleSpec(kind, D, 0.7, tuple(rng.uniform(-1, 1, D - kind.k_min + 1)))
         p = rng.dirichlet(np.ones(spec.n_classes))
         ks = spec.classes().astype(np.float64)
-        y = np.log(p) + spec.beta * spec.energies() + partition.word_log_weights(spec)
+        y = np.log(p) + spec.beta * spec.energies() + spec.kind.word_log_weights(spec.D)
         want = float(np.abs(y - np.polyval(np.polyfit(ks, y, 1), ks)).max())
         assert abs(_stationarity_residual(spec, p) - want) <= 1e-12 * want
 
@@ -242,7 +242,7 @@ def test_manifold_grid_matches_box_filter(spec, resolution):
     assert grid.shape == ref.shape
     assert _point_set(grid, resolution) == _point_set(ref, resolution)
     np.testing.assert_allclose(grid.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(grid @ spec.classes(), spec.mean_target, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grid @ spec.classes(), spec.kind.mean, rtol=0, atol=1e-12)
 
 
 def test_tilt_consistency_with_grid():

@@ -60,6 +60,19 @@ def test_ldp_imports_nothing_of_the_lattice():
     assert names & LATTICE_NAMES == set()
 
 
+def test_only_ensembles_does_the_kinds_arithmetic():
+    # the budget, the tree factor and the word weights are Kind's: the
+    # engines name no kind
+    named = [
+        (module, node.attr)
+        for module in ("partition.py", "rate.py", "ldp.py")
+        for node in ast.walk(ast.parse((SRC / module).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("LABELED", "PLANE")
+        and isinstance(node.value, ast.Name) and node.value.id == "Kind"
+    ]
+    assert named == []
+
+
 def definitions() -> dict[str, set[str]]:
     """Per top-level definition of the package, ``module.name``, the
     definitions that its code names, directly or through a ``from .module
